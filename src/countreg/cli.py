@@ -10,7 +10,9 @@ Subcommands::
 The run configuration is a JSON document with the encoding fields
 (``response``, ``predictors``, optional ``hurdle_predictors``) plus
 ``family`` (fit/restrict), optional ``families``, optional ``fit_options``,
-and an optional ``y_max`` for the frequency table.  Reports are JSON with
+and an optional ``y_max`` for the frequency table.  ``fit_options`` may still
+carry the schema-1 key ``hessian_step``; covariances now come from exact
+Hessians, so it is accepted and ignored.  Reports are JSON with
 ``schema_version`` 1; tabulated estimates are fixed to 4 decimals while
 machine fields carry 6 significant digits.  Plot data (frequency table,
 Pearson residual scatter, NB deviance residuals) is written as RFC 4180 CSV
@@ -68,7 +70,7 @@ def _fit_options(doc: dict) -> FitOptions | None:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown fit options {sorted(unknown)}")
-    return FitOptions(**raw)
+    return FitOptions(**{key: value for key, value in raw.items() if key != "hessian_step"})
 
 
 def _coefficient_row(report) -> dict:
@@ -408,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", help="CSV data file (overrides the config 'data' field)")
         p.add_argument("--config", required=True, help="JSON configuration document")
         p.add_argument("--out", default="countreg_out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker processes where supported")
 
     p_fit = sub.add_parser("fit", help="fit one model family and write reports")
     common(p_fit)
@@ -422,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate data from a simulation design")
     common(p_sim, data=False)
     p_sim.add_argument("--seed", type=int, help="override the design seed")
+    p_sim.add_argument("--threads", type=int, default=1, help="worker processes for the recovery study")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_res = sub.add_parser("restrict", help="drop insignificant covariates and refit")

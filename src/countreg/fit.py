@@ -1,18 +1,16 @@
 """Maximum-likelihood fitting for Poisson, NB, and hurdle-NB regressions.
 
-Poisson and the logistic hurdle part use guarded Newton steps; the NB and
-zero-truncated NB parts use BFGS with analytic gradients and a step-halving
-(Armijo) line search.  The dispersion parameter is optimized as log r.
-Starting values: beta from a Poisson fit, r from the method of moments
-r0 = max((s^2 - ybar)/ybar^2, 1e-3).
+Every block (Poisson, NB, the logistic hurdle part and the zero-truncated NB
+part) is maximized by one Newton routine on its exact Hessian with a
+step-halving (Armijo) line search.  The dispersion parameter is optimized as
+log r.  Starting values: beta from a Poisson fit, r from the method of
+moments r0 = max((s^2 - ybar)/ybar^2, 1e-3).
 
 Reported convergence means the max-norm of the score is below
-``gradient_tolerance * (1 + |loglik|)``.  The coefficient covariance is the
-inverse observed information, obtained from a central-difference Hessian of
-the full log-likelihood (differencing the analytic score) on the
-unconstrained scale; the r row/column is mapped to the natural scale by the
-delta method.  The covariance is recomputed at twice the differencing step
-and a conditioning warning is set if the two disagree beyond 1e-6 relative.
+``gradient_tolerance * (1 + |loglik|)``; ``iterations`` counts Newton steps.
+The coefficient covariance is the inverse observed information, the exact
+Hessian at the optimum on the unconstrained scale; the r row/column is mapped
+to the natural scale by the delta method.
 """
 
 from __future__ import annotations
@@ -25,13 +23,13 @@ import numpy as np
 from .exceptions import SeparationError
 from .likelihood import (
     NbRegParams,
+    _nb_hessian,
     _truncated_nb_loglik_terms,
     _truncated_nb_score,
     link_hurdle,
     link_mean,
     nb_loglik,
     nb_score,
-    poisson_score,
 )
 from .special import ln_gamma
 
@@ -50,12 +48,11 @@ class FitOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-7
     step_halving_limit: int = 30
-    hessian_step: float = 1e-5
 
     def __post_init__(self):
         if min(self.max_iterations, self.step_halving_limit) < 1:
             raise ValueError("iteration limits must be positive")
-        if min(self.gradient_tolerance, self.hessian_step) <= 0.0:
+        if self.gradient_tolerance <= 0.0:
             raise ValueError("tolerances must be positive")
 
 
@@ -103,6 +100,7 @@ class _OptState:
     u: np.ndarray
     value: float
     grad: np.ndarray
+    hess: np.ndarray
     converged: bool
     iterations: int
     warnings: list = field(default_factory=list)
@@ -116,25 +114,29 @@ def _converged(value, grad, options) -> bool:
     return _max_norm(grad) < options.gradient_tolerance * (1.0 + abs(value))
 
 
-def _bfgs_maximize(fun_grad, u0, options, guard=None) -> _OptState:
-    """Quasi-Newton ascent with Armijo step halving on the analytic gradient."""
+def _newton_maximize(objective, u0, options, guard=None) -> _OptState:
+    """Newton ascent on exact Hessians with Armijo step halving.
+
+    ``objective(u)`` returns (loglik, score, Hessian); trial points with a
+    non-finite loglik are rejected.  A non-finite step falls back to the
+    score.
+    """
     u = np.asarray(u0, dtype=float).copy()
-    value, grad = fun_grad(u)
-    p = u.size
-    # First trial step has roughly unit norm; the curvature rescale after the
-    # first update restores the proper Hessian scale.
-    H = np.eye(p) / max(1.0, float(np.linalg.norm(grad)))
-    scaled_once = False
-    fresh_restart = False
+    value, grad, hess = objective(u)
     iterations = 0
     warnings = []
     while iterations < options.max_iterations:
         if _converged(value, grad, options):
-            return _OptState(u, value, grad, True, iterations, warnings)
-        direction = H @ grad
+            return _OptState(u, value, grad, hess, True, iterations, warnings)
+        # Each curvature of -hess enters by its magnitude: the exact Newton
+        # step where -hess is positive definite, and still an ascent step
+        # where the log-likelihood is locally convex, as it is in log r near
+        # the Poisson boundary of a zero-truncated part.
+        eigval, eigvec = np.linalg.eigh(-0.5 * (hess + hess.T))
+        curvature = np.maximum(np.abs(eigval), max(1e-14 * np.max(np.abs(eigval)), 1e-300))
+        direction = eigvec @ ((eigvec.T @ grad) / curvature)
         slope = float(grad @ direction)
         if not np.isfinite(slope) or slope <= 0.0:
-            H = np.eye(p)
             direction = grad.copy()
             slope = float(grad @ grad)
             if slope == 0.0:
@@ -143,66 +145,7 @@ def _bfgs_maximize(fun_grad, u0, options, guard=None) -> _OptState:
         accepted = False
         for _ in range(options.step_halving_limit):
             candidate = u + step * direction
-            new_value, new_grad = fun_grad(candidate)
-            if np.isfinite(new_value) and new_value >= value + _ARMIJO * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        iterations += 1
-        if not accepted:
-            # Retry once from a reset curvature model before giving up; a
-            # stale H can point along a flat boundary direction.
-            if not fresh_restart:
-                H = np.eye(p) / max(1.0, float(np.linalg.norm(grad)))
-                scaled_once = False
-                fresh_restart = True
-                continue
-            warnings.append("line_search_stalled")
-            break
-        fresh_restart = False
-        s = step * direction
-        ym = grad - new_grad  # curvature pair for the equivalent minimization
-        sy = float(s @ ym)
-        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(ym) + 1e-300):
-            if not scaled_once:
-                H *= sy / float(ym @ ym)
-                scaled_once = True
-            rho = 1.0 / sy
-            Hy = H @ ym
-            H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
-            H += rho * (1.0 + rho * float(ym @ Hy)) * np.outer(s, s)
-        u, value, grad = candidate, new_value, new_grad
-        if guard is not None:
-            guard(u)
-    converged = _converged(value, grad, options)
-    return _OptState(u, value, grad, converged, iterations, warnings)
-
-
-def _newton_maximize(fun_grad_weights, X, u0, options, guard=None) -> _OptState:
-    """Newton ascent for GLM-type concave log-likelihoods (canonical links)."""
-    u = np.asarray(u0, dtype=float).copy()
-    value, grad, w = fun_grad_weights(u)
-    iterations = 0
-    warnings = []
-    while iterations < options.max_iterations:
-        if _converged(value, grad, options):
-            return _OptState(u, value, grad, True, iterations, warnings)
-        XtWX = X.T @ (X * w[:, None])
-        try:
-            direction = np.linalg.solve(XtWX, grad)
-        except np.linalg.LinAlgError:
-            direction = np.linalg.lstsq(XtWX, grad, rcond=None)[0]
-        slope = float(grad @ direction)
-        if slope <= 0.0:
-            direction = grad.copy()
-            slope = float(grad @ grad)
-            if slope == 0.0:
-                break
-        step = 1.0
-        accepted = False
-        for _ in range(options.step_halving_limit):
-            candidate = u + step * direction
-            new_value, new_grad, new_w = fun_grad_weights(candidate)
+            new_value, new_grad, new_hess = objective(candidate)
             if np.isfinite(new_value) and new_value >= value + _ARMIJO * step * slope:
                 accepted = True
                 break
@@ -211,24 +154,11 @@ def _newton_maximize(fun_grad_weights, X, u0, options, guard=None) -> _OptState:
         if not accepted:
             warnings.append("line_search_stalled")
             break
-        u, value, grad, w = candidate, new_value, new_grad, new_w
+        u, value, grad, hess = candidate, new_value, new_grad, new_hess
         if guard is not None:
             guard(u)
     converged = _converged(value, grad, options)
-    return _OptState(u, value, grad, converged, iterations, warnings)
-
-
-def _fd_hessian(score_fun, u, step) -> np.ndarray:
-    """Central-difference Jacobian of the analytic score, symmetrized."""
-    p = u.size
-    J = np.empty((p, p))
-    for j in range(p):
-        h = step * (1.0 + abs(u[j]))
-        up, down = u.copy(), u.copy()
-        up[j] += h
-        down[j] -= h
-        J[:, j] = (score_fun(up) - score_fun(down)) / (2.0 * h)
-    return 0.5 * (J + J.T)
+    return _OptState(u, value, grad, hess, converged, iterations, warnings)
 
 
 def _psd_inverse(A) -> np.ndarray:
@@ -238,27 +168,32 @@ def _psd_inverse(A) -> np.ndarray:
     return (eigvec * inv) @ eigvec.T
 
 
-def _covariance_from_score(score_fun, u, options):
-    """(covariance, warnings) from the observed information at ``u``."""
-    warnings = []
+def _covariance(hess):
+    """(covariance, warnings): the inverse observed information -hess."""
+    info = -0.5 * (hess + hess.T)
+    degenerate = np.min(np.linalg.eigvalsh(info)) <= 0.0
+    cov = _psd_inverse(info) if degenerate else np.linalg.inv(info)
+    return 0.5 * (cov + cov.T), ["hessian_not_negative_definite"] if degenerate else []
 
-    def cov_at(step):
-        H = _fd_hessian(score_fun, u, step)
-        info = -H
-        eigval = np.linalg.eigvalsh(info)
-        if np.min(eigval) <= 0.0:
-            return _psd_inverse(info), True
-        return np.linalg.inv(info), False
 
-    cov, degenerate = cov_at(options.hessian_step)
-    if degenerate:
-        warnings.append("hessian_not_negative_definite")
-    cov2, _ = cov_at(2.0 * options.hessian_step)
-    scale = float(np.max(np.abs(cov))) + 1e-300
-    if float(np.max(np.abs(cov - cov2))) / scale > 1e-6:
-        warnings.append("covariance_step_sensitive")
-    cov = 0.5 * (cov + cov.T)
-    return cov, warnings
+def _nb_objective(X, y, truncated):
+    """u = (beta, log r) -> (loglik, score, Hessian) of the NB or, with
+    ``truncated``, the zero-truncated NB part; |log r| beyond the window is
+    rejected."""
+    k = X.shape[1]
+
+    def objective(u):
+        if abs(u[k]) > _LOG_R_WINDOW:
+            return -math.inf, None, None
+        params = NbRegParams(beta=u[:k], log_r=float(u[k]))
+        if truncated:
+            value = float(np.sum(_truncated_nb_loglik_terms(params, X, y, full=True)))
+            score = _truncated_nb_score(params, X, y)
+        else:
+            value, score = nb_loglik(params, X, y), nb_score(params, X, y)
+        return value, score, _nb_hessian(params, X, y, truncated)
+
+    return objective
 
 
 def _default_labels(k):
@@ -294,18 +229,15 @@ def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedM
     yf = y.astype(float)
     const = float(np.sum(ln_gamma(yf + 1.0)))
 
-    def fun_grad_weights(beta):
+    def objective(beta):
         theta = link_mean(X, beta)
         value = float(np.sum(yf * np.log(theta) - theta)) - const
-        return value, X.T @ (yf - theta), theta
+        return value, X.T @ (yf - theta), -(X.T @ (X * theta[:, None]))
 
     beta0 = np.zeros(k)
     beta0[0] = math.log(max(float(np.mean(yf)), 1e-8))
-    state = _newton_maximize(fun_grad_weights, X, beta0, options)
-
-    cov, cov_warnings = _covariance_from_score(
-        lambda b: poisson_score(b, X, y), state.u, options
-    )
+    state = _newton_maximize(objective, beta0, options)
+    cov, cov_warnings = _covariance(state.hess)
     estimates = dict(zip(labels, state.u.tolist()))
     return FittedModel(
         family="P",
@@ -343,22 +275,13 @@ def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     poisson = fit_poisson(X, y, options=options, labels=labels)
     u0 = np.concatenate([poisson.params_unconstrained, [math.log(_moment_start_r(y))]])
 
-    def fun_grad(u):
-        if abs(u[k]) > _LOG_R_WINDOW:
-            return -math.inf, np.zeros(k + 1)
-        params = NbRegParams(beta=u[:k], log_r=float(u[k]))
-        return nb_loglik(params, X, y), nb_score(params, X, y)
-
-    def score_fun(u):
-        return nb_score(NbRegParams(beta=u[:k], log_r=float(u[k])), X, y)
-
-    state = _bfgs_maximize(fun_grad, u0, options)
+    state = _newton_maximize(_nb_objective(X, y, truncated=False), u0, options)
     r_hat = math.exp(float(state.u[k]))
     warnings = list(state.warnings)
     if r_hat < _POISSON_BOUNDARY_R:
         warnings.append("poisson_boundary")
 
-    cov_u, cov_warnings = _covariance_from_score(score_fun, state.u, options)
+    cov_u, cov_warnings = _covariance(state.hess)
     warnings += cov_warnings
     scale = np.ones(k + 1)
     scale[k] = r_hat  # delta method: d r / d log r = r
@@ -427,17 +350,17 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     # Binary part: logistic regression of I(y == 0) on X_h.
     z = zero.astype(float)
 
-    def binary_fun(delta):
+    def binary_objective(delta):
         eta = np.clip(X_h @ delta, -700.0, 700.0)
         value = float(np.sum(z * eta - np.logaddexp(0.0, eta)))
         phi = link_hurdle(X_h, delta)
-        return value, X_h.T @ (z - phi), phi * (1.0 - phi)
+        return value, X_h.T @ (z - phi), -(X_h.T @ (X_h * (phi * (1.0 - phi))[:, None]))
 
     delta0 = np.zeros(k_h)
     zbar = float(np.mean(z))
     delta0[0] = math.log(zbar / (1.0 - zbar))
     binary_state = _newton_maximize(
-        binary_fun, X_h, delta0, options, guard=_separation_guard(X_h, hurdle_labels)
+        binary_objective, delta0, options, guard=_separation_guard(X_h, hurdle_labels)
     )
 
     # Zero-truncated part on the positive rows only.
@@ -448,32 +371,15 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
         [poisson.params_unconstrained, [math.log(_moment_start_r(y[~zero]))]]
     )
 
-    def truncated_value(u):
-        params = NbRegParams(beta=u[:k], log_r=float(u[k]))
-        return float(np.sum(_truncated_nb_loglik_terms(params, Xp, yp, full=True)))
-
-    def truncated_score(u):
-        return _truncated_nb_score(NbRegParams(beta=u[:k], log_r=float(u[k])), Xp, yp)
-
-    def truncated_fun(u):
-        if abs(u[k]) > _LOG_R_WINDOW:
-            return -math.inf, np.zeros(k + 1)
-        return truncated_value(u), truncated_score(u)
-
-    truncated_state = _bfgs_maximize(truncated_fun, u0, options)
+    truncated_state = _newton_maximize(_nb_objective(Xp, yp, truncated=True), u0, options)
     r_hat = math.exp(float(truncated_state.u[k]))
 
     warnings = list(binary_state.warnings) + list(truncated_state.warnings)
     if r_hat < _POISSON_BOUNDARY_R:
         warnings.append("poisson_boundary")
 
-    cov_trunc, w1 = _covariance_from_score(truncated_score, truncated_state.u, options)
-
-    def binary_score(delta):
-        phi = link_hurdle(X_h, delta)
-        return X_h.T @ (z - phi)
-
-    cov_binary, w2 = _covariance_from_score(binary_score, binary_state.u, options)
+    cov_trunc, w1 = _covariance(truncated_state.hess)
+    cov_binary, w2 = _covariance(binary_state.hess)
     warnings += w1 + w2
 
     p_total = k + 1 + k_h

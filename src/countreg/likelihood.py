@@ -1,4 +1,4 @@
-"""Regression log-likelihoods, analytic scores, and link functions.
+"""Regression log-likelihoods, analytic scores and Hessians, and link functions.
 
 The mean equation uses a log link, theta_i = exp(x_i' beta); the hurdle
 probability uses a logit link, phi_i = logistic(x_i' delta).  The dispersion
@@ -9,9 +9,14 @@ The negative binomial log-likelihood per observation is
     lnG(1/r + y) - lnG(1/r) - (1/r + y) log(1 + r theta) + y (log r + log theta)
 
 plus the constant -lnG(y+1) when the full (cross-family comparable) value is
-requested.  The hurdle log-likelihood separates into a binary part, which
-depends only on delta, and a zero-truncated part in (beta, log r); the two
-blocks maximize independently.
+requested.  The gamma terms are evaluated as the cancellation-free sum
+lnG(1/r + y) - lnG(1/r) + y log r = sum_{j<y} log1p(j r) (Lawless 1987);
+that sum and its first two log r derivatives share one cumulative-sum grid,
+so the NB and zero-truncated NB log-likelihood, score and exact Hessian in
+(beta, log r) need no special functions beyond the lnG(y+1) constant.  The
+hurdle log-likelihood separates into a binary part, which depends only on
+delta, and a zero-truncated part in (beta, log r); the two blocks maximize
+independently.
 
 Observation sums run in natural (row) order, so repeated evaluation of the
 same inputs is bit-stable.
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import digamma, ln_gamma, ln_gamma_ratio
+from .special import ln_gamma
 
 __all__ = [
     "NbRegParams",
@@ -124,94 +129,101 @@ def poisson_score(beta, X, y) -> np.ndarray:
     return X.T @ (y - theta)
 
 
-# Above this value of a = 1/r the direct differences lose precision to
-# cancellation, so Stirling-series forms of the differences take over.
-_LARGE_SHAPE = 1e6
+def _dispersion_sums(y, r):
+    """Per-row sums over j < y of log1p(j r), j r/(1 + j r) and j r/(1 + j r)^2.
+
+    The first equals lnG(1/r + y) - lnG(1/r) + y log r (Lawless 1987); the
+    other two are its first and second derivatives in log r.  Each is one
+    cumulative sum over j = 0..max(y) - 1 gathered at y, and no term cancels
+    at any r.
+    """
+    counts = y.astype(np.int64)
+    jr = r * np.arange(int(counts.max(initial=0)), dtype=float)
+    q = jr / (1.0 + jr)
+    grids = np.zeros((3, jr.size + 1))
+    np.cumsum(np.log1p(jr), out=grids[0, 1:])
+    np.cumsum(q, out=grids[1, 1:])
+    np.cumsum(q / (1.0 + jr), out=grids[2, 1:])
+    return grids[:, counts]
 
 
-def _ln_gamma_diff(a, y):
-    """ln Gamma(a+y) - ln Gamma(a), stable for arbitrarily large a."""
-    if a > _LARGE_SHAPE:
-        ly = np.log1p(y / a)
-        return y * np.log(a) + (a + y - 0.5) * ly - y - y / (12.0 * a * (a + y))
-    return ln_gamma(a + y) - ln_gamma(a)
+def _nb_loglik_terms(params: NbRegParams, X, y, full):
+    eta = _clamped_eta(X, params.beta)
+    r = params.r
+    terms = _dispersion_sums(y, r)[0] - (1.0 / r + y) * np.log1p(r * np.exp(eta)) + y * eta
+    if full:
+        terms = terms - ln_gamma(y + 1.0)
+    return terms
 
 
-def _digamma_diff(a, y):
-    """psi(a+y) - psi(a), stable for arbitrarily large a."""
-    if a > _LARGE_SHAPE:
-        return (
-            np.log1p(y / a)
-            + y / (2.0 * a * (a + y))
-            + y * (2.0 * a + y) / (12.0 * a * a * (a + y) ** 2)
-        )
-    return digamma(a + y) - digamma(a)
-
-
-def _nb_gamma_terms(a, y, method):
-    if method == "lngamma":
-        return _ln_gamma_diff(a, y)
-    if method == "ratio":
-        return np.array([ln_gamma_ratio(a, int(v)) for v in y])
-    raise ValueError(f"unknown gamma_terms method {method!r}")
-
-
-def nb_loglik(params: NbRegParams, X, y, full: bool = True, gamma_terms: str = "lngamma") -> float:
+def nb_loglik(params: NbRegParams, X, y, full: bool = True) -> float:
     """Negative binomial regression log-likelihood.
 
     ``full=True`` includes the -sum lnGamma(y+1) constant so values are
     comparable across model families (needed for AIC); ``full=False`` drops
-    it.  ``gamma_terms`` selects the evaluation route for the
-    Gamma(1/r + y)/Gamma(1/r) term: vectorized log-gamma differences
-    (default) or the log-product identity; the two agree to rounding.
+    it.
     """
     _check_dims(X, params.beta, "mean")
     y = _validate_response(y)
+    return float(np.sum(_nb_loglik_terms(params, X, y, full)))
+
+
+def _nb_row_derivatives(params: NbRegParams, X, y, truncated, second):
+    """Per-row derivatives of the NB or zero-truncated NB log-likelihood.
+
+    Returns (d/d eta, d/d log r), or with ``second`` (d2/d eta2,
+    d2/d eta d log r, d2/d log r2).  Truncation adds g = -log(1 - p0) with
+    lam = log p0 = -log1p(r theta)/r, so g' = rho lam' and
+    g'' = rho (1 + rho) lam'^2 + rho lam'' for rho = p0/(1 - p0).
+    """
     r = params.r
-    a = 1.0 / r
-    eta = _clamped_eta(X, params.beta)
-    theta = np.exp(eta)
+    theta = np.exp(_clamped_eta(X, params.beta))
+    denom = 1.0 + r * theta
     log1prt = np.log1p(r * theta)
-    terms = _nb_gamma_terms(a, y, gamma_terms) - (a + y) * log1prt + y * (params.log_r + eta)
-    value = float(np.sum(terms))
-    if full:
-        value -= float(np.sum(ln_gamma(y + 1.0)))
-    return value
+    _, s1, s2 = _dispersion_sums(y, r)
+    lam_eta = -theta / denom
+    lam_logr = log1prt / r - theta / denom
+    log_p0 = -log1prt / r
+    rho = np.exp(log_p0) / -np.expm1(log_p0) if truncated else 0.0
+    if not second:
+        return (
+            (y - theta) / denom + rho * lam_eta,
+            s1 + lam_logr - r * y * theta / denom + rho * lam_logr,
+        )
+    lam_eta_logr = r * theta**2 / denom**2
+    nb_eta_logr = r * theta * (theta - y) / denom**2
+    kappa = rho * (1.0 + rho)
+    return (
+        -(1.0 + r * y + rho) * theta / denom**2 + kappa * lam_eta**2,
+        nb_eta_logr + kappa * lam_eta * lam_logr + rho * lam_eta_logr,
+        s2 - lam_logr + nb_eta_logr + kappa * lam_logr**2 + rho * (lam_eta_logr - lam_logr),
+    )
 
 
 def nb_score(params: NbRegParams, X, y) -> np.ndarray:
     """Analytic gradient of the NB log-likelihood in (beta, log r)."""
     _check_dims(X, params.beta, "mean")
     y = _validate_response(y)
-    r = params.r
-    a = 1.0 / r
-    eta = _clamped_eta(X, params.beta)
-    theta = np.exp(eta)
-    denom = 1.0 + r * theta
-    grad_beta = X.T @ ((y - theta) / denom)
-    log1prt = np.log1p(r * theta)
-    psi_term = _digamma_diff(a, y)
-    dlogr = np.sum(-a * psi_term + a * log1prt - r * (a + y) * theta / denom + y)
-    return np.concatenate([grad_beta, [float(dlogr)]])
+    d_eta, d_logr = _nb_row_derivatives(params, X, y, truncated=False, second=False)
+    return np.append(X.T @ d_eta, np.sum(d_logr))
+
+
+def _nb_hessian(params: NbRegParams, X, y, truncated=False) -> np.ndarray:
+    """Exact (beta, log r) Hessian of the NB log-likelihood, or with
+    ``truncated`` of the zero-truncated part (rows must have y > 0)."""
+    d_eta2, d_eta_logr, d_logr2 = _nb_row_derivatives(params, X, y, truncated, second=True)
+    k = X.shape[1]
+    hess = np.empty((k + 1, k + 1))
+    hess[:k, :k] = X.T @ (X * d_eta2[:, None])
+    hess[:k, k] = hess[k, :k] = X.T @ d_eta_logr
+    hess[k, k] = np.sum(d_logr2)
+    return hess
 
 
 def _truncated_nb_loglik_terms(params: NbRegParams, X, y, full):
     """Per-observation zero-truncated NB terms (rows must have y > 0)."""
-    r = params.r
-    a = 1.0 / r
-    eta = _clamped_eta(X, params.beta)
-    theta = np.exp(eta)
-    log1prt = np.log1p(r * theta)
-    log_p0 = -a * log1prt
-    terms = (
-        _ln_gamma_diff(a, y)
-        - (a + y) * log1prt
-        + y * (params.log_r + eta)
-        - np.log1p(-np.exp(log_p0))
-    )
-    if full:
-        terms = terms - ln_gamma(y + 1.0)
-    return terms
+    log_p0 = -np.log1p(params.r * np.exp(_clamped_eta(X, params.beta))) / params.r
+    return _nb_loglik_terms(params, X, y, full) - np.log1p(-np.exp(log_p0))
 
 
 def hnb_loglik_parts(params: HnbRegParams, X, X_h, y, full: bool = True):
@@ -246,26 +258,8 @@ def hnb_loglik(params: HnbRegParams, X, X_h, y, full: bool = True) -> float:
 
 def _truncated_nb_score(params: NbRegParams, X, y) -> np.ndarray:
     """(beta, log r) score of the zero-truncated NB part; rows must have y > 0."""
-    r = params.r
-    a = 1.0 / r
-    eta = _clamped_eta(X, params.beta)
-    theta = np.exp(eta)
-    denom = 1.0 + r * theta
-    log1prt = np.log1p(r * theta)
-    p0 = np.exp(-a * log1prt)
-    pbar0 = -np.expm1(-a * log1prt)
-    grad_beta = X.T @ ((y - theta) / denom - theta * p0 / (denom * pbar0))
-    psi_term = _digamma_diff(a, y)
-    dlogr = float(
-        np.sum(
-            -a * psi_term
-            + a * log1prt
-            - r * (a + y) * theta / denom
-            + y
-            + p0 * (a * log1prt - theta / denom) / pbar0
-        )
-    )
-    return np.concatenate([grad_beta, [dlogr]])
+    d_eta, d_logr = _nb_row_derivatives(params, X, y, truncated=True, second=False)
+    return np.append(X.T @ d_eta, np.sum(d_logr))
 
 
 def hnb_score(params: HnbRegParams, X, X_h, y) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Special functions used by the count-model likelihoods.
 
 ``ln_gamma`` (Lanczos) and ``digamma`` (recurrence plus asymptotic series) are
-the exact workhorses.  ``ln_gamma_approx`` evaluates a closed-form Stirling
+the exact routines; the likelihoods use only ``ln_gamma``, for the lnG(y+1)
+constant.  ``ln_gamma_approx`` evaluates a closed-form Stirling
 variant based on ``z*sinh(1/z)`` that is occasionally convenient when the
 dispersion parameter is being estimated; it is kept as a cross-check utility
 and is not used by the likelihood code.  ``ln_gamma_ratio`` evaluates

@@ -138,6 +138,14 @@ class TestFit:
         assert report["converged"] is False
         assert float(report["gradient_norm"]) > 0.0
 
+    def test_schema1_hessian_step_is_accepted_and_ignored(self, tmp_path):
+        data = make_csv(tmp_path / "d.csv", n=800)
+        run = {**RUN_CONFIG, "fit_options": {"max_iterations": 50, "hessian_step": 1e-5}}
+        config = write_json(tmp_path / "run.json", run)
+        code = main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+
     def test_reports_deterministic(self, tmp_path):
         data = make_csv(tmp_path / "d.csv", n=800)
         config = write_json(tmp_path / "run.json", RUN_CONFIG)

@@ -12,7 +12,15 @@ import pytest
 
 from countreg.exceptions import SeparationError
 from countreg.fit import FitOptions, FittedModel, fit_hnb, fit_homogeneous, fit_nb, fit_poisson
-from countreg.likelihood import link_hurdle, link_mean, poisson_loglik
+from countreg.likelihood import (
+    HnbRegParams,
+    NbRegParams,
+    hnb_score,
+    link_hurdle,
+    link_mean,
+    nb_score,
+    poisson_loglik,
+)
 
 
 def simulate_nb(rng, X, beta, r):
@@ -30,6 +38,16 @@ def simulate_hnb(rng, X, beta, r, X_h, delta):
         y[idx] = rng.poisson(rng.gamma(1.0 / r, r * theta[idx]))
         idx = idx[y[idx] == 0]
     return y
+
+
+def score_jacobian(score, u, h=1e-6):
+    """Central-difference Jacobian of an analytic score."""
+    columns = []
+    for j in range(u.size):
+        step = np.zeros(u.size)
+        step[j] = h * (1.0 + abs(u[j]))
+        columns.append((score(u + step) - score(u - step)) / (2.0 * step[j]))
+    return np.column_stack(columns)
 
 
 def design(rng, n, k):
@@ -117,7 +135,8 @@ class TestFitNb:
         y = np.tile([4, 5], 400)  # variance far below the mean
         m = fit_nb(np.ones((y.size, 1)), y)
         assert m.estimates["r"] < 1e-6
-        assert "poisson_boundary" in m.warnings
+        assert m.converged
+        assert m.warnings == ("poisson_boundary",)
 
     def test_equidispersed_loglik_near_poisson(self):
         rng = np.random.default_rng(11)
@@ -142,22 +161,44 @@ class TestFitNb:
         X = design(rng, 1000, 2)
         y = simulate_nb(rng, X, np.array([1.2, 0.4]), 0.6)
         m = fit_nb(X, y)
-        from countreg.fit import _bfgs_maximize
-        from countreg.likelihood import NbRegParams, nb_loglik, nb_score
+        from countreg.fit import _nb_objective, _newton_maximize
 
-        def fun_grad(u):
-            params = NbRegParams(beta=u[:2], log_r=float(u[2]))
-            return nb_loglik(params, X, y), nb_score(params, X, y)
-
-        state = _bfgs_maximize(fun_grad, m.params_unconstrained, FitOptions())
+        objective = _nb_objective(X, y, truncated=False)
+        state = _newton_maximize(objective, m.params_unconstrained, FitOptions())
+        assert state.converged
         assert abs(state.value - m.loglik) < 1e-8
 
-    def test_covariance_insensitive_to_step_doubling(self):
+    def test_information_matches_score_jacobian(self):
+        # Oracle: central differences of the public analytic scores.
         rng = np.random.default_rng(7)
         X = design(rng, 4000, 3)
         y = simulate_nb(rng, X, np.array([1.0, 0.3, -0.2]), 0.7)
         m = fit_nb(X, y)
-        assert "covariance_step_sensitive" not in m.warnings
+        jac = score_jacobian(
+            lambda u: nb_score(NbRegParams(beta=u[:3], log_r=float(u[3])), X, y),
+            m.params_unconstrained,
+        )
+        # Entries near zero (beta-log r cross terms) carry differencing noise
+        # of order 1e-11 of the largest entry, hence the scaled atol.
+        np.testing.assert_allclose(
+            -np.linalg.inv(m.covariance_unconstrained), jac, rtol=1e-6, atol=1e-10 * np.max(np.abs(jac))
+        )
+
+        y = simulate_hnb(rng, X, np.array([1.0, 0.3, -0.2]), 0.7, X, np.array([-1.0, 0.5, 0.0]))
+        m = fit_hnb(X, X, y)
+        delta = m.params_unconstrained[4:]
+
+        def truncated_score(u):
+            params = HnbRegParams(nb=NbRegParams(beta=u[:3], log_r=float(u[3])), delta=delta)
+            return hnb_score(params, X, X, y)[:4]
+
+        jac = score_jacobian(truncated_score, m.params_unconstrained[:4])
+        np.testing.assert_allclose(
+            -np.linalg.inv(m.covariance_unconstrained[:4, :4]),
+            jac,
+            rtol=1e-6,
+            atol=1e-10 * np.max(np.abs(jac)),
+        )
 
     def test_covariance_properties(self):
         rng = np.random.default_rng(8)
@@ -232,6 +273,16 @@ class TestFitHnb:
             m_aug.params_unconstrained[: m_aug.k_mean + 1],
         )
         assert m_full.estimates["zero:intercept"] != m_aug.estimates["zero:intercept"]
+
+    def test_truncated_part_leaves_locally_convex_start(self):
+        # Positives are mostly ones, so the moment start r0 = 1e-3 lies where
+        # the truncated log-likelihood is convex in log r; a plain Newton step
+        # crawls there (about 480 iterations), the interior optimum is r ~ 6.9.
+        y = np.repeat([0, 1, 2, 3], [100, 134, 12, 2])
+        m = fit_homogeneous("HNB", y)
+        assert m.converged and m.iterations <= 30
+        assert m.warnings == ()
+        assert m.estimates["r"] == pytest.approx(6.9219, rel=1e-4)
 
     def test_structural_errors(self):
         X = np.ones((10, 1))
