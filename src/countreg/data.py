@@ -24,14 +24,15 @@ The encoding configuration is a declarative JSON document::
 
 ``hurdle_predictors`` lists which predictors enter the hurdle equation;
 omitted, the hurdle equation uses the same predictors as the mean equation.
-Rows with empty cells are rejected with their coordinates; a log transform
-requires strictly positive values.
+Empty, unparsable and non-finite (``nan``, ``inf``) cells are rejected with
+their coordinates; a log transform requires strictly positive values.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,10 +201,14 @@ def _parse_count(raw, row, column):
         value = float(raw)
     except ValueError:
         raise DataError(f"unparsable count {raw!r}", row=row, column=column) from None
-    if value < 0:
-        raise DataError(f"negative count {raw!r}", row=row, column=column)
-    if value != int(value):
-        raise DataError(f"non-integer count {raw!r}", row=row, column=column)
+    if value < 0 or not value.is_integer():
+        if not math.isfinite(value):
+            problem = "non-finite"
+        elif value < 0:
+            problem = "negative"
+        else:
+            problem = "non-integer"
+        raise DataError(f"{problem} count {raw!r}", row=row, column=column)
     return int(value)
 
 
@@ -217,8 +222,10 @@ def _parse_float(raw, row, column):
 def read_csv(path, config: EncodingConfig) -> Dataset:
     """Read an RFC 4180 CSV with a header row into a typed Dataset.
 
-    Every declared column must exist; empty cells, unparsable cells, and
-    negative counts are rejected with 1-based data-row coordinates.
+    Every declared column must exist; empty, unparsable and non-finite
+    cells, and negative counts, are rejected with 1-based data-row
+    coordinates.  Numeric columns are checked for finiteness once each,
+    after parsing.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -264,11 +271,17 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
     columns = []
     for spec in config.predictors:
         values = raw_cols[spec.name]
-        arr = (
-            np.array(values, dtype=object)
-            if spec.kind == "categorical"
-            else np.array(values, dtype=float)
-        )
+        if spec.kind == "categorical":
+            arr = np.array(values, dtype=object)
+        else:
+            arr = np.array(values, dtype=float)
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise DataError(
+                    f"non-finite numeric value {arr[bad[0]]}",
+                    row=int(bad[0]) + 1,
+                    column=spec.name,
+                )
         columns.append(
             Column(
                 name=spec.name,

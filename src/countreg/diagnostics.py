@@ -9,8 +9,10 @@ saturated-minus-fitted log-likelihood gap; both the signed sum (D) and the
 conventional sum of squares are reported, each divided by the degrees of
 freedom, because both conventions circulate.
 
-Hurdle-model variances come from the truncated-moment computation in
-:mod:`countreg.distributions`, never from the printed bracket form.
+Hurdle-model means and variances come from the closed-form moments in
+:mod:`countreg.distributions`, evaluated for all rows at once; they are
+tested against truncated summation of the pmf, and the printed bracket form
+of the variance is never used.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HurdleParams, NbParams, hnb_mean_var
+from .distributions import _hnb_moments
 from .fit import FittedModel
 from .likelihood import link_hurdle, link_mean
 
@@ -73,13 +75,7 @@ def pearson(model: FittedModel, X, y, X_h=None) -> ResidualSet:
         if X_h.shape != (model.n, model.k_hurdle):
             raise ValueError("hurdle design shape does not match the fitted model")
         delta = np.array([model.estimates[name] for name in model.hurdle_names])
-        phi = link_hurdle(X_h, delta)
-        mu = np.empty(model.n)
-        sigma2 = np.empty(model.n)
-        for i in range(model.n):
-            mu[i], sigma2[i] = hnb_mean_var(
-                HurdleParams(NbParams(float(theta[i]), r), float(phi[i]))
-            )
+        mu, sigma2 = _hnb_moments(theta, r, link_hurdle(X_h, delta))
     else:
         raise ValueError(f"unsupported family {model.family!r}")
     residuals = (y - mu) / np.sqrt(sigma2)

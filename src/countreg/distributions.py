@@ -8,10 +8,12 @@ mass over {1, 2, ...}.
 
 Log-pmfs are evaluated in log space throughout; the gamma-function terms are
 computed with the product identity (``ln_gamma_ratio``) rather than direct
-gamma evaluations.  Hurdle moments beyond the mean are obtained by truncated
-summation of the pmf, which is the authoritative route; a closed bracket form
-of the variance exists in the literature but is evaluated only as a
-cross-check (see :func:`hnb_variance_bracket_form`).
+gamma evaluations.  Residuals take the hurdle mean and variance from the
+closed form ``E[Y^2] = (1-phi)(theta + (1+r)theta^2)/(1-p0)`` (Mullahy 1986),
+evaluated for all rows at once.  Truncated summation of the pmf stays as the
+oracle that the closed form is tested against (:func:`hnb_mean_var`); the
+printed bracket form of the variance disagrees with both and is evaluated only
+as an audited cross-check (see :func:`hnb_variance_bracket_form`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ __all__ = [
 ]
 
 _TAIL_TOLERANCE = 1e-12
+_THETA_MESSAGE = "theta must be finite and strictly positive"
+_R_MESSAGE = "r must be finite and strictly positive"
+_PHI_MESSAGE = "phi must lie in [0, 1]"
 
 
 @dataclass(frozen=True)
@@ -47,9 +52,9 @@ class NbParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError("theta must be finite and strictly positive")
+            raise ValueError(_THETA_MESSAGE)
         if not (np.isfinite(self.r) and self.r > 0.0):
-            raise ValueError("r must be finite and strictly positive")
+            raise ValueError(_R_MESSAGE)
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class HurdleParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.phi) and 0.0 <= self.phi <= 1.0):
-            raise ValueError("phi must lie in [0, 1]")
+            raise ValueError(_PHI_MESSAGE)
 
 
 def _validate_counts(y):
@@ -175,19 +180,40 @@ def _truncated_moments(h: HurdleParams, tail: float = 1e-16):
     return total, m1, m2
 
 
-def hnb_mean_var(h: HurdleParams):
-    """Mean and variance of the hurdle distribution.
+def _hnb_moments(theta, r, phi):
+    """Hurdle-NB mean and variance for arrays of ``theta`` and ``phi``.
 
-    The mean is the closed form (1-phi)*theta / (1-p0).  The variance is
-    computed from truncated-series moments of the pmf (tail below 1e-12),
-    which is the authoritative definition.
+    ``mu = (1-phi)*theta/(1-p0)`` and, from the closed second moment,
+    ``sigma2 = mu*(1 + r*theta + theta - mu)``; entries with ``phi = 1``
+    therefore give exactly (0, 0).  Invalid entries raise the
+    ``NbParams``/``HurdleParams`` messages.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(theta) & (theta > 0.0)):
+        raise ValueError(_THETA_MESSAGE)
+    if not (np.isfinite(r) and r > 0.0):
+        raise ValueError(_R_MESSAGE)
+    if not np.all((phi >= 0.0) & (phi <= 1.0)):
+        raise ValueError(_PHI_MESSAGE)
+    p0 = np.exp(-np.log1p(r * theta) / r)
+    mu = (1.0 - phi) * theta / (1.0 - p0)
+    return mu, mu * (1.0 + r * theta + theta - mu)
+
+
+def hnb_mean_var(h: HurdleParams):
+    """Mean and variance of the hurdle distribution, the variance by summation.
+
+    The mean is the closed form (1-phi)*theta / (1-p0).  The variance sums
+    the pmf's first two moments over its support (tail below 1e-16); it is
+    the reference against which the closed form of :func:`_hnb_moments`,
+    used for residuals, is tested.
     """
     if h.phi >= 1.0:
         return 0.0, 0.0
-    p0 = nb_zero_prob(h.nb)
-    mean = (1.0 - h.phi) * h.nb.theta / (1.0 - p0)
+    mean, _ = _hnb_moments(h.nb.theta, h.nb.r, h.phi)
     _, m1, m2 = _truncated_moments(h)
-    return mean, m2 - m1 * m1
+    return float(mean), m2 - m1 * m1
 
 
 def hnb_variance_bracket_form(h: HurdleParams) -> float:

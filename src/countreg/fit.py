@@ -221,10 +221,18 @@ def _validate_design(X, y, labels, min_extra=0):
     return X, y.astype(np.int64), tuple(labels)
 
 
+def _require_positive_count(y):
+    # An all-zero response drives the intercept to -inf; Newton would stop
+    # on a vanishing gradient and report a spurious convergence.
+    if not np.any(y > 0):
+        raise ValueError("fit needs at least one positive count; the response is all zero")
+
+
 def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Poisson regression under the log link."""
     options = options or FitOptions()
     X, y, labels = _validate_design(X, y, labels)
+    _require_positive_count(y)
     n, k = X.shape
     yf = y.astype(float)
     const = float(np.sum(ln_gamma(yf + 1.0)))
@@ -271,6 +279,7 @@ def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Negative binomial regression; beta starts at the Poisson fit."""
     options = options or FitOptions()
     X, y, labels = _validate_design(X, y, labels, min_extra=1)
+    _require_positive_count(y)
     n, k = X.shape
     poisson = fit_poisson(X, y, options=options, labels=labels)
     u0 = np.concatenate([poisson.params_unconstrained, [math.log(_moment_start_r(y))]])

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .fit import FittedModel
 from .likelihood import link_hurdle
@@ -76,7 +76,7 @@ def wald_table(model: FittedModel, level: float = 0.95) -> list[CoefficientRepor
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be in (0, 1)")
-    quantile = float(ndtri(0.5 + level / 2.0))
+    quantile = NormalDist().inv_cdf(0.5 + level / 2.0)
     se_by_name = model.std_errors()
     rows = []
     for name in model.names:

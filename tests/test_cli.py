@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +127,28 @@ class TestFit:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "sep" in capsys.readouterr().err
+
+    def test_all_zero_response_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("cites,x1\n" + "".join(f"0,{i / 10}\n" for i in range(40)), encoding="utf-8")
+        run = {"family": "NB", "response": "cites", "predictors": [{"name": "x1"}]}
+        config = write_json(tmp_path / "run.json", run)
+        code = main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "all zero" in capsys.readouterr().err
+
+    def test_non_finite_cell_exits_1_with_coordinates(self, tmp_path, capsys):
+        data = make_csv(tmp_path / "d.csv", n=200)
+        lines = data.read_text(encoding="utf-8").splitlines()
+        cites, oa, _ = lines[5].split(",")
+        lines[5] = f"{cites},{oa},nan"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_json(tmp_path / "run.json", RUN_CONFIG)
+        code = main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "row 5, column 'x1'" in capsys.readouterr().err
 
     def test_usage_error_exits_1(self):
         assert main(["no-such-command"]) == 1
@@ -322,3 +348,15 @@ class TestRestrict:
         assert "noise" in report["dropped"]["mean"]
         assert "noise" in report["dropped"]["zeros"]
         assert "positives" in report and "zeros" in report
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy(self):
+        # scipy is a test-only oracle; the CLI must not pay for importing it.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", "import countreg, sys; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"

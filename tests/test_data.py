@@ -55,6 +55,38 @@ class TestReadCsv:
         with pytest.raises(DataError, match=r"empty cell.*row 1.*'oa'"):
             read_csv(path, BASIC_CONFIG)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_numeric_cell_rejected(self, tmp_path, cell):
+        path = write(tmp_path, f"cites,oa,authors\n3,closed,2\n1,green,3\n2,gold,{cell}\n")
+        with pytest.raises(DataError, match=r"non-finite.*row 3.*'authors'") as info:
+            read_csv(path, BASIC_CONFIG)
+        assert (info.value.row, info.value.column) == (3, "authors")
+
+    def test_first_non_finite_row_is_reported(self, tmp_path):
+        path = write(tmp_path, "cites,oa,authors\n3,closed,2\n1,green,inf\n2,gold,nan\n")
+        with pytest.raises(DataError, match=r"non-finite numeric value inf.*row 2"):
+            read_csv(path, BASIC_CONFIG)
+
+    def test_non_finite_cell_in_log_column_rejected(self, tmp_path):
+        config = EncodingConfig(
+            response="cites",
+            predictors=(PredictorSpec(name="sjr", kind="numeric", transform="log"),),
+        )
+        path = write(tmp_path, "cites,sjr\n3,0.5\n4,nan\n")
+        with pytest.raises(DataError, match=r"non-finite.*row 2.*'sjr'"):
+            read_csv(path, config)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_count_rejected(self, tmp_path, cell):
+        path = write(tmp_path, f"cites,oa,authors\n3,closed,2\n{cell},green,1\n")
+        with pytest.raises(DataError, match=r"non-finite count.*row 2.*'cites'"):
+            read_csv(path, BASIC_CONFIG)
+
+    def test_non_integer_count_rejected(self, tmp_path):
+        path = write(tmp_path, "cites,oa,authors\n2.5,closed,2\n")
+        with pytest.raises(DataError, match=r"non-integer count.*row 1.*'cites'"):
+            read_csv(path, BASIC_CONFIG)
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "cites,oa\n3,closed\n")
         with pytest.raises(DataError, match="'authors'"):

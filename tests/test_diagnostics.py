@@ -86,20 +86,18 @@ class TestPearson:
             idx = idx[y[idx] == 0]
         m = fit_hnb(X, X, y)
         res = pearson(m, X, y, X_h=X)
-        # mean/variance consistent with the distribution-level computation
+        # Every row against the per-row summation route: the means are the
+        # same arithmetic, the variances agree up to summation rounding.
         from countreg.distributions import HurdleParams, hnb_mean_var
 
-        beta = m.params_unconstrained[:2]
-        delta = np.array([m.estimates[name] for name in m.hurdle_names])
-        i = 17
-        mu_i, var_i = hnb_mean_var(
-            HurdleParams(
-                NbParams(float(link_mean(X[i : i + 1], beta)[0]), m.estimates["r"]),
-                float(link_hurdle(X[i : i + 1], delta)[0]),
-            )
-        )
-        assert res.mu[i] == pytest.approx(mu_i, rel=1e-12)
-        assert res.sigma2[i] == pytest.approx(var_i, rel=1e-12)
+        theta_hat = link_mean(X, m.params_unconstrained[:2])
+        phi_hat = link_hurdle(X, np.array([m.estimates[name] for name in m.hurdle_names]))
+        loop = np.array([
+            hnb_mean_var(HurdleParams(NbParams(float(t), m.estimates["r"]), float(p)))
+            for t, p in zip(theta_hat, phi_hat)
+        ])
+        np.testing.assert_array_equal(res.mu, loop[:, 0])
+        np.testing.assert_allclose(res.sigma2, loop[:, 1], rtol=1e-12, atol=0)
         assert res.ps / res.df == pytest.approx(1.0, abs=0.15)
 
     def test_requires_hurdle_design_for_hnb(self):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from countreg.distributions import (
     HurdleParams,
     NbParams,
+    _hnb_moments,
     hnb_log_pmf,
     hnb_mean_var,
     hnb_variance_bracket_form,
@@ -186,6 +187,51 @@ class TestHnbMeanVar:
 
     def test_phi_one_degenerate(self):
         assert hnb_mean_var(HurdleParams(NbParams(2.0, 0.5), 1.0)) == (0.0, 0.0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+class TestHnbMomentsClosedForm:
+    """The vectorized closed form against the summation route of hnb_mean_var."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_uniform(1e-3, 200.0), log_uniform(1e-3, 5.0), st.floats(min_value=0.0, max_value=0.99))
+    def test_matches_truncated_summation(self, theta, r, phi):
+        mean, var = hnb_mean_var(HurdleParams(NbParams(theta, r), phi))
+        mu, sigma2 = _hnb_moments(np.array([theta]), r, np.array([phi]))
+        assert mu[0] == mean
+        assert sigma2[0] == pytest.approx(var, rel=1e-9)
+
+    def test_phi_one_rows_give_zero_moments(self):
+        mu, sigma2 = _hnb_moments(np.array([2.0, 3.0, 0.4]), 0.5, np.array([1.0, 0.3, 1.0]))
+        assert (mu[0], sigma2[0]) == (0.0, 0.0)
+        assert (mu[2], sigma2[2]) == (0.0, 0.0)
+        assert mu[1] > 0.0 and sigma2[1] > 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_invalid_theta_row_raises_the_params_message(self, bad):
+        with pytest.raises(ValueError) as expected:
+            NbParams(bad, 0.5)
+        with pytest.raises(ValueError) as got:
+            _hnb_moments(np.array([1.0, bad, 2.0]), 0.5, np.array([0.2, 0.2, 0.2]))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_invalid_phi_row_raises_the_params_message(self, bad):
+        with pytest.raises(ValueError) as expected:
+            HurdleParams(NbParams(1.0, 0.5), bad)
+        with pytest.raises(ValueError) as got:
+            _hnb_moments(np.array([1.0, 1.0]), 0.5, np.array([0.2, bad]))
+        assert str(got.value) == str(expected.value)
+
+    def test_invalid_r_raises_the_params_message(self):
+        with pytest.raises(ValueError) as expected:
+            NbParams(1.0, math.nan)
+        with pytest.raises(ValueError) as got:
+            _hnb_moments(np.array([1.0]), math.nan, np.array([0.2]))
+        assert str(got.value) == str(expected.value)
 
 
 class TestSample:

@@ -68,6 +68,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             fit_poisson(np.ones((5, 1)), np.array([1, 2, -1, 0, 3]))
 
+    def test_all_zero_response_rejected_by_poisson_and_nb(self):
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(50), rng.normal(size=50)])
+        y = np.zeros(50, dtype=np.int64)
+        for fit in (fit_poisson, fit_nb):
+            with pytest.raises(ValueError, match="all zero"):
+                fit(X, y)
+        for family in ("P", "NB"):
+            with pytest.raises(ValueError, match="all zero"):
+                fit_homogeneous(family, y)
+
     def test_bad_options(self):
         with pytest.raises(ValueError):
             FitOptions(max_iterations=0)
