@@ -19,7 +19,7 @@ from .distributions import (
     sample,
 )
 from .exceptions import ConfigError, CountregError, DataError, SeparationError
-from .fit import FitOptions, FittedModel, fit_hnb, fit_homogeneous, fit_nb, fit_poisson
+from .fit import FitOptions, FittedModel, fit_family, fit_hnb, fit_homogeneous, fit_nb, fit_poisson
 from .inference import (
     CoefficientReport,
     IrrReport,

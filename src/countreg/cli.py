@@ -34,12 +34,11 @@ from pathlib import Path
 from .data import EncodingConfig, encode, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
 from .exceptions import ConfigError, CountregError, DataError, SeparationError
-from .fit import FitOptions, fit_hnb, fit_nb, fit_poisson
+from .fit import _FAMILIES, FitOptions, fit_family
 from .inference import aic, compare, irr, wald_table
 from .simulate import SimDesign, generate, recovery_study
 
 SCHEMA_VERSION = 1
-_FAMILIES = ("P", "NB", "HNB")
 
 
 def _fmt4(value: float) -> str:
@@ -96,16 +95,6 @@ def _irr_row(report) -> dict:
     }
 
 
-def _fit_family(family, X, X_h, y, options, labels, hurdle_labels):
-    if family == "P":
-        return fit_poisson(X, y, options=options, labels=labels)
-    if family == "NB":
-        return fit_nb(X, y, options=options, labels=labels)
-    if family == "HNB":
-        return fit_hnb(X, X_h, y, options=options, labels=labels, hurdle_labels=hurdle_labels)
-    raise ConfigError(f"unknown family {family!r}; expected one of {', '.join(_FAMILIES)}")
-
-
 def _model_report(model, data_path):
     rows = wald_table(model)
     by_name = {row.name: row for row in rows}
@@ -138,20 +127,24 @@ def _model_report(model, data_path):
     return report
 
 
-def _residual_section(model, X, X_h, y):
-    section = {}
+def _residuals(model, X, X_h, y):
+    """(Pearson set, NB deviance set or None) of a fitted model."""
     res = pearson(model, X, y, X_h=X_h)
+    return res, deviance_residuals(model, X, y) if model.family == "NB" else None
+
+
+def _residual_section(res, dev):
+    section = {}
     section["pearson_ps"] = _sig6(res.ps)
     section["df"] = res.df
     section["ps_over_df"] = _sig6(res.ps / res.df) if res.df > 0 else None
-    if model.family == "NB":
-        dev = deviance_residuals(model, X, y)
+    if dev is not None:
         section["deviance_signed_sum"] = _sig6(dev.deviance_sum_signed)
         section["deviance_sum_squared"] = _sig6(dev.deviance_sum_squared)
         if dev.df > 0:
             section["deviance_signed_over_df"] = _sig6(dev.deviance_sum_signed / dev.df)
             section["deviance_squared_over_df"] = _sig6(dev.deviance_sum_squared / dev.df)
-    return section, res
+    return section
 
 
 def _write_csv(path, header, rows):
@@ -161,7 +154,7 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _write_plot_data(out_dir, model, X, X_h, y, res, y_max):
+def _write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
     empirical, fitted = frequency_table(y, model, y_max=y_max, X=X, X_h=X_h)
     values = [str(v) for v in range(y_max + 1)] + [f">{y_max}"]
     _write_csv(
@@ -174,8 +167,7 @@ def _write_plot_data(out_dir, model, X, X_h, y, res, y_max):
         ["predicted_mean", "pearson_residual"],
         [(repr(float(m)), repr(float(r))) for m, r in zip(res.mu, res.pearson)],
     )
-    if model.family == "NB":
-        dev = deviance_residuals(model, X, y)
+    if dev is not None:
         _write_csv(
             out_dir / "deviance_residuals.csv",
             ["predicted_mean", "deviance_residual"],
@@ -209,12 +201,13 @@ def cmd_fit(args) -> int:
     _, _, data_path, dataset, X, X_h, options, family, y_max = _prepare(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = _fit_family(family, X.X, X_h.X, dataset.y, options, X.labels, X_h.labels)
+    model = fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
     report = _model_report(model, data_path)
-    residuals, res = _residual_section(model, X.X, X_h.X if model.family == "HNB" else None, dataset.y)
-    report["residuals"] = residuals
+    X_h_fit = X_h.X if model.family == "HNB" else None
+    res, dev = _residuals(model, X.X, X_h_fit, dataset.y)
+    report["residuals"] = _residual_section(res, dev)
     _write_report(out_dir / "report.json", report)
-    _write_plot_data(out_dir, model, X.X, X_h.X if model.family == "HNB" else None, dataset.y, res, y_max)
+    _write_plot_data(out_dir, model, X.X, X_h_fit, dataset.y, res, dev, y_max)
     return 0 if model.converged else 2
 
 
@@ -230,7 +223,7 @@ def cmd_compare(args) -> int:
         if family not in _FAMILIES:
             raise ConfigError(f"unknown family {family!r}")
     models = [
-        _fit_family(family, X.X, X_h.X, dataset.y, options, X.labels, X_h.labels)
+        fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
         for family in families
     ]
     ranking = compare(models)
@@ -272,7 +265,8 @@ def _write_dataset_csv(path, dataset):
 
 
 def cmd_simulate(args) -> int:
-    design = SimDesign.from_json(args.config)
+    doc = _load_json(args.config)
+    design = SimDesign.from_dict(doc)
     if args.seed is not None:
         import dataclasses
 
@@ -299,7 +293,6 @@ def cmd_simulate(args) -> int:
         },
     }
     _write_report(out_dir / "truth.json", sidecar)
-    doc = _load_json(args.config)
     recovery = doc.get("recovery")
     if recovery:
         replications = int(recovery.get("replications", 0))
@@ -351,7 +344,7 @@ def cmd_restrict(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    full_model = _fit_family(family, X.X, X_h.X, dataset.y, options, X.labels, X_h.labels)
+    full_model = fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
     rows = {row.name: row for row in wald_table(full_model)}
 
     kept_mean, dropped_mean = _prune(rows, full_model.mean_names, level)
@@ -381,17 +374,16 @@ def cmd_restrict(args) -> int:
     )
     Xr = encode(dataset, restricted_config, equation="mean")
     Xr_h = encode(dataset, restricted_config, equation="hurdle")
-    restricted = _fit_family(family, Xr.X, Xr_h.X, dataset.y, options, Xr.labels, Xr_h.labels)
+    restricted = fit_family(family, Xr.X, dataset.y, Xr_h.X, options, Xr.labels, Xr_h.labels)
 
     report = _model_report(restricted, data_path)
     report["command"] = "restrict"
     report["level"] = level
     report["dropped"] = {"mean": dropped_mean, "zeros": dropped_zero}
     report["restriction_warnings"] = warnings
-    residuals, _ = _residual_section(
-        restricted, Xr.X, Xr_h.X if family == "HNB" else None, dataset.y
+    report["residuals"] = _residual_section(
+        *_residuals(restricted, Xr.X, Xr_h.X if family == "HNB" else None, dataset.y)
     )
-    report["residuals"] = residuals
     full_report = _model_report(full_model, data_path)
     _write_report(out_dir / "restricted_report.json", report)
     _write_report(out_dir / "full_report.json", full_report)

@@ -69,11 +69,13 @@ class HurdleParams:
             raise ValueError(_PHI_MESSAGE)
 
 
-def _validate_counts(y):
+def _validate_counts(y, dtype=np.int64):
+    """``y`` as an array of ``dtype`` after checking it holds nonnegative
+    integers; the one count check of pmfs, likelihoods and fits."""
     arr = np.asarray(y)
-    if arr.size and (np.any(arr < 0) or not np.all(np.equal(np.mod(arr, 1), 0))):
+    if np.any(arr < 0) or not np.all(np.equal(np.mod(arr, 1), 0)):
         raise ValueError("counts must be nonnegative integers")
-    return arr.astype(np.int64)
+    return arr.astype(dtype)
 
 
 def _nb_log_pmf_grid(p: NbParams, y_max: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Every block (Poisson, NB, the logistic hurdle part and the zero-truncated NB
 part) is maximized by one Newton routine on its exact Hessian with a
 step-halving (Armijo) line search.  The dispersion parameter is optimized as
-log r.  Starting values: beta from a Poisson fit, r from the method of
-moments r0 = max((s^2 - ybar)/ybar^2, 1e-3).
+log r.  Starting values: beta from a Poisson Newton fit on the already
+validated rows, r from the method of moments r0 = max((s^2 - ybar)/ybar^2,
+1e-3).  :func:`fit_family` dispatches on the family name.
 
 Reported convergence means the max-norm of the score is below
 ``gradient_tolerance * (1 + |loglik|)``; ``iterations`` counts Newton steps.
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import _validate_counts
 from .exceptions import SeparationError
 from .likelihood import (
     NbRegParams,
@@ -33,7 +35,9 @@ from .likelihood import (
 )
 from .special import ln_gamma
 
-__all__ = ["FitOptions", "FittedModel", "fit_poisson", "fit_nb", "fit_hnb", "fit_homogeneous"]
+__all__ = ["FitOptions", "FittedModel", "fit_family", "fit_poisson", "fit_nb", "fit_hnb", "fit_homogeneous"]
+
+_FAMILIES = ("P", "NB", "HNB")
 
 _ARMIJO = 1e-4
 _SEPARATION_BOUND = 30.0
@@ -196,29 +200,61 @@ def _nb_objective(X, y, truncated):
     return objective
 
 
-def _default_labels(k):
-    return tuple(["intercept"] + [f"x{j}" for j in range(1, k)])
+def _poisson_objective(X, y):
+    """beta -> (loglik, score, Hessian) of the Poisson regression (float y)."""
+    const = float(np.sum(ln_gamma(y + 1.0)))
+
+    def objective(beta):
+        theta = link_mean(X, beta)
+        value = float(np.sum(y * np.log(theta) - theta)) - const
+        return value, X.T @ (y - theta), -(X.T @ (X * theta[:, None]))
+
+    return objective
 
 
-def _validate_design(X, y, labels, min_extra=0):
+def _poisson_maximize(X, y, options) -> _OptState:
+    """Poisson Newton fit from beta = (log ybar, 0, ...); also the NB start."""
+    beta0 = np.zeros(X.shape[1])
+    beta0[0] = math.log(max(float(np.mean(y)), 1e-8))
+    return _newton_maximize(_poisson_objective(X, y), beta0, options)
+
+
+def _check_block(M, labels, what, min_extra=None, name="labels"):
+    """Labels (default names if None) of a finite, full-column-rank design with,
+    unless ``min_extra`` is None, more than k + min_extra rows."""
+    n, k = M.shape
+    if labels is None:
+        labels = ["intercept"] + [f"x{j}" for j in range(1, k)]
+    elif len(labels) != k:
+        raise ValueError(f"{name} length does not match the {what} ({len(labels)} labels, {k} columns)")
+    finite = np.isfinite(M)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{what} has non-finite value {M[i, j]} at row {i}, column {labels[j]!r}")
+    if min_extra is not None and n <= k + min_extra:
+        raise ValueError(f"need more observations than parameters (n={n}, k={k})")
+    if np.linalg.matrix_rank(M) < k:
+        raise ValueError(f"{what} is rank deficient")
+    return tuple(labels)
+
+
+def _validate_design(X, y, labels, min_extra=0, X_h=None, hurdle_labels=None):
+    """The one input check of a fit; returns (X, y, labels, X_h, hurdle_labels).
+    Non-finite cells are named by 0-based row and column label."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2:
         raise ValueError("X must be a two-dimensional design matrix")
-    n, k = X.shape
-    if y.shape != (n,):
+    if y.shape != (X.shape[0],):
         raise ValueError("y length does not match the design matrix")
-    if np.any(y < 0) or not np.all(np.equal(np.mod(y, 1), 0)):
-        raise ValueError("response must contain nonnegative integers")
-    if n <= k + min_extra:
-        raise ValueError(f"need more observations than parameters (n={n}, k={k})")
-    if np.linalg.matrix_rank(X) < k:
-        raise ValueError("design matrix is rank deficient")
-    if labels is None:
-        labels = _default_labels(k)
-    elif len(labels) != k:
-        raise ValueError("labels length does not match the design matrix")
-    return X, y.astype(np.int64), tuple(labels)
+    y = _validate_counts(y)
+    labels = _check_block(X, labels, "design matrix", min_extra)
+    if X_h is not None:
+        X_h = np.asarray(X_h, dtype=float)
+        if X_h.ndim != 2 or X_h.shape[0] != X.shape[0]:
+            raise ValueError("hurdle design must have the same number of rows as X")
+        hurdle_labels = _check_block(X_h, hurdle_labels, "hurdle design matrix", name="hurdle_labels")
+    return X, y, labels, X_h, hurdle_labels
 
 
 def _require_positive_count(y):
@@ -231,20 +267,10 @@ def _require_positive_count(y):
 def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Poisson regression under the log link."""
     options = options or FitOptions()
-    X, y, labels = _validate_design(X, y, labels)
+    X, y, labels, _, _ = _validate_design(X, y, labels)
     _require_positive_count(y)
     n, k = X.shape
-    yf = y.astype(float)
-    const = float(np.sum(ln_gamma(yf + 1.0)))
-
-    def objective(beta):
-        theta = link_mean(X, beta)
-        value = float(np.sum(yf * np.log(theta) - theta)) - const
-        return value, X.T @ (yf - theta), -(X.T @ (X * theta[:, None]))
-
-    beta0 = np.zeros(k)
-    beta0[0] = math.log(max(float(np.mean(yf)), 1e-8))
-    state = _newton_maximize(objective, beta0, options)
+    state = _poisson_maximize(X, y.astype(float), options)
     cov, cov_warnings = _covariance(state.hess)
     estimates = dict(zip(labels, state.u.tolist()))
     return FittedModel(
@@ -278,11 +304,11 @@ def _moment_start_r(y) -> float:
 def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Negative binomial regression; beta starts at the Poisson fit."""
     options = options or FitOptions()
-    X, y, labels = _validate_design(X, y, labels, min_extra=1)
+    X, y, labels, _, _ = _validate_design(X, y, labels, min_extra=1)
     _require_positive_count(y)
     n, k = X.shape
-    poisson = fit_poisson(X, y, options=options, labels=labels)
-    u0 = np.concatenate([poisson.params_unconstrained, [math.log(_moment_start_r(y))]])
+    beta0 = _poisson_maximize(X, y.astype(float), options).u
+    u0 = np.concatenate([beta0, [math.log(_moment_start_r(y))]])
 
     state = _newton_maximize(_nb_objective(X, y, truncated=False), u0, options)
     r_hat = math.exp(float(state.u[k]))
@@ -340,15 +366,9 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     sum and the covariance is block diagonal.
     """
     options = options or FitOptions()
-    X, y, labels = _validate_design(X, y, labels, min_extra=1)
-    X_h = np.asarray(X_h, dtype=float)
-    if X_h.ndim != 2 or X_h.shape[0] != X.shape[0]:
-        raise ValueError("hurdle design must have the same number of rows as X")
-    if np.linalg.matrix_rank(X_h) < X_h.shape[1]:
-        raise ValueError("hurdle design matrix is rank deficient")
-    if hurdle_labels is None:
-        hurdle_labels = _default_labels(X_h.shape[1])
-    hurdle_labels = tuple(hurdle_labels)
+    X, y, labels, X_h, hurdle_labels = _validate_design(
+        X, y, labels, min_extra=1, X_h=X_h, hurdle_labels=hurdle_labels
+    )
     n, k = X.shape
     k_h = X_h.shape[1]
 
@@ -372,12 +392,12 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
         binary_objective, delta0, options, guard=_separation_guard(X_h, hurdle_labels)
     )
 
-    # Zero-truncated part on the positive rows only.
+    # Zero-truncated part on the positive rows only; they must identify beta.
     Xp = X[~zero]
     yp = y[~zero].astype(float)
-    poisson = fit_poisson(Xp, y[~zero], options=options, labels=labels)
+    _check_block(Xp, labels, "design matrix", min_extra=0)
     u0 = np.concatenate(
-        [poisson.params_unconstrained, [math.log(_moment_start_r(y[~zero]))]]
+        [_poisson_maximize(Xp, yp, options).u, [math.log(_moment_start_r(y[~zero]))]]
     )
 
     truncated_state = _newton_maximize(_nb_objective(Xp, yp, truncated=True), u0, options)
@@ -427,16 +447,25 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     )
 
 
+def fit_family(
+    family: str, X, y, X_h=None, options: FitOptions | None = None, labels=None, hurdle_labels=None
+) -> FittedModel:
+    """Fit the family "P", "NB" or "HNB"; the hurdle design defaults to ``X``
+    and then its labels to ``labels``."""
+    if family == "P":
+        return fit_poisson(X, y, options=options, labels=labels)
+    if family == "NB":
+        return fit_nb(X, y, options=options, labels=labels)
+    if family == "HNB":
+        if X_h is None:
+            X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
+        return fit_hnb(X, X_h, y, options=options, labels=labels, hurdle_labels=hurdle_labels)
+    raise ValueError(f"unknown family {family!r}; expected one of {', '.join(_FAMILIES)}")
+
+
 def fit_homogeneous(family: str, y, options: FitOptions | None = None) -> FittedModel:
     """Intercept-only fit of the requested family."""
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("y must be nonempty")
-    X = np.ones((y.shape[0], 1))
-    if family == "P":
-        return fit_poisson(X, y, options=options)
-    if family == "NB":
-        return fit_nb(X, y, options=options)
-    if family == "HNB":
-        return fit_hnb(X, X, y, options=options)
-    raise ValueError(f"unknown family {family!r}; expected P, NB, or HNB")
+    return fit_family(family, np.ones((y.shape[0], 1)), y, options=options)

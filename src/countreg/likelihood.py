@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _validate_counts
 from .special import ln_gamma
 
 __all__ = [
@@ -102,18 +103,11 @@ def _clamped_eta(X, beta):
     return np.clip(X @ np.asarray(beta, dtype=float), -LINEAR_PREDICTOR_BOUND, LINEAR_PREDICTOR_BOUND)
 
 
-def _validate_response(y):
-    y = np.asarray(y)
-    if np.any(y < 0) or not np.all(np.equal(np.mod(y, 1), 0)):
-        raise ValueError("response must contain nonnegative integers")
-    return y.astype(float)
-
-
 def poisson_loglik(beta, X, y, full: bool = True) -> float:
     """Poisson log-likelihood under the log link."""
     beta = np.asarray(beta, dtype=float)
     _check_dims(X, beta, "mean")
-    y = _validate_response(y)
+    y = _validate_counts(y, float)
     eta = _clamped_eta(X, beta)
     value = float(np.sum(y * eta - np.exp(eta)))
     if full:
@@ -124,7 +118,7 @@ def poisson_loglik(beta, X, y, full: bool = True) -> float:
 def poisson_score(beta, X, y) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     _check_dims(X, beta, "mean")
-    y = _validate_response(y)
+    y = _validate_counts(y, float)
     theta = np.exp(_clamped_eta(X, beta))
     return X.T @ (y - theta)
 
@@ -164,7 +158,7 @@ def nb_loglik(params: NbRegParams, X, y, full: bool = True) -> float:
     it.
     """
     _check_dims(X, params.beta, "mean")
-    y = _validate_response(y)
+    y = _validate_counts(y, float)
     return float(np.sum(_nb_loglik_terms(params, X, y, full)))
 
 
@@ -203,7 +197,7 @@ def _nb_row_derivatives(params: NbRegParams, X, y, truncated, second):
 def nb_score(params: NbRegParams, X, y) -> np.ndarray:
     """Analytic gradient of the NB log-likelihood in (beta, log r)."""
     _check_dims(X, params.beta, "mean")
-    y = _validate_response(y)
+    y = _validate_counts(y, float)
     d_eta, d_logr = _nb_row_derivatives(params, X, y, truncated=False, second=False)
     return np.append(X.T @ d_eta, np.sum(d_logr))
 
@@ -234,7 +228,7 @@ def hnb_loglik_parts(params: HnbRegParams, X, X_h, y, full: bool = True):
     """
     _check_dims(X, params.nb.beta, "mean")
     _check_dims(X_h, params.delta, "hurdle")
-    y = _validate_response(y)
+    y = _validate_counts(y, float)
     eta_h = np.clip(X_h @ params.delta, -LINEAR_PREDICTOR_BOUND, LINEAR_PREDICTOR_BOUND)
     zero = y == 0
     # log phi = -log(1+exp(-eta)), log(1-phi) = -log(1+exp(eta))
@@ -270,7 +264,7 @@ def hnb_score(params: HnbRegParams, X, X_h, y) -> np.ndarray:
     """
     _check_dims(X, params.nb.beta, "mean")
     _check_dims(X_h, params.delta, "hurdle")
-    y = _validate_response(y)
+    y = _validate_counts(y, float)
     zero = y == 0
     phi = link_hurdle(X_h, params.delta)
     grad_delta = X_h.T @ (zero.astype(float) - phi)

@@ -23,19 +23,18 @@ Designs serialize to a declarative JSON document::
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Column, Dataset, DesignMatrix, EncodingConfig, PredictorSpec, encode_columns
+from .distributions import _sample_hurdle, _sample_nb
 from .exceptions import ConfigError
-from .fit import FitOptions, fit_hnb, fit_nb, fit_poisson
+from .fit import _FAMILIES, FitOptions, fit_family
+from .likelihood import link_hurdle, link_mean
 
 __all__ = ["CovariateSpec", "SimDesign", "generate", "recovery_study", "citation_scale_design"]
-
-_FAMILIES = ("P", "NB", "HNB")
 
 
 @dataclass(frozen=True)
@@ -84,13 +83,6 @@ class CovariateSpec:
         if self.kind == "bernoulli":
             return PredictorSpec(name=self.name, kind="binary")
         return PredictorSpec(name=self.name, kind="numeric")
-
-    def column_kind(self) -> str:
-        if self.kind == "categorical":
-            return "categorical"
-        if self.kind == "bernoulli":
-            return "binary"
-        return "numeric"
 
 
 @dataclass(frozen=True)
@@ -193,15 +185,6 @@ class SimDesign:
         except KeyError as exc:
             raise ConfigError(f"simulation design is missing {exc.args[0]!r}") from None
 
-    @classmethod
-    def from_json(cls, path) -> "SimDesign":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-        return cls.from_dict(doc)
-
 
 def _coefficients_for(design_matrix: DesignMatrix, named: dict, what: str) -> np.ndarray:
     missing = [label for label in design_matrix.labels if label not in named]
@@ -213,54 +196,37 @@ def _coefficients_for(design_matrix: DesignMatrix, named: dict, what: str) -> np
     return np.array([float(named[label]) for label in design_matrix.labels])
 
 
-def _draw_response(design: SimDesign, rng, X, X_h):
-    from .likelihood import link_hurdle, link_mean
-
+def _draw_response(design: SimDesign, rng, X: DesignMatrix):
+    """Counts under the design's family; the hurdle equation shares ``X``."""
     beta = _coefficients_for(X, design.beta, "beta")
     theta = link_mean(X.X, beta)
     if design.family == "P":
         return rng.poisson(theta).astype(np.int64)
-    r = design.r
     if design.family == "NB":
-        return rng.poisson(rng.gamma(1.0 / r, r * theta)).astype(np.int64)
-    delta = _coefficients_for(X_h, design.delta, "delta")
-    phi = link_hurdle(X_h.X, delta)
-    y = np.zeros(design.n, dtype=np.int64)
-    idx = np.flatnonzero(rng.random(design.n) >= phi)
-    while idx.size:
-        y[idx] = rng.poisson(rng.gamma(1.0 / r, r * theta[idx]))
-        idx = idx[y[idx] == 0]
-    return y
+        return _sample_nb(rng, theta, design.r)
+    delta = _coefficients_for(X, design.delta, "delta")
+    return _sample_hurdle(rng, theta, design.r, link_hurdle(X.X, delta))
+
+
+def _draw(design: SimDesign, seed_sequence):
+    """(Dataset, its encoded design matrix) drawn from one seed sequence."""
+    rng = np.random.default_rng(seed_sequence)
+    predictors = design.encoding_config().predictors
+    columns = tuple(
+        Column(name=spec.name, kind=spec.kind, values=cov.draw(rng, design.n))
+        for cov, spec in zip(design.covariates, predictors)
+    )
+    X = encode_columns(columns, predictors, design.n)
+    y = _draw_response(design, rng, X)
+    return Dataset(y=y, columns=columns, response_name=design.response_name), X
 
 
 def generate(design: SimDesign, seed_sequence=None):
     """Draw (Dataset, truth record) from the design; reproducible by seed."""
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(design.seed)
-    rng = np.random.default_rng(seed_sequence)
-    columns = tuple(
-        Column(name=c.name, kind=c.column_kind(), values=c.draw(rng, design.n))
-        for c in design.covariates
-    )
-    config = design.encoding_config()
-    X = encode_columns(columns, config.predictors, design.n)
-    X_h = X if design.family == "HNB" else None
-    y = _draw_response(design, rng, X, X_h)
-    dataset = Dataset(y=y, columns=columns, response_name=design.response_name)
+    dataset, _ = _draw(design, seed_sequence)
     return dataset, design.truth_record()
-
-
-def _fit_for_design(design: SimDesign, dataset: Dataset, options: FitOptions | None):
-    config = design.encoding_config()
-    X = encode_columns(dataset.columns, config.predictors, dataset.n)
-    if design.family == "P":
-        return fit_poisson(X.X, dataset.y, options=options, labels=X.labels), X
-    if design.family == "NB":
-        return fit_nb(X.X, dataset.y, options=options, labels=X.labels), X
-    model = fit_hnb(
-        X.X, X.X, dataset.y, options=options, labels=X.labels, hurdle_labels=X.labels
-    )
-    return model, X
 
 
 def _true_parameter_map(design: SimDesign) -> dict:
@@ -275,9 +241,9 @@ def _true_parameter_map(design: SimDesign) -> dict:
 def _run_replication(args):
     design, rep, options = args
     child = np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,))
-    dataset, _ = generate(design, seed_sequence=child)
+    dataset, X = _draw(design, child)
     try:
-        model, _ = _fit_for_design(design, dataset, options)
+        model = fit_family(design.family, X.X, dataset.y, options=options, labels=X.labels)
     except Exception as exc:  # noqa: BLE001 - failures are tallied, not fatal
         return rep, None, f"{type(exc).__name__}: {exc}"
     estimates = {name: model.estimates[name] for name in model.names}

@@ -84,6 +84,27 @@ class TestFit:
         freq_lines = (out / "frequency.csv").read_text().strip().splitlines()
         assert freq_lines[0] == "value,empirical,fitted"
 
+    def test_nb_deviance_residuals_computed_once(self, tmp_path, monkeypatch):
+        import countreg.cli
+
+        calls = []
+        deviance_residuals = countreg.cli.deviance_residuals
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return deviance_residuals(*args, **kwargs)
+
+        monkeypatch.setattr(countreg.cli, "deviance_residuals", counting)
+        data = make_csv(tmp_path / "d.csv", n=800)
+        config = write_json(tmp_path / "run.json", RUN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        report = json.loads((out / "report.json").read_text())
+        rows = (out / "deviance_residuals.csv").read_text().strip().splitlines()[1:]
+        squared = sum(float(row.split(",")[1]) ** 2 for row in rows)
+        assert squared == pytest.approx(report["residuals"]["deviance_sum_squared"], rel=1e-5)
+
     def test_hnb_fit_has_positives_and_zeros_blocks(self, tmp_path):
         data = make_csv(tmp_path / "d.csv", family="HNB", seed=1)
         config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "family": "HNB"})
@@ -262,6 +283,13 @@ class TestSimulate:
         summary = json.loads((out / "recovery.json").read_text())
         assert summary["completed"] == 5
         assert set(summary["parameters"]) == {"intercept", "x1", "r"}
+
+    def test_missing_design_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
+        simulate_err = capsys.readouterr().err
+        assert main(["fit", "--config", str(missing), "--out", str(tmp_path / "f")]) == 1
+        assert simulate_err == capsys.readouterr().err == f"countreg: no such file: {missing}\n"
 
     def test_invalid_design_exits_1(self, tmp_path, capsys):
         config = write_json(tmp_path / "design.json", {**SIM_DESIGN, "family": "XXX"})

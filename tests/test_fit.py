@@ -6,18 +6,29 @@ identities of the hurdle decomposition.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from countreg.exceptions import SeparationError
-from countreg.fit import FitOptions, FittedModel, fit_hnb, fit_homogeneous, fit_nb, fit_poisson
+from countreg.distributions import NbParams, nb_log_pmf
+from countreg.fit import (
+    FitOptions,
+    FittedModel,
+    fit_family,
+    fit_hnb,
+    fit_homogeneous,
+    fit_nb,
+    fit_poisson,
+)
 from countreg.likelihood import (
     HnbRegParams,
     NbRegParams,
     hnb_score,
     link_hurdle,
     link_mean,
+    nb_loglik,
     nb_score,
     poisson_loglik,
 )
@@ -78,6 +89,69 @@ class TestValidation:
         for family in ("P", "NB"):
             with pytest.raises(ValueError, match="all zero"):
                 fit_homogeneous(family, y)
+
+    def test_negative_counts_rejected_by_pmf_likelihood_and_fit(self):
+        y = np.array([1, 2, -1, 0, 3])
+        X = np.ones((5, 1))
+        checks = (
+            lambda: nb_log_pmf(y, NbParams(theta=2.0, r=0.5)),
+            lambda: nb_loglik(NbRegParams(beta=np.zeros(1), log_r=0.0), X, y),
+            lambda: fit_nb(X, y),
+        )
+        for check in checks:
+            with pytest.raises(ValueError, match="nonnegative"):
+                check()
+
+    @pytest.mark.parametrize("hurdle_labels", [("only",), ("a", "b", "c")], ids=["short", "long"])
+    def test_hurdle_labels_length_checked(self, hurdle_labels):
+        X = design(np.random.default_rng(4), 60, 2)
+        y = np.tile([0, 1, 2], 20)
+        with pytest.raises(ValueError, match="hurdle_labels length does not match"):
+            fit_hnb(X, X, y, hurdle_labels=hurdle_labels)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["X", "X_h"])
+    def test_non_finite_design_cell_named(self, block, value):
+        rng = np.random.default_rng(5)
+        X = design(rng, 60, 3)
+        X_h = X[:, :2].copy()
+        y = np.tile([0, 1, 2], 20)
+        (X if block == "X" else X_h)[7, 1] = value
+        what = "design matrix" if block == "X" else "hurdle design matrix"
+        expected = re.escape(f"{what} has non-finite value {value} at row 7, column 'x1'")
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            fit_hnb(X, X_h, y)
+        if block == "X":
+            for fit in (fit_poisson, fit_nb):
+                with pytest.raises(ValueError, match=f"^{expected}$"):
+                    fit(X, y)
+
+    def test_each_design_rank_checked_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        X = design(rng, 300, 3)
+        X_h = X[:, :2]
+        y = simulate_hnb(rng, X, np.array([1.0, 0.3, -0.2]), 0.6, X_h, np.array([-0.5, 0.4]))
+        shapes = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counting_rank(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return matrix_rank(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+        fit_nb(X, y)
+        assert shapes == [X.shape]
+        shapes.clear()
+        fit_hnb(X, X_h, y)
+        assert shapes == [X.shape, X_h.shape, (int(np.sum(y > 0)), 3)]
+
+    def test_positive_rows_must_identify_the_truncated_part(self):
+        X = np.column_stack([np.ones(12), np.repeat([1.0, 0.0], 6)])
+        y = np.array([0, 0, 0, 0, 0, 0, 1, 2, 1, 3, 2, 1])
+        with pytest.raises(ValueError, match="^design matrix is rank deficient$"):
+            fit_hnb(X, np.ones((12, 1)), y)
+        with pytest.raises(ValueError, match=r"more observations than parameters \(n=2, k=2\)"):
+            fit_hnb(design(np.random.default_rng(7), 12, 2), np.ones((12, 1)), np.repeat([0, 1, 0, 2], [5, 1, 5, 1]))
 
     def test_bad_options(self):
         with pytest.raises(ValueError):
@@ -345,6 +419,38 @@ class TestFitHomogeneous:
     def test_empty_response(self):
         with pytest.raises(ValueError, match="nonempty"):
             fit_homogeneous("P", np.array([], dtype=int))
+
+
+class TestFitFamily:
+    def test_dispatches_to_each_fitter(self):
+        rng = np.random.default_rng(21)
+        X = design(rng, 400, 2)
+        y = simulate_hnb(rng, X, np.array([1.0, 0.3]), 0.6, X, np.array([-0.5, 0.4]))
+        labels = ("intercept", "age")
+        direct = {
+            "P": fit_poisson(X, y, labels=labels),
+            "NB": fit_nb(X, y, labels=labels),
+            "HNB": fit_hnb(X, X, y, labels=labels, hurdle_labels=labels),
+        }
+        for family, expected in direct.items():
+            m = fit_family(family, X, y, labels=labels)
+            assert m.family == family and m.names == expected.names
+            np.testing.assert_array_equal(m.params_unconstrained, expected.params_unconstrained)
+            np.testing.assert_array_equal(m.covariance, expected.covariance)
+
+    def test_separate_hurdle_design(self):
+        rng = np.random.default_rng(22)
+        X = design(rng, 400, 2)
+        X_h = X[:, :1]
+        y = simulate_hnb(rng, X, np.array([1.0, 0.3]), 0.6, X_h, np.array([-0.5]))
+        m = fit_family("HNB", X, y, X_h=X_h, labels=("intercept", "age"), hurdle_labels=("const",))
+        expected = fit_hnb(X, X_h, y, labels=("intercept", "age"), hurdle_labels=("const",))
+        assert m.names == ("intercept", "age", "r", "zero:const")
+        np.testing.assert_array_equal(m.params_unconstrained, expected.params_unconstrained)
+
+    def test_unknown_family_is_named(self):
+        with pytest.raises(ValueError, match="unknown family 'ZIP'"):
+            fit_family("ZIP", np.ones((5, 1)), np.arange(5))
 
 
 class TestFittedModel:

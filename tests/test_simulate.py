@@ -4,11 +4,14 @@ Oracles: closed-form moments averaged over rows (CLT bounds), binomial zero
 fractions, and byte-level determinism of generated datasets.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from countreg.data import encode_columns
 from countreg.exceptions import ConfigError
+from countreg.fit import fit_family
 from countreg.likelihood import link_hurdle, link_mean
 from countreg.simulate import CovariateSpec, SimDesign, citation_scale_design, generate, recovery_study
 
@@ -72,6 +75,37 @@ class TestGenerate:
                 cb.values, dtype=float
             ).tobytes()
 
+    # sha256 of the little-endian int64 counts drawn from pinned designs.  A
+    # change to the samplers or to the order of random draws moves them.
+    PINNED_DIGESTS = {
+        "P": "3065b25602f8aee40fe458984ba57671d6befb5e5e8f886b18e554374cfd9a36",
+        "NB": "5e4cdf7bfa049092422df3f460e59b576e4610d04fba8738415149852b66d4d1",
+        "HNB": "d4d440521a02ea48b2e4fcd8ec96ded243ee0d96f84ff48f98ef5f90c1345e04",
+    }
+
+    @pytest.mark.parametrize("family", ["P", "NB", "HNB"])
+    def test_draws_match_pinned_digests(self, family):
+        covariates = (
+            CovariateSpec(name="x1", kind="normal"),
+            CovariateSpec(name="g", kind="categorical", levels=("a", "b", "c"), probs=(0.5, 0.3, 0.2)),
+            CovariateSpec(name="d", kind="bernoulli", p=0.4),
+        )
+        beta = {"intercept": 0.8, "x1": 0.3, "g=b": -0.2, "g=c": 0.4, "d": 0.25}
+        extra = {
+            "P": {"seed": 41},
+            "NB": {"seed": 42, "r": 0.6},
+            "HNB": {
+                "seed": 43,
+                "r": 3.0,
+                "delta": {"intercept": -0.5, "x1": 0.6, "g=b": 0.1, "g=c": -0.3, "d": 0.2},
+            },
+        }[family]
+        design = SimDesign(family=family, n=600, covariates=covariates, beta=beta, **extra)
+        dataset, _ = generate(design)
+        assert [col.kind for col in dataset.columns] == ["numeric", "categorical", "binary"]
+        digest = hashlib.sha256(dataset.y.astype("<i8").tobytes()).hexdigest()
+        assert digest == self.PINNED_DIGESTS[family]
+
     def test_categorical_covariates_round_trip(self):
         design = SimDesign(
             family="P",
@@ -125,6 +159,16 @@ class TestRecoveryStudy:
         assert len(summary["replication_estimates"]) == 1
         row = summary["replication_estimates"][0]
         assert set(row["estimates"]) == {"intercept", "x1", "r"}
+
+    def test_replication_refits_its_generated_draw(self):
+        design = hnb_design(n=800, seed=5)
+        summary = recovery_study(design, replications=2)
+        child = np.random.SeedSequence(entropy=design.seed, spawn_key=(1,))
+        dataset, _ = generate(design, seed_sequence=child)
+        X = encode_columns(dataset.columns, design.encoding_config().predictors, dataset.n)
+        model = fit_family("HNB", X.X, dataset.y, labels=X.labels)
+        row = summary["replication_estimates"][1]
+        assert row["estimates"] == {name: model.estimates[name] for name in model.names}
 
     def test_coverage_in_calibrated_band(self):
         summary = recovery_study(nb_design(n=5000, seed=4), replications=200)
