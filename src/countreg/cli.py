@@ -31,10 +31,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import EncodingConfig, encode, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
 from .exceptions import ConfigError, CountregError, DataError, SeparationError
-from .fit import _FAMILIES, FitOptions, fit_family
+from .fit import FitOptions, _require_family, fit_family
 from .inference import aic, compare, irr, wald_table
 from .simulate import SimDesign, generate, recovery_study
 
@@ -147,31 +149,37 @@ def _residual_section(res, dev):
     return section
 
 
-def _write_csv(path, header, rows):
+def _write_columns(path, header, columns):
+    """Write equal-length columns of cell strings as a CSV under ``header``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(zip(*columns))
+
+
+def _floats(values):
+    """Each value as ``repr(float)``, the shortest text that reads back exactly."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
 
 
 def _write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
     empirical, fitted = frequency_table(y, model, y_max=y_max, X=X, X_h=X_h)
     values = [str(v) for v in range(y_max + 1)] + [f">{y_max}"]
-    _write_csv(
+    _write_columns(
         out_dir / "frequency.csv",
         ["value", "empirical", "fitted"],
-        [(v, int(e), repr(float(f))) for v, e, f in zip(values, empirical, fitted)],
+        [values, map(str, empirical.tolist()), _floats(fitted)],
     )
-    _write_csv(
+    _write_columns(
         out_dir / "pearson_residuals.csv",
         ["predicted_mean", "pearson_residual"],
-        [(repr(float(m)), repr(float(r))) for m, r in zip(res.mu, res.pearson)],
+        [_floats(res.mu), _floats(res.pearson)],
     )
     if dev is not None:
-        _write_csv(
+        _write_columns(
             out_dir / "deviance_residuals.csv",
             ["predicted_mean", "deviance_residual"],
-            [(repr(float(m)), repr(float(d))) for m, d in zip(dev.mu, dev.deviance)],
+            [_floats(dev.mu), _floats(dev.deviance)],
         )
 
 
@@ -184,6 +192,10 @@ def _write_report(path, report):
 def _prepare(args, need_family=True):
     doc = _load_json(args.config)
     config = EncodingConfig.from_dict(doc)
+    family = None
+    if need_family:
+        family = doc.get("family", "NB")
+        _require_family(family)
     data_path = args.data or doc.get("data")
     if not data_path:
         raise ConfigError("no data file given (use --data or the config 'data' field)")
@@ -191,7 +203,6 @@ def _prepare(args, need_family=True):
     X = encode(dataset, config, equation="mean")
     X_h = encode(dataset, config, equation="hurdle")
     options = _fit_options(doc)
-    family = doc.get("family", "NB") if need_family else None
     y_max_default = int(min(int(dataset.y.max()), 200))
     y_max = int(doc.get("y_max", y_max_default))
     return doc, config, data_path, dataset, X, X_h, options, family, y_max
@@ -220,8 +231,7 @@ def cmd_compare(args) -> int:
     if len(families) < 2:
         raise ConfigError("compare needs at least two families")
     for family in families:
-        if family not in _FAMILIES:
-            raise ConfigError(f"unknown family {family!r}")
+        _require_family(family)
     models = [
         fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
         for family in families
@@ -254,14 +264,11 @@ def cmd_compare(args) -> int:
 
 def _write_dataset_csv(path, dataset):
     header = [dataset.response_name] + [col.name for col in dataset.columns]
-    rows = []
-    for i in range(dataset.n):
-        row = [str(int(dataset.y[i]))]
-        for col in dataset.columns:
-            value = col.values[i]
-            row.append(str(value) if col.kind == "categorical" else repr(float(value)))
-        rows.append(row)
-    _write_csv(path, header, rows)
+    columns = [map(str, dataset.y.tolist())] + [
+        map(str, col.values.tolist()) if col.kind == "categorical" else _floats(col.values)
+        for col in dataset.columns
+    ]
+    _write_columns(path, header, columns)
 
 
 def cmd_simulate(args) -> int:

@@ -447,20 +447,24 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     )
 
 
+def _require_family(family: str) -> None:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {', '.join(_FAMILIES)}")
+
+
 def fit_family(
     family: str, X, y, X_h=None, options: FitOptions | None = None, labels=None, hurdle_labels=None
 ) -> FittedModel:
     """Fit the family "P", "NB" or "HNB"; the hurdle design defaults to ``X``
     and then its labels to ``labels``."""
+    _require_family(family)
     if family == "P":
         return fit_poisson(X, y, options=options, labels=labels)
     if family == "NB":
         return fit_nb(X, y, options=options, labels=labels)
-    if family == "HNB":
-        if X_h is None:
-            X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
-        return fit_hnb(X, X_h, y, options=options, labels=labels, hurdle_labels=hurdle_labels)
-    raise ValueError(f"unknown family {family!r}; expected one of {', '.join(_FAMILIES)}")
+    if X_h is None:
+        X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
+    return fit_hnb(X, X_h, y, options=options, labels=labels, hurdle_labels=hurdle_labels)
 
 
 def fit_homogeneous(family: str, y, options: FitOptions | None = None) -> FittedModel:

@@ -171,6 +171,29 @@ class TestFit:
         assert code == 1
         assert "row 5, column 'x1'" in capsys.readouterr().err
 
+    def test_count_too_large_exits_1_with_coordinates(self, tmp_path, capsys):
+        data = make_csv(tmp_path / "d.csv", n=200)
+        lines = data.read_text(encoding="utf-8").splitlines()
+        _, oa, x1 = lines[7].split(",")
+        lines[7] = f"1e19,{oa},{x1}"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_json(tmp_path / "run.json", RUN_CONFIG)
+        code = main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "count too large '1e19' (row 7, column 'cites')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "restrict"])
+    def test_unknown_family_exits_1_before_reading_data(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        data.write_text("cites,oa,x1\n3,closed,abc\n", encoding="utf-8")
+        config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "family": "ZIP"})
+        out = tmp_path / "o"
+        code = main([command, "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "unknown family 'ZIP'; expected one of P, NB, HNB" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_1(self):
         assert main(["no-such-command"]) == 1
 

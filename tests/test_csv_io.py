@@ -1,0 +1,353 @@
+"""Block-wise CSV reading and column-wise CSV writing against row-by-row oracles."""
+
+import csv
+import math
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from countreg import cli
+from countreg.data import _BLOCK_ROWS, Column, Dataset, EncodingConfig, PredictorSpec, read_csv
+from countreg.exceptions import DataError
+from countreg.fit import fit_family
+
+
+def _oracle_count(raw, row, column):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise DataError(f"unparsable count {raw!r}", row=row, column=column) from None
+    if value < 0 or not value.is_integer():
+        if not math.isfinite(value):
+            problem = "non-finite"
+        elif value < 0:
+            problem = "negative"
+        else:
+            problem = "non-integer"
+        raise DataError(f"{problem} count {raw!r}", row=row, column=column)
+    if value >= 2**63:
+        raise DataError(f"count too large {raw!r}", row=row, column=column)
+    return int(value)
+
+
+def oracle_read_csv(path, config):
+    """The row-by-row reader: every check on one row before the next row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"empty file: {path}") from None
+        index = {name: i for i, name in enumerate(header)}
+        needed = [config.response] + [p.name for p in config.predictors]
+        for name in needed:
+            if name not in index:
+                raise DataError(f"missing column {name!r} in {path}")
+        y_vals = []
+        raw_cols = {p.name: [] for p in config.predictors}
+        for row_number, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise DataError("wrong field count", row=row_number, column=None)
+            for name in needed:
+                if row[index[name]].strip() == "":
+                    raise DataError("empty cell", row=row_number, column=name)
+            y_vals.append(_oracle_count(row[index[config.response]], row_number, config.response))
+            for spec in config.predictors:
+                raw = row[index[spec.name]]
+                if spec.kind == "categorical":
+                    raw_cols[spec.name].append(raw)
+                    continue
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise DataError(
+                        f"unparsable numeric value {raw!r}", row=row_number, column=spec.name
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"non-finite numeric value {value}", row=row_number, column=spec.name
+                    )
+                if spec.kind == "binary" and value not in (0.0, 1.0):
+                    raise DataError(
+                        f"binary column value {raw!r} not in {{0, 1}}",
+                        row=row_number,
+                        column=spec.name,
+                    )
+                if spec.transform == "log" and value <= 0.0:
+                    raise DataError(
+                        f"log transform requires positive values, got {raw!r}",
+                        row=row_number,
+                        column=spec.name,
+                    )
+                raw_cols[spec.name].append(value)
+    if not y_vals:
+        raise DataError(f"no data rows in {path}")
+    columns = tuple(
+        Column(
+            name=spec.name,
+            kind=spec.kind,
+            values=np.array(
+                raw_cols[spec.name], dtype=object if spec.kind == "categorical" else float
+            ),
+            transform=spec.transform,
+            origin=spec.origin,
+        )
+        for spec in config.predictors
+    )
+    return Dataset(y=np.array(y_vals, dtype=np.int64), columns=columns, response_name=config.response)
+
+
+# Header order differs from config order, so the error ranking must follow
+# the config; "skip" is never read and may hold anything.
+HEADER = ["x", "skip", "cites", "s", "oa", "d"]
+LEVELS = ["plain", "a,b", 'say "hi"', "two\nlines", " padded "]
+CONFIG = EncodingConfig(
+    response="cites",
+    predictors=(
+        PredictorSpec(name="oa", kind="categorical", base="plain", levels=tuple(LEVELS)),
+        PredictorSpec(name="x", kind="numeric", transform="offset", origin=2.0),
+        PredictorSpec(name="d", kind="binary"),
+        PredictorSpec(name="s", kind="numeric", transform="log"),
+    ),
+)
+CLEAN = {
+    "cites": ["0", "3", "17", "2.0", "1e2", " 4 ", "-0", "+5", "9223372036854774784"],
+    "x": ["0.1", "-2.5", "1e-05", "1e+16", "-0.0", "5e-324", "1_000", " 7", "3E2"],
+    "d": ["0", "1", "0.0", "1.0", "1e0", "-0"],
+    "s": ["0.5", "2", "5e-324", "1e300", "3.25"],
+    "oa": LEVELS,
+    "skip": ["", "junk", "1", "nan"],
+}
+# Defect kind -> (columns it may hit, cell values).
+DEFECTS = {
+    "empty": (["cites", "x", "d", "s", "oa"], ["", "  "]),
+    "count_unparsable": (["cites"], ["abc", "1..2", "0x1", "1,5"]),
+    "count_non_finite": (["cites"], ["nan", "inf", "-inf", "1e999"]),
+    "count_negative": (["cites"], ["-3", "-1e3"]),
+    "count_non_integer": (["cites"], ["2.5", "1e-3"]),
+    "count_too_large": (["cites"], ["1e19", "9223372036854775808", "1e300"]),
+    "numeric_unparsable": (["x", "d", "s"], ["abc", "--1", "1,5"]),
+    "numeric_non_finite": (["x", "d", "s"], ["nan", "inf", "-inf", "NaN", "1e999"]),
+    "binary": (["d"], ["2", "0.5", "-1"]),
+    "log": (["s"], ["0", "-0.0", "-2.5", "-1e-300"]),
+}
+
+
+def _row_index(n):
+    near_boundary = [b + d for b in (_BLOCK_ROWS, 2 * _BLOCK_ROWS) for d in (-2, -1, 0, 1)]
+    return st.one_of(
+        st.sampled_from([i for i in near_boundary if i < n] or [0]),
+        st.integers(0, n - 1),
+    )
+
+
+def _quote(cell, force):
+    if force or any(ch in cell for ch in ',"\n\r'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _clean_rows(rng, n):
+    picks = [rng.integers(len(CLEAN[name]), size=n).tolist() for name in HEADER]
+    return [[CLEAN[name][k] for name, k in zip(HEADER, row)] for row in zip(*picks)]
+
+
+def _render(rows, rng, quote_share=0.3, newline="\n"):
+    force = iter((rng.random(sum(map(len, rows))) < quote_share).tolist())
+    lines = [",".join(HEADER)] + [
+        ",".join(_quote(cell, next(force)) for cell in row) for row in rows
+    ]
+    return newline.join(lines) + newline
+
+
+@st.composite
+def csv_texts(draw):
+    n = draw(
+        st.one_of(
+            st.integers(0, 30),
+            st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]),
+            st.integers(_BLOCK_ROWS + 2, 2 * _BLOCK_ROWS + 60),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = _clean_rows(rng, n)
+    if n:
+        for kind, (targets, values) in DEFECTS.items():
+            for _ in range(draw(st.integers(0, 2))):
+                i = draw(_row_index(n))
+                rows[i][HEADER.index(draw(st.sampled_from(targets)))] = draw(st.sampled_from(values))
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(_row_index(n))
+            rows[i] = draw(st.sampled_from([rows[i][:-1], rows[i] + ["9"], []]))
+    quote_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return _render(rows, rng, quote_share, draw(st.sampled_from(["\n", "\r\n"])))
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path, CONFIG)
+    except DataError as exc:
+        return (str(exc), exc.row, exc.column)
+
+
+def assert_same_dataset(got, want):
+    assert got.response_name == want.response_name
+    assert got.y.dtype == want.y.dtype == np.int64
+    assert got.y.tobytes() == want.y.tobytes()
+    assert len(got.columns) == len(want.columns)
+    for a, b in zip(got.columns, want.columns):
+        assert (a.name, a.kind, a.transform, a.origin) == (b.name, b.kind, b.transform, b.origin)
+        assert a.values.dtype == b.values.dtype
+        if b.kind == "categorical":
+            assert a.values.dtype == object
+            assert a.values.tolist() == b.values.tolist()
+        else:
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+# Every single-cell defect: (column, value).
+CELL_DEFECTS = [(column, value) for targets, values in DEFECTS.values()
+                for column in targets for value in values]
+
+
+class TestReaderMatchesRowOracle:
+    def check(self, path):
+        got = _outcome(read_csv, path)
+        want = _outcome(oracle_read_csv, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert not isinstance(got, tuple), got
+            assert_same_dataset(got, want)
+        return want
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_texts())
+    def test_same_dataset_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        self.check(path)
+
+    def test_every_cell_defect_on_both_sides_of_a_block_boundary(self, tmp_path):
+        rng = np.random.default_rng(0)
+        clean = _clean_rows(rng, _BLOCK_ROWS + 2)
+        path = tmp_path / "data.csv"
+        for row in (_BLOCK_ROWS - 1, _BLOCK_ROWS):
+            for column, value in CELL_DEFECTS:
+                rows = [list(r) for r in clean]
+                rows[row][HEADER.index(column)] = value
+                path.write_text(_render(rows, rng), encoding="utf-8")
+                error = self.check(path)
+                assert error[1:] == (row + 1, column)
+
+    def test_every_pair_of_cell_defects_in_one_row(self, tmp_path):
+        rng = np.random.default_rng(1)
+        clean = _clean_rows(rng, 3)
+        path = tmp_path / "data.csv"
+        for i, (first, a) in enumerate(CELL_DEFECTS):
+            for second, b in CELL_DEFECTS[i + 1:]:
+                if first == second:
+                    continue
+                rows = [list(r) for r in clean]
+                rows[1][HEADER.index(first)] = a
+                rows[1][HEADER.index(second)] = b
+                path.write_text(_render(rows, rng), encoding="utf-8")
+                assert self.check(path)[1] == 2
+
+
+def oracle_write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def oracle_write_dataset_csv(path, dataset):
+    header = [dataset.response_name] + [col.name for col in dataset.columns]
+    rows = []
+    for i in range(dataset.n):
+        row = [str(int(dataset.y[i]))]
+        for col in dataset.columns:
+            value = col.values[i]
+            row.append(str(value) if col.kind == "categorical" else repr(float(value)))
+        rows.append(row)
+    oracle_write_csv(path, header, rows)
+
+
+def oracle_write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
+    empirical, fitted = cli.frequency_table(y, model, y_max=y_max, X=X, X_h=X_h)
+    values = [str(v) for v in range(y_max + 1)] + [f">{y_max}"]
+    oracle_write_csv(
+        out_dir / "frequency.csv",
+        ["value", "empirical", "fitted"],
+        [(v, int(e), repr(float(f))) for v, e, f in zip(values, empirical, fitted)],
+    )
+    oracle_write_csv(
+        out_dir / "pearson_residuals.csv",
+        ["predicted_mean", "pearson_residual"],
+        [(repr(float(m)), repr(float(r))) for m, r in zip(res.mu, res.pearson)],
+    )
+    if dev is not None:
+        oracle_write_csv(
+            out_dir / "deviance_residuals.csv",
+            ["predicted_mean", "deviance_residual"],
+            [(repr(float(m)), repr(float(d))) for m, d in zip(dev.mu, dev.deviance)],
+        )
+
+
+FLOATS = np.array([1e-05, 1e16, -0.0, 5e-324, 0.1, 2.5, -1.0, 123456789.0, 1e300, 1 / 3])
+PLOT_FILES = ("frequency.csv", "pearson_residuals.csv", "deviance_residuals.csv")
+
+
+def _same_bytes(a, b, names):
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestWritersMatchRowOracle:
+    def test_dataset_csv(self, tmp_path):
+        n = FLOATS.size
+        levels = np.array(["a,b", 'say "hi"', "plain"] * 4, dtype=object)[:n]
+        dataset = Dataset(
+            y=np.arange(n, dtype=np.int64) * 7,
+            columns=(
+                Column(name="oa", kind="categorical", values=levels),
+                Column(name="funded", kind="binary", values=np.arange(n) % 2 * 1.0),
+                Column(name="x", kind="numeric", values=FLOATS),
+            ),
+            response_name="cites",
+        )
+        cli._write_dataset_csv(tmp_path / "new.csv", dataset)
+        oracle_write_dataset_csv(tmp_path / "old.csv", dataset)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        config = EncodingConfig(
+            response="cites",
+            predictors=(
+                PredictorSpec(name="oa", kind="categorical", base="plain"),
+                PredictorSpec(name="funded", kind="binary"),
+                PredictorSpec(name="x", kind="numeric"),
+            ),
+        )
+        assert_same_dataset(read_csv(tmp_path / "new.csv", config), dataset)
+
+    def test_residual_and_frequency_csvs(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 400
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = rng.poisson(rng.gamma(2.0, 0.5 * np.exp(0.8 + 0.3 * X[:, 1])))
+        model = fit_family("NB", X, y)
+        res, dev = cli._residuals(model, X, None, y)
+        special = (
+            SimpleNamespace(mu=FLOATS, pearson=FLOATS[::-1]),
+            SimpleNamespace(mu=-FLOATS, deviance=FLOATS * 3),
+        )
+        for case, (r, d) in enumerate([(res, dev), special, (res, None)]):
+            new, old = tmp_path / f"new{case}", tmp_path / f"old{case}"
+            new.mkdir()
+            old.mkdir()
+            cli._write_plot_data(new, model, X, None, y, r, d, int(y.max()))
+            oracle_write_plot_data(old, model, X, None, y, r, d, int(y.max()))
+            _same_bytes(new, old, PLOT_FILES if d is not None else PLOT_FILES[:2])
+            assert (new / "deviance_residuals.csv").exists() == (d is not None)

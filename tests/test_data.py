@@ -87,6 +87,21 @@ class TestReadCsv:
         with pytest.raises(DataError, match=r"non-integer count.*row 1.*'cites'"):
             read_csv(path, BASIC_CONFIG)
 
+    @pytest.mark.parametrize("cell", ["1e19", "9223372036854775808"])
+    def test_count_too_large_for_int64_rejected(self, tmp_path, cell):
+        path = write(tmp_path, f"cites,oa,authors\n3,closed,2\n{cell},green,1\n")
+        with pytest.raises(DataError, match=r"count too large.*row 2.*'cites'"):
+            read_csv(path, BASIC_CONFIG)
+
+    def test_largest_int64_float_count_accepted(self, tmp_path):
+        path = write(tmp_path, "cites,oa,authors\n9223372036854774784,closed,2\n")
+        assert read_csv(path, BASIC_CONFIG).y.tolist() == [2**63 - 1024]
+
+    def test_non_finite_cell_precedes_later_unparsable_row(self, tmp_path):
+        path = write(tmp_path, "cites,oa,authors\n3,closed,inf\n1,green,abc\n")
+        with pytest.raises(DataError, match=r"non-finite numeric value inf.*row 1"):
+            read_csv(path, BASIC_CONFIG)
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "cites,oa\n3,closed\n")
         with pytest.raises(DataError, match="'authors'"):
