@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -150,11 +151,27 @@ def _residual_section(res, dev):
 
 
 def _write_columns(path, header, columns):
-    """Write equal-length columns of cell strings as a CSV under ``header``."""
+    """Write equal-length columns of CSV cell text as a CSV under ``header``.
+
+    Cells are written as given, so each must already be CSV text: numbers as
+    ``repr``/``str`` need no quoting, strings go through ``_quoted``.  Only
+    the header is written by the csv module.  Records end in ``\r\n``, as
+    csv.writer ends them.
+    """
+    record = ",".join(["{}"] * len(columns)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        csv.writer(fh).writerow(header)
+        fh.writelines(map(record.format, *columns))
+
+
+def _quoted(values):
+    """Each string as csv.writer writes it inside a record; each level once."""
+    text = {}
+    for value in set(values):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([value, ""])
+        text[value] = buf.getvalue()[: -len(",\r\n")]
+    return map(text.__getitem__, values)
 
 
 def _floats(values):
@@ -170,16 +187,23 @@ def _write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
         ["value", "empirical", "fitted"],
         [values, map(str, empirical.tolist()), _floats(fitted)],
     )
+    means = _floats(res.mu)
+    if dev is not None:
+        # An NB fit's two residual sets carry the same means: format them once.
+        if np.asarray(dev.mu, float).tobytes() == np.asarray(res.mu, float).tobytes():
+            means = deviance_means = list(means)
+        else:
+            deviance_means = _floats(dev.mu)
     _write_columns(
         out_dir / "pearson_residuals.csv",
         ["predicted_mean", "pearson_residual"],
-        [_floats(res.mu), _floats(res.pearson)],
+        [means, _floats(res.pearson)],
     )
     if dev is not None:
         _write_columns(
             out_dir / "deviance_residuals.csv",
             ["predicted_mean", "deviance_residual"],
-            [_floats(dev.mu), _floats(dev.deviance)],
+            [deviance_means, _floats(dev.deviance)],
         )
 
 
@@ -189,13 +213,31 @@ def _write_report(path, report):
         fh.write("\n")
 
 
-def _prepare(args, need_family=True):
+def _run_family(args, doc):
+    """The checked ``family`` of a fit or restrict run."""
+    family = doc.get("family", "NB")
+    _require_family(family)
+    return family
+
+
+def _compare_families(args, doc):
+    """The checked families of a compare run, from ``--families`` or the config."""
+    if args.families:
+        families = [f.strip() for f in args.families.split(",") if f.strip()]
+    else:
+        families = list(doc.get("families", []))
+    if len(families) < 2:
+        raise ConfigError("compare needs at least two families")
+    for family in families:
+        _require_family(family)
+    return families
+
+
+def _prepare(args, families_of=_run_family):
+    """Load the run config, check its families, then read and encode the data."""
     doc = _load_json(args.config)
     config = EncodingConfig.from_dict(doc)
-    family = None
-    if need_family:
-        family = doc.get("family", "NB")
-        _require_family(family)
+    family = families_of(args, doc)
     data_path = args.data or doc.get("data")
     if not data_path:
         raise ConfigError("no data file given (use --data or the config 'data' field)")
@@ -223,15 +265,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    doc, _, data_path, dataset, X, X_h, options, _, _ = _prepare(args, need_family=False)
-    if args.families:
-        families = [f.strip() for f in args.families.split(",") if f.strip()]
-    else:
-        families = list(doc.get("families", []))
-    if len(families) < 2:
-        raise ConfigError("compare needs at least two families")
-    for family in families:
-        _require_family(family)
+    _, _, data_path, dataset, X, X_h, options, families, _ = _prepare(args, _compare_families)
     models = [
         fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
         for family in families
@@ -265,7 +299,8 @@ def cmd_compare(args) -> int:
 def _write_dataset_csv(path, dataset):
     header = [dataset.response_name] + [col.name for col in dataset.columns]
     columns = [map(str, dataset.y.tolist())] + [
-        map(str, col.values.tolist()) if col.kind == "categorical" else _floats(col.values)
+        _quoted(list(map(str, col.values.tolist()))) if col.kind == "categorical"
+        else _floats(col.values)
         for col in dataset.columns
     ]
     _write_columns(path, header, columns)

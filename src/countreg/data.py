@@ -33,7 +33,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -57,6 +58,10 @@ _TRANSFORMS = ("none", "log", "offset")
 _BLOCK_ROWS = 1024
 # Counts are stored as int64.
 _COUNT_LIMIT = 2.0**63
+# Bytes that loadtxt strips from a number as whitespace and float() rejects:
+# a file holding any of them is left to the exact reader.
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+_LINE_ENDS = ("\n", "\r\n", "\r")
 
 
 @dataclass(frozen=True)
@@ -290,18 +295,99 @@ def _read_block(rows, first_row, width, fields):
     return arrays
 
 
+def _read_blocks(reader, width, fields, path):
+    """Parse the records left in ``reader`` block by block (see ``_read_block``)."""
+    blocks = []
+    n = 0
+    while rows := list(islice(reader, _BLOCK_ROWS)):
+        blocks.append(_read_block(rows, n + 1, width, fields))
+        n += len(rows)
+    if not blocks:
+        raise DataError(f"no data rows in {path}")
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def _checked_line(line):
+    """``line``, or ValueError where loadtxt would part from csv.reader.
+
+    loadtxt skips a blank line and reads a field longer than
+    ``csv.field_size_limit()``; csv.reader returns an empty record for the
+    one and raises csv.Error for the other.
+    """
+    if line in _LINE_ENDS or len(line) > csv.field_size_limit():
+        raise ValueError("blank or long line")
+    return line
+
+
+def _has_separators(path):
+    """Whether the file holds any of ``_SEPARATORS``, read 1 MiB at a time."""
+    with open(path, "rb") as fh:
+        chunks = iter(partial(fh.read, 1 << 20), b"")
+        return any(byte in chunk for chunk in chunks for byte in _SEPARATORS)
+
+
+def _loadtxt_fields(path, lines, width, fields):
+    """Arrays of a clean file from numpy's C tokenizer, or None to decline.
+
+    ``lines`` yields the records after the header, split into lines as
+    csv.reader splits them, so quoting and line ends tokenize alike.  Every
+    header column is parsed, which checks each row's field count.  Any doubt
+    declines: a separator byte, a column read both as text and as a number,
+    no data line, any ValueError (undecodable bytes, a cell loadtxt cannot
+    parse, a wrong field count, a blank line, even one inside quotes, a line
+    longer than csv's field limit), a failed value check or an empty
+    categorical cell.  A decline may leave ``lines`` partly consumed.
+    """
+    numeric = {position for position, _, kind in fields if kind != "categorical"}
+    if _has_separators(path) or any(
+        position in numeric for position, _, kind in fields if kind == "categorical"
+    ):
+        return None
+    dtype = [(f"f{i}", float if i in numeric else object) for i in range(width)]
+    try:
+        first = next(lines, None)
+        if first is None:
+            return None
+        table = np.loadtxt(
+            map(_checked_line, chain([first], lines)),
+            dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
+        )
+    except ValueError:
+        return None
+    arrays = []
+    for position, _, kind in fields:
+        values = table[f"f{position}"]
+        if kind == "categorical":
+            if not all(map(str.strip, values)):
+                return None
+        elif _bad_values(values, kind).any():
+            return None
+        arrays.append(values.astype(np.int64) if kind == "count" else values.copy())
+    return arrays
+
+
 def read_csv(path, config: EncodingConfig) -> Dataset:
     """Read an RFC 4180 CSV with a header row into a typed Dataset.
 
-    Rows are parsed in blocks of ``_BLOCK_ROWS``: each block is transposed
-    once, each needed column is parsed with ``float`` in one pass and checked
-    with one vectorized mask, and the blocks are concatenated.  Every
-    declared column must exist.  The reported error is the first bad data
-    row in file order (1-based); within a row the checks run as: field
-    count; empty cells (response first, then predictors in config order);
-    the response count (unparsable, non-finite, negative, non-integer, too
-    large for int64); then each predictor in config order (unparsable,
-    non-finite, binary value outside {0, 1}, log-transformed value <= 0).
+    The header is parsed by ``csv.reader``.  The data records are first
+    tried in one ``np.loadtxt`` call (numpy's C tokenizer; ``quotechar``
+    needs numpy >= 1.23) over every header column, numbers as float and
+    text as ``str``.  That fast path only accepts: it returns the Dataset
+    the exact reader would return, or declines (see ``_loadtxt_fields``),
+    and the exact reader reads the file again.  loadtxt parses numbers as
+    ``float()`` does wherever both accept a cell, and rejects ``1_000`` and
+    non-ASCII digits, which ``float()`` accepts.
+
+    The exact reader parses rows in blocks of ``_BLOCK_ROWS``: each block is
+    transposed once, each needed column is parsed with ``float`` in one pass
+    and checked with one vectorized mask, and the blocks are concatenated.
+    Every error about a data record comes from it.  Every declared column
+    must exist.  The reported error is the first bad data row in file order
+    (1-based); within a row the checks run as: field count; empty cells
+    (response first, then predictors in config order); the response count
+    (unparsable, non-finite, negative, non-integer, too large for int64);
+    then each predictor in config order (unparsable, non-finite, binary
+    value outside {0, 1}, log-transformed value <= 0).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -318,14 +404,13 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
             if name not in index:
                 raise DataError(f"missing column {name!r} in {path}")
         fields = [(index[name], name, kind) for name, kind in needed]
-        blocks = []
-        n = 0
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            blocks.append(_read_block(rows, n + 1, len(header), fields))
-            n += len(rows)
-    if not blocks:
-        raise DataError(f"no data rows in {path}")
-    y, *values = (np.concatenate(parts) for parts in zip(*blocks))
+        arrays = _loadtxt_fields(path, fh, len(header), fields)
+        if arrays is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            arrays = _read_blocks(reader, len(header), fields, path)
+    y, *values = arrays
     columns = tuple(
         Column(
             name=spec.name,

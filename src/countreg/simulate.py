@@ -23,7 +23,6 @@ Designs serialize to a declarative JSON document::
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,6 +266,9 @@ def recovery_study(
     truth = _true_parameter_map(design)
     jobs = [(design, rep, options) for rep in range(replications)]
     if threads > 1:
+        # Imported here: it costs every CLI process about 20 ms otherwise.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             raw = list(pool.map(_run_replication, jobs))
     else:

@@ -253,6 +253,32 @@ class TestCompare:
         aics = [row["aic"] for row in report["ranking"]]
         assert report["ranking"][1]["delta"] == pytest.approx(aics[1] - aics[0], rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "families, message",
+        [("P,ZIP", "unknown family 'ZIP'; expected one of P, NB, HNB"),
+         ("NB", "compare needs at least two families")],
+        ids=["unknown", "only-one"],
+    )
+    def test_families_checked_before_reading_data(self, tmp_path, capsys, families, message):
+        data = tmp_path / "d.csv"
+        data.write_text("cites,oa,x1\n3,closed,abc\n", encoding="utf-8")
+        config = write_json(tmp_path / "run.json", RUN_CONFIG)
+        out = tmp_path / "o"
+        code = main(["compare", "--data", str(data), "--config", str(config),
+                     "--families", families, "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_families_checked_before_reading_data(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("cites,oa,x1\n3,closed,abc\n", encoding="utf-8")
+        config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "families": ["NB", "ZIP"]})
+        code = main(["compare", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "unknown family 'ZIP'" in capsys.readouterr().err
+
     def test_empty_family_list_exits_1(self, tmp_path, capsys):
         data = make_csv(tmp_path / "d.csv", n=300)
         config = write_json(tmp_path / "run.json", RUN_CONFIG)
@@ -402,12 +428,14 @@ class TestRestrict:
 
 
 class TestStartup:
-    def test_import_does_not_load_scipy(self):
-        # scipy is a test-only oracle; the CLI must not pay for importing it.
+    # scipy is a test-only oracle, and the process pool serves only
+    # recovery_study(threads > 1); the CLI must not pay for importing either.
+    @pytest.mark.parametrize("module", ["scipy", "concurrent.futures.process"])
+    def test_import_does_not_load(self, module):
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         result = subprocess.run(
-            [sys.executable, "-c", "import countreg, sys; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", f"import countreg, sys; print({module!r} in sys.modules)"],
             env=env, capture_output=True, text=True, check=True,
         )
         assert result.stdout.strip() == "False"

@@ -2,13 +2,16 @@
 
 import csv
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countreg import cli
+from countreg import data as data_module
 from countreg.data import _BLOCK_ROWS, Column, Dataset, EncodingConfig, PredictorSpec, read_csv
 from countreg.exceptions import DataError
 from countreg.fit import fit_family
@@ -257,6 +260,180 @@ class TestReaderMatchesRowOracle:
                 assert self.check(path)[1] == 2
 
 
+def _same_as_oracle(path, config=CONFIG):
+    """read_csv and the oracle give the same Dataset or raise alike."""
+    def outcome(reader):
+        try:
+            return reader(path, config)
+        except Exception as exc:  # DataError, or e.g. UnicodeDecodeError
+            return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+
+    got, want = outcome(read_csv), outcome(oracle_read_csv)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert_same_dataset(got, want)
+
+
+# Cells that float() and numpy's loadtxt read differently, or that break a
+# record when written unquoted.
+ODD_CELLS = [
+    "1_000", "１", "١", "0x10", "nan(1)", "  1", '"1"2', "1e400", "-1e400", "\x1c1", "1\x1f",
+    "\ufeff1", "1\xa0", "\u20031", "Infinity", "-0", "5e-324", 'a"b', '""', '"', "a\nb",
+    "a\r\nb", "\r", "\n", ",", "1,5", " ", "", "\x00",
+]
+
+
+@st.composite
+def odd_csv_texts(draw):
+    """A few clean rows with odd text cells, some unquoted, and odd lines."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    force = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rows = [[_quote(cell, rng.random() < force) for cell in row] for row in _clean_rows(rng, n)]
+    for _ in range(draw(st.integers(1, 3))):
+        cell = draw(st.one_of(st.text(), st.sampled_from(ODD_CELLS)))
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, len(HEADER) - 1))
+        rows[i][j] = cell if draw(st.booleans()) else _quote(cell, draw(st.booleans()))
+    lines = [",".join(HEADER)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\r"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def citation_shaped_csv(path, n=2500, seed=5):
+    """Count, binary, integer, numeric and positive columns as in a citation
+    dataset, plus a categorical and an unread text column that need quoting."""
+    rng = np.random.default_rng(seed)
+    levels = ["closed", "green", "a,b", 'say "hi"', "two\nlines"]
+    columns = {
+        "cites": [str(v) for v in rng.negative_binomial(1.6, 0.1, size=n)],
+        **{f"flag{i}": [repr(float(v)) for v in rng.integers(0, 2, size=n)] for i in range(1, 13)},
+        "age": [repr(float(v)) for v in rng.integers(0, 8, size=n)],
+        "mentions": [repr(float(v)) for v in rng.poisson(0.6, size=n)],
+        **{f"metric{i}": [repr(float(v)) for v in rng.normal(size=n)] for i in range(1, 4)},
+        "impact": [repr(float(v)) for v in rng.lognormal(size=n)],
+        "oa": [levels[k] for k in rng.integers(0, len(levels), size=n)],
+        "title": [f'Paper {k}, "part" {k % 7}' for k in range(n)],
+    }
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
+    return EncodingConfig(
+        response="cites",
+        predictors=(
+            PredictorSpec(name="oa", kind="categorical", base="closed", levels=tuple(levels)),
+            *(PredictorSpec(name=f"flag{i}", kind="binary") for i in range(1, 13)),
+            PredictorSpec(name="age", kind="numeric", transform="offset", origin=3.0),
+            PredictorSpec(name="mentions", kind="numeric"),
+            *(PredictorSpec(name=f"metric{i}", kind="numeric") for i in range(1, 4)),
+            PredictorSpec(name="impact", kind="numeric", transform="log"),
+        ),
+    )
+
+
+HEAD = ",".join(HEADER)
+ROW = '0.5,junk,3,2,"a,b",1'
+# Files the loadtxt fast path must decline, one per reason; each is read by
+# the exact reader, which accepts it or raises its error.
+DECLINES = {
+    "undecodable byte": (HEAD + "\n" + (ROW + "\n") * 600).encode() + b"\xff,j,3,2,plain,1\n",
+    # The header line fills the reader's first 8,192-byte chunk exactly, so
+    # the first data line is the first to be decoded after it.
+    "undecodable first record": (HEAD.replace("skip", "skip" + "p" * (8191 - len(HEAD))) + "\n").encode()
+    + b"\xff,j,3,2,plain,1\n",
+    "underscore digits": f"{HEAD}\n{ROW}\n1_000,j,3,2,plain,1\n",
+    "full-width digit": f"{HEAD}\n{ROW}\n１,j,3,2,plain,1\n",
+    "empty cell": f"{HEAD}\n{ROW}\n,j,3,2,plain,1\n",
+    "too many fields": f"{HEAD}\n{ROW}\n{ROW},9\n",
+    "too few fields": f"{HEAD}\n{ROW}\n0.5,j,3,2,plain\n",
+    "whitespace line": f"{HEAD}\n{ROW}\n  \n{ROW}\n",
+    "blank line LF": f"{HEAD}\n{ROW}\n\n{ROW}\n",
+    "blank line CRLF": f"{HEAD}\r\n{ROW}\r\n\r\n{ROW}\r\n",
+    "blank line CR": f"{HEAD}\r{ROW}\r\r{ROW}\r",
+    "blank CR line after LF": f"{HEAD}\n{ROW}\n\r{ROW}\n",
+    "blank line at the end": f"{HEAD}\n{ROW}\n\n",
+    "blank first record": f"{HEAD}\n\n{ROW}\n",
+    "field over csv's size limit": f"{HEAD}\n{ROW}\n0.5,{'j' * 131073},3,2,plain,1\n",
+    "header only": f"{HEAD}\n",
+    "header only, no line end": HEAD,
+    "separator byte in a number": f"{HEAD}\n{ROW}\n\x1c0.5,j,3,2,plain,1\n",
+    "separator byte in text": f"{HEAD}\n{ROW}\n0.5,j,3,2,pl\x1dain,1\n",
+    "count check": f"{HEAD}\n{ROW}\n0.5,j,2.5,2,plain,1\n",
+    "binary check": f"{HEAD}\n{ROW}\n0.5,j,3,2,plain,2\n",
+    "log check": f"{HEAD}\n{ROW}\n0.5,j,3,0,plain,1\n",
+    "non-finite check": f"{HEAD}\n{ROW}\n1e400,j,3,2,plain,1\n",
+    "empty categorical cell": f"{HEAD}\n{ROW}\n0.5,j,3,2, ,1\n",
+}
+# Files the fast path reads itself: csv.reader and loadtxt see the same lines.
+ACCEPTS = {
+    "LF": f"{HEAD}\n{ROW}\n{ROW}\n",
+    "CRLF, no final line end": f"{HEAD}\r\n{ROW}\r\n{ROW}",
+    "CR line ends": f"{HEAD}\r{ROW}\r{ROW}\r",
+    "quoted header across lines": f'x,"sk\r\nip",cites,s,"oa",d\n{ROW}\n',
+    "quoted line ends in text": f'{HEAD}\n0.5,"a\r\nb",3,2,"two\r\nlines",1\n0.5,"\r",3,2,"x\ry",0\n',
+    "text after a closing quote": f'{HEAD}\n"0".5,j,"1"2,2,"a"b,1\n',
+    "spaces around numbers": f"{HEAD}\n 0.5 ,j,\t3 ,2\xa0,plain,\u20031\n",
+    "unread column holds anything": f'{HEAD}\n0.5,"1_000,\x00""",3,2,plain,1\n',
+}
+
+
+def _read(tmp_path, monkeypatch, content, config=CONFIG):
+    """Compare with the oracle, warnings as errors; True if the file fell back."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    calls = []
+    exact = data_module._read_blocks
+    monkeypatch.setattr(
+        data_module, "_read_blocks", lambda *args: calls.append(args) or exact(*args)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _same_as_oracle(path, config)
+    return bool(calls)
+
+
+class TestLoadtxtFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(odd_csv_texts())
+    def test_odd_cells_give_the_oracle_outcome(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _same_as_oracle(path)
+
+    def test_clean_citation_shaped_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        config = citation_shaped_csv(path)
+
+        def fail(*args):
+            raise AssertionError("the exact reader ran")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(data_module, "_read_block", fail)
+            got = read_csv(path, config)
+        assert_same_dataset(got, oracle_read_csv(path, config))
+        assert got.n == 2500
+
+    @pytest.mark.parametrize("content", DECLINES.values(), ids=DECLINES.keys())
+    def test_declines(self, tmp_path, monkeypatch, content):
+        assert _read(tmp_path, monkeypatch, content)
+
+    def test_declines_a_column_read_as_text_and_as_a_count(self, tmp_path, monkeypatch):
+        config = EncodingConfig(
+            response="cites",
+            predictors=(PredictorSpec(name="cites", kind="categorical", base="3"),),
+        )
+        assert _read(tmp_path, monkeypatch, f"{HEAD}\n{ROW}\n{ROW}\n", config)
+
+    @pytest.mark.parametrize("content", ACCEPTS.values(), ids=ACCEPTS.keys())
+    def test_accepts(self, tmp_path, monkeypatch, content):
+        assert not _read(tmp_path, monkeypatch, content)
+
+
 def oracle_write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -331,6 +508,21 @@ class TestWritersMatchRowOracle:
             ),
         )
         assert_same_dataset(read_csv(tmp_path / "new.csv", config), dataset)
+
+    def test_levels_are_quoted_as_csv_writer_quotes_them(self, tmp_path):
+        levels = ["", " padded ", "two\nlines", "cr\rlf\r\n", '"', "a,b", "plain", "é"]
+        n = 3 * len(levels)
+        dataset = Dataset(
+            y=np.arange(n, dtype=np.int64),
+            columns=(
+                Column(name="oa", kind="categorical", values=np.array(levels * 3, dtype=object)),
+                Column(name="x", kind="numeric", values=np.linspace(-1.0, 1.0, n)),
+            ),
+            response_name="a,b",
+        )
+        cli._write_dataset_csv(tmp_path / "new.csv", dataset)
+        oracle_write_dataset_csv(tmp_path / "old.csv", dataset)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_residual_and_frequency_csvs(self, tmp_path):
         rng = np.random.default_rng(11)
