@@ -25,13 +25,16 @@ The encoding configuration is a declarative JSON document::
 ``hurdle_predictors`` lists which predictors enter the hurdle equation;
 omitted, the hurdle equation uses the same predictors as the mean equation.
 Empty, unparsable and non-finite (``nan``, ``inf``) cells are rejected with
-their coordinates; a log transform requires strictly positive values.
+their coordinates, and a record that ``csv`` cannot read or that holds bytes
+that are not UTF-8 with its row; a log transform requires strictly positive
+values.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -62,6 +65,9 @@ _COUNT_LIMIT = 2.0**63
 # a file holding any of them is left to the exact reader.
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
 _LINE_ENDS = ("\n", "\r\n", "\r")
+# An undecodable byte b, read with errors="surrogateescape", is the lone
+# surrogate U+DC00 + b; valid UTF-8 never decodes to one.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -295,13 +301,32 @@ def _read_block(rows, first_row, width, fields):
     return arrays
 
 
-def _read_blocks(reader, width, fields, path):
-    """Parse the records left in ``reader`` block by block (see ``_read_block``)."""
+def _readable(reader, stop, rescan):
+    """The records of ``reader`` up to the first one that csv.reader cannot
+    read (a field over ``csv.field_size_limit()``) or, on a ``rescan``, that
+    holds an undecodable byte; that record's problem is appended to ``stop``."""
+    try:
+        for record in reader:
+            bad = _UNDECODABLE.search("".join(record)) if rescan else None
+            if bad:
+                stop.append(f"undecodable byte 0x{ord(bad.group()) - 0xDC00:02x}")
+                return
+            yield record
+    except csv.Error as exc:
+        stop.append(str(exc))
+
+
+def _read_blocks(records, width, fields, path, stop):
+    """Parse ``records`` (see ``_readable``) block by block (see
+    ``_read_block``); a record that stopped them is reported after the rows
+    before it are checked."""
     blocks = []
     n = 0
-    while rows := list(islice(reader, _BLOCK_ROWS)):
+    while rows := list(islice(records, _BLOCK_ROWS)):
         blocks.append(_read_block(rows, n + 1, width, fields))
         n += len(rows)
+    if stop:
+        raise DataError(stop[0], row=n + 1)
     if not blocks:
         raise DataError(f"no data rows in {path}")
     return [np.concatenate(parts) for parts in zip(*blocks)]
@@ -335,8 +360,9 @@ def _loadtxt_fields(path, lines, width, fields):
     declines: a separator byte, a column read both as text and as a number,
     no data line, any ValueError (undecodable bytes, a cell loadtxt cannot
     parse, a wrong field count, a blank line, even one inside quotes, a line
-    longer than csv's field limit), a failed value check or an empty
-    categorical cell.  A decline may leave ``lines`` partly consumed.
+    longer than csv's field limit), a text cell longer than that limit, a
+    failed value check or an empty categorical cell.  A decline may leave
+    ``lines`` partly consumed.
     """
     numeric = {position for position, _, kind in fields if kind != "categorical"}
     if _has_separators(path) or any(
@@ -354,6 +380,10 @@ def _loadtxt_fields(path, lines, width, fields):
         )
     except ValueError:
         return None
+    # A quoted text cell may span lines that each pass _checked_line.
+    limit = csv.field_size_limit()
+    if any(max(map(len, table[f"f{i}"])) > limit for i in range(width) if i not in numeric):
+        return None
     arrays = []
     for position, _, kind in fields:
         values = table[f"f{position}"]
@@ -363,6 +393,31 @@ def _loadtxt_fields(path, lines, width, fields):
         elif _bad_values(values, kind).any():
             return None
         arrays.append(values.astype(np.int64) if kind == "count" else values.copy())
+    return arrays
+
+
+def _read_fields(fh, path, config, rescan):
+    """The arrays of the response and the predictors read from ``fh``; the
+    fast path is tried unless ``rescan``."""
+    stop = []
+    header = next(_readable(csv.reader(fh), stop, rescan), None)
+    if header is None:
+        raise DataError(f"{stop[0]} in the header of {path}" if stop else f"empty file: {path}")
+    index = {name: i for i, name in enumerate(header)}
+    # (column, check): the response is a count, a log-transformed numeric
+    # column must also be positive.
+    needed = [(config.response, "count")]
+    needed += [(p.name, "log" if p.transform == "log" else p.kind) for p in config.predictors]
+    for name, _ in needed:
+        if name not in index:
+            raise DataError(f"missing column {name!r} in {path}")
+    fields = [(index[name], name, kind) for name, kind in needed]
+    arrays = None if rescan else _loadtxt_fields(path, fh, len(header), fields)
+    if arrays is None:
+        fh.seek(0)
+        records = _readable(csv.reader(fh), stop, rescan)
+        next(records)
+        arrays = _read_blocks(records, len(header), fields, path, stop)
     return arrays
 
 
@@ -387,29 +442,19 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
     (response first, then predictors in config order); the response count
     (unparsable, non-finite, negative, non-integer, too large for int64);
     then each predictor in config order (unparsable, non-finite, binary
-    value outside {0, 1}, log-transformed value <= 0).
+    value outside {0, 1}, log-transformed value <= 0).  A record that
+    csv.reader cannot read (a field longer than ``csv.field_size_limit()``)
+    or that holds bytes that are not UTF-8 is reported by its row before any
+    other check of it.  Undecodable bytes are located by reading the file
+    once more with each such byte kept as a lone surrogate; that rescan runs
+    only after a decoding error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        index = {name: i for i, name in enumerate(header)}
-        # (column, check): the response is a count, a log-transformed
-        # numeric column must also be positive.
-        needed = [(config.response, "count")]
-        needed += [(p.name, "log" if p.transform == "log" else p.kind) for p in config.predictors]
-        for name, _ in needed:
-            if name not in index:
-                raise DataError(f"missing column {name!r} in {path}")
-        fields = [(index[name], name, kind) for name, kind in needed]
-        arrays = _loadtxt_fields(path, fh, len(header), fields)
-        if arrays is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            arrays = _read_blocks(reader, len(header), fields, path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            arrays = _read_fields(fh, path, config, rescan=False)
+    except UnicodeDecodeError:
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            arrays = _read_fields(fh, path, config, rescan=True)
     y, *values = arrays
     columns = tuple(
         Column(

@@ -7,6 +7,12 @@ log r.  Starting values: beta from a Poisson Newton fit on the already
 validated rows, r from the method of moments r0 = max((s^2 - ybar)/ybar^2,
 1e-3).  :func:`fit_family` dispatches on the family name.
 
+An objective maps a point u to (loglik, score, hessian), where ``hessian``
+is a zero-argument callable returning the exact Hessian at u; the optimizer
+calls it only at the start point and at accepted points, never at a trial
+point the line search rejects.  A point outside the objective's domain
+returns (-inf, None, None), which the line search rejects.
+
 Reported convergence means the max-norm of the score is below
 ``gradient_tolerance * (1 + |loglik|)``; ``iterations`` counts Newton steps.
 The coefficient covariance is the inverse observed information, the exact
@@ -23,16 +29,7 @@ import numpy as np
 
 from .distributions import _validate_counts
 from .exceptions import SeparationError
-from .likelihood import (
-    NbRegParams,
-    _nb_hessian,
-    _truncated_nb_loglik_terms,
-    _truncated_nb_score,
-    link_hurdle,
-    link_mean,
-    nb_loglik,
-    nb_score,
-)
+from .likelihood import LINEAR_PREDICTOR_BOUND, _nb_kernel, link_mean
 from .special import ln_gamma
 
 __all__ = ["FitOptions", "FittedModel", "fit_family", "fit_poisson", "fit_nb", "fit_hnb", "fit_homogeneous"]
@@ -121,12 +118,16 @@ def _converged(value, grad, options) -> bool:
 def _newton_maximize(objective, u0, options, guard=None) -> _OptState:
     """Newton ascent on exact Hessians with Armijo step halving.
 
-    ``objective(u)`` returns (loglik, score, Hessian); trial points with a
-    non-finite loglik are rejected.  A non-finite step falls back to the
-    score.
+    ``objective(u)`` returns (loglik, score, Hessian callable); trial points
+    with a non-finite loglik are rejected.  A non-finite step falls back to
+    the score.
     """
     u = np.asarray(u0, dtype=float).copy()
-    value, grad, hess = objective(u)
+    value, grad, hessian = objective(u)
+    hess = hessian()
+    # A Hessian callable holds row arrays: drop each one before the next
+    # evaluation, so that at most one set is alive.
+    del hessian
     iterations = 0
     warnings = []
     while iterations < options.max_iterations:
@@ -149,16 +150,18 @@ def _newton_maximize(objective, u0, options, guard=None) -> _OptState:
         accepted = False
         for _ in range(options.step_halving_limit):
             candidate = u + step * direction
-            new_value, new_grad, new_hess = objective(candidate)
+            new_value, new_grad, hessian = objective(candidate)
             if np.isfinite(new_value) and new_value >= value + _ARMIJO * step * slope:
                 accepted = True
                 break
+            del hessian
             step *= 0.5
         iterations += 1
         if not accepted:
             warnings.append("line_search_stalled")
             break
-        u, value, grad, hess = candidate, new_value, new_grad, new_hess
+        u, value, grad, hess = candidate, new_value, new_grad, hessian()
+        del hessian
         if guard is not None:
             guard(u)
     converged = _converged(value, grad, options)
@@ -180,43 +183,34 @@ def _covariance(hess):
     return 0.5 * (cov + cov.T), ["hessian_not_negative_definite"] if degenerate else []
 
 
-def _nb_objective(X, y, truncated):
-    """u = (beta, log r) -> (loglik, score, Hessian) of the NB or, with
-    ``truncated``, the zero-truncated NB part; |log r| beyond the window is
-    rejected."""
+def _nb_objective(X, y, truncated, lgy1):
+    """u = (beta, log r) -> objective of the NB or, with ``truncated``, the
+    zero-truncated NB part of checked counts ``y``; ``lgy1`` is their
+    lnG(y+1) row.  |log r| beyond the window is rejected."""
     k = X.shape[1]
 
     def objective(u):
         if abs(u[k]) > _LOG_R_WINDOW:
             return -math.inf, None, None
-        params = NbRegParams(beta=u[:k], log_r=float(u[k]))
-        if truncated:
-            value = float(np.sum(_truncated_nb_loglik_terms(params, X, y, full=True)))
-            score = _truncated_nb_score(params, X, y)
-        else:
-            value, score = nb_loglik(params, X, y), nb_score(params, X, y)
-        return value, score, _nb_hessian(params, X, y, truncated)
+        terms, score, hessian = _nb_kernel(u[:k], float(u[k]), X, y, truncated, lgy1)
+        return float(np.sum(terms)), score, hessian
 
     return objective
 
 
-def _poisson_objective(X, y):
-    """beta -> (loglik, score, Hessian) of the Poisson regression (float y)."""
-    const = float(np.sum(ln_gamma(y + 1.0)))
+def _poisson_maximize(X, y, options, lgy1) -> _OptState:
+    """Poisson Newton fit of float counts ``y`` (lnG(y+1) row ``lgy1``) from
+    beta = (log ybar, 0, ...); also the NB start."""
+    const = float(np.sum(lgy1))
 
     def objective(beta):
         theta = link_mean(X, beta)
         value = float(np.sum(y * np.log(theta) - theta)) - const
-        return value, X.T @ (y - theta), -(X.T @ (X * theta[:, None]))
+        return value, X.T @ (y - theta), lambda: -(X.T @ (X * theta[:, None]))
 
-    return objective
-
-
-def _poisson_maximize(X, y, options) -> _OptState:
-    """Poisson Newton fit from beta = (log ybar, 0, ...); also the NB start."""
     beta0 = np.zeros(X.shape[1])
     beta0[0] = math.log(max(float(np.mean(y)), 1e-8))
-    return _newton_maximize(_poisson_objective(X, y), beta0, options)
+    return _newton_maximize(objective, beta0, options)
 
 
 def _check_block(M, labels, what, min_extra=None, name="labels"):
@@ -270,7 +264,8 @@ def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedM
     X, y, labels, _, _ = _validate_design(X, y, labels)
     _require_positive_count(y)
     n, k = X.shape
-    state = _poisson_maximize(X, y.astype(float), options)
+    yf = y.astype(float)
+    state = _poisson_maximize(X, yf, options, ln_gamma(yf + 1.0))
     cov, cov_warnings = _covariance(state.hess)
     estimates = dict(zip(labels, state.u.tolist()))
     return FittedModel(
@@ -307,10 +302,12 @@ def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     X, y, labels, _, _ = _validate_design(X, y, labels, min_extra=1)
     _require_positive_count(y)
     n, k = X.shape
-    beta0 = _poisson_maximize(X, y.astype(float), options).u
+    yf = y.astype(float)
+    lgy1 = ln_gamma(yf + 1.0)
+    beta0 = _poisson_maximize(X, yf, options, lgy1).u
     u0 = np.concatenate([beta0, [math.log(_moment_start_r(y))]])
 
-    state = _newton_maximize(_nb_objective(X, y, truncated=False), u0, options)
+    state = _newton_maximize(_nb_objective(X, yf, False, lgy1), u0, options)
     r_hat = math.exp(float(state.u[k]))
     warnings = list(state.warnings)
     if r_hat < _POISSON_BOUNDARY_R:
@@ -380,10 +377,10 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     z = zero.astype(float)
 
     def binary_objective(delta):
-        eta = np.clip(X_h @ delta, -700.0, 700.0)
+        eta = np.clip(X_h @ delta, -LINEAR_PREDICTOR_BOUND, LINEAR_PREDICTOR_BOUND)
         value = float(np.sum(z * eta - np.logaddexp(0.0, eta)))
-        phi = link_hurdle(X_h, delta)
-        return value, X_h.T @ (z - phi), -(X_h.T @ (X_h * (phi * (1.0 - phi))[:, None]))
+        phi = np.exp(-np.logaddexp(0.0, -eta))  # link_hurdle of the same eta
+        return value, X_h.T @ (z - phi), lambda: -(X_h.T @ (X_h * (phi * (1.0 - phi))[:, None]))
 
     delta0 = np.zeros(k_h)
     zbar = float(np.mean(z))
@@ -396,11 +393,12 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     Xp = X[~zero]
     yp = y[~zero].astype(float)
     _check_block(Xp, labels, "design matrix", min_extra=0)
+    lgy1 = ln_gamma(yp + 1.0)
     u0 = np.concatenate(
-        [_poisson_maximize(Xp, yp, options).u, [math.log(_moment_start_r(y[~zero]))]]
+        [_poisson_maximize(Xp, yp, options, lgy1).u, [math.log(_moment_start_r(y[~zero]))]]
     )
 
-    truncated_state = _newton_maximize(_nb_objective(Xp, yp, truncated=True), u0, options)
+    truncated_state = _newton_maximize(_nb_objective(Xp, yp, True, lgy1), u0, options)
     r_hat = math.exp(float(truncated_state.u[k]))
 
     warnings = list(binary_state.warnings) + list(truncated_state.warnings)

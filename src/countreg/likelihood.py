@@ -13,10 +13,13 @@ requested.  The gamma terms are evaluated as the cancellation-free sum
 lnG(1/r + y) - lnG(1/r) + y log r = sum_{j<y} log1p(j r) (Lawless 1987);
 that sum and its first two log r derivatives share one cumulative-sum grid,
 so the NB and zero-truncated NB log-likelihood, score and exact Hessian in
-(beta, log r) need no special functions beyond the lnG(y+1) constant.  The
-hurdle log-likelihood separates into a binary part, which depends only on
-delta, and a zero-truncated part in (beta, log r); the two blocks maximize
-independently.
+(beta, log r) need no special functions beyond the lnG(y+1) constant.  One
+private kernel, ``_nb_kernel``, computes the linear predictor, the grid and
+all three from one pass over the rows, and defers the Hessian to a
+zero-argument callable; the public likelihoods check their inputs once and
+call it.  The hurdle log-likelihood separates into a binary part, which
+depends only on delta, and a zero-truncated part in (beta, log r); the two
+blocks maximize independently.
 
 Observation sums run in natural (row) order, so repeated evaluation of the
 same inputs is bit-stable.
@@ -138,16 +141,56 @@ def _dispersion_sums(y, r):
     np.cumsum(np.log1p(jr), out=grids[0, 1:])
     np.cumsum(q, out=grids[1, 1:])
     np.cumsum(q / (1.0 + jr), out=grids[2, 1:])
-    return grids[:, counts]
+    return tuple(grid[counts] for grid in grids)
 
 
-def _nb_loglik_terms(params: NbRegParams, X, y, full):
-    eta = _clamped_eta(X, params.beta)
-    r = params.r
-    terms = _dispersion_sums(y, r)[0] - (1.0 / r + y) * np.log1p(r * np.exp(eta)) + y * eta
-    if full:
-        terms = terms - ln_gamma(y + 1.0)
-    return terms
+def _nb_kernel(beta, log_r, X, y, truncated, lgy1=None):
+    """(row log-likelihood terms, score, Hessian) of the NB or, with
+    ``truncated``, the zero-truncated NB part (rows must have y > 0) in
+    (beta, log r), from one linear predictor and one dispersion grid.
+
+    ``lgy1`` is the lnG(y+1) row subtracted from the terms (None drops the
+    constant).  The Hessian is a zero-argument callable over arrays computed
+    here, so it costs nothing until called.  Inputs are not checked.
+    Truncation adds g = -log(1 - p0) with lam = log p0 = -log1p(r theta)/r,
+    so g' = rho lam' and g'' = rho (1 + rho) lam'^2 + rho lam'' for
+    rho = p0/(1 - p0).
+    """
+    r = float(np.exp(log_r))
+    eta = _clamped_eta(X, beta)
+    theta = np.exp(eta)
+    denom = 1.0 + r * theta
+    log1prt = np.log1p(r * theta)
+    s0, s1, s2 = _dispersion_sums(y, r)
+    terms = s0 - (1.0 / r + y) * log1prt + y * eta
+    if lgy1 is not None:
+        terms = terms - lgy1
+    rho = 0.0
+    if truncated:
+        log_p0 = -log1prt / r
+        terms = terms - np.log1p(-np.exp(log_p0))
+        rho = np.exp(log_p0) / -np.expm1(log_p0)
+    lam_eta = -theta / denom
+    lam_logr = log1prt / r - theta / denom
+    d_eta = (y - theta) / denom + rho * lam_eta
+    d_logr = s1 + lam_logr - r * y * theta / denom + rho * lam_logr
+
+    def hessian():
+        # The n x k product first, while the fewest row arrays are alive.
+        k = X.shape[1]
+        hess = np.empty((k + 1, k + 1))
+        kappa = rho * (1.0 + rho)
+        d_eta2 = -(1.0 + r * y + rho) * theta / denom**2 + kappa * lam_eta**2
+        hess[:k, :k] = X.T @ (X * d_eta2[:, None])
+        lam_eta_logr = r * theta**2 / denom**2
+        nb_eta_logr = r * theta * (theta - y) / denom**2
+        d_eta_logr = nb_eta_logr + kappa * lam_eta * lam_logr + rho * lam_eta_logr
+        hess[:k, k] = hess[k, :k] = X.T @ d_eta_logr
+        d_logr2 = s2 - lam_logr + nb_eta_logr + kappa * lam_logr**2 + rho * (lam_eta_logr - lam_logr)
+        hess[k, k] = np.sum(d_logr2)
+        return hess
+
+    return terms, np.append(X.T @ d_eta, np.sum(d_logr)), hessian
 
 
 def nb_loglik(params: NbRegParams, X, y, full: bool = True) -> float:
@@ -159,65 +202,21 @@ def nb_loglik(params: NbRegParams, X, y, full: bool = True) -> float:
     """
     _check_dims(X, params.beta, "mean")
     y = _validate_counts(y, float)
-    return float(np.sum(_nb_loglik_terms(params, X, y, full)))
-
-
-def _nb_row_derivatives(params: NbRegParams, X, y, truncated, second):
-    """Per-row derivatives of the NB or zero-truncated NB log-likelihood.
-
-    Returns (d/d eta, d/d log r), or with ``second`` (d2/d eta2,
-    d2/d eta d log r, d2/d log r2).  Truncation adds g = -log(1 - p0) with
-    lam = log p0 = -log1p(r theta)/r, so g' = rho lam' and
-    g'' = rho (1 + rho) lam'^2 + rho lam'' for rho = p0/(1 - p0).
-    """
-    r = params.r
-    theta = np.exp(_clamped_eta(X, params.beta))
-    denom = 1.0 + r * theta
-    log1prt = np.log1p(r * theta)
-    _, s1, s2 = _dispersion_sums(y, r)
-    lam_eta = -theta / denom
-    lam_logr = log1prt / r - theta / denom
-    log_p0 = -log1prt / r
-    rho = np.exp(log_p0) / -np.expm1(log_p0) if truncated else 0.0
-    if not second:
-        return (
-            (y - theta) / denom + rho * lam_eta,
-            s1 + lam_logr - r * y * theta / denom + rho * lam_logr,
-        )
-    lam_eta_logr = r * theta**2 / denom**2
-    nb_eta_logr = r * theta * (theta - y) / denom**2
-    kappa = rho * (1.0 + rho)
-    return (
-        -(1.0 + r * y + rho) * theta / denom**2 + kappa * lam_eta**2,
-        nb_eta_logr + kappa * lam_eta * lam_logr + rho * lam_eta_logr,
-        s2 - lam_logr + nb_eta_logr + kappa * lam_logr**2 + rho * (lam_eta_logr - lam_logr),
-    )
+    lgy1 = ln_gamma(y + 1.0) if full else None
+    return float(np.sum(_nb_kernel(params.beta, params.log_r, X, y, False, lgy1)[0]))
 
 
 def nb_score(params: NbRegParams, X, y) -> np.ndarray:
     """Analytic gradient of the NB log-likelihood in (beta, log r)."""
     _check_dims(X, params.beta, "mean")
     y = _validate_counts(y, float)
-    d_eta, d_logr = _nb_row_derivatives(params, X, y, truncated=False, second=False)
-    return np.append(X.T @ d_eta, np.sum(d_logr))
-
-
-def _nb_hessian(params: NbRegParams, X, y, truncated=False) -> np.ndarray:
-    """Exact (beta, log r) Hessian of the NB log-likelihood, or with
-    ``truncated`` of the zero-truncated part (rows must have y > 0)."""
-    d_eta2, d_eta_logr, d_logr2 = _nb_row_derivatives(params, X, y, truncated, second=True)
-    k = X.shape[1]
-    hess = np.empty((k + 1, k + 1))
-    hess[:k, :k] = X.T @ (X * d_eta2[:, None])
-    hess[:k, k] = hess[k, :k] = X.T @ d_eta_logr
-    hess[k, k] = np.sum(d_logr2)
-    return hess
+    return _nb_kernel(params.beta, params.log_r, X, y, False)[1]
 
 
 def _truncated_nb_loglik_terms(params: NbRegParams, X, y, full):
     """Per-observation zero-truncated NB terms (rows must have y > 0)."""
-    log_p0 = -np.log1p(params.r * np.exp(_clamped_eta(X, params.beta))) / params.r
-    return _nb_loglik_terms(params, X, y, full) - np.log1p(-np.exp(log_p0))
+    lgy1 = ln_gamma(y + 1.0) if full else None
+    return _nb_kernel(params.beta, params.log_r, X, y, True, lgy1)[0]
 
 
 def hnb_loglik_parts(params: HnbRegParams, X, X_h, y, full: bool = True):
@@ -252,8 +251,7 @@ def hnb_loglik(params: HnbRegParams, X, X_h, y, full: bool = True) -> float:
 
 def _truncated_nb_score(params: NbRegParams, X, y) -> np.ndarray:
     """(beta, log r) score of the zero-truncated NB part; rows must have y > 0."""
-    d_eta, d_logr = _nb_row_derivatives(params, X, y, truncated=True, second=False)
-    return np.append(X.T @ d_eta, np.sum(d_logr))
+    return _nb_kernel(params.beta, params.log_r, X, y, True)[1]
 
 
 def hnb_score(params: HnbRegParams, X, X_h, y) -> np.ndarray:

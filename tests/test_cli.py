@@ -183,6 +183,26 @@ class TestFit:
         assert code == 1
         assert "count too large '1e19' (row 7, column 'cites')" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (b"1" * 131073, "countreg: field larger than field limit (131072) (row 4)"),
+            (b"\xff", "countreg: undecodable byte 0xff (row 4)"),
+        ],
+        ids=["over-long", "undecodable"],
+    )
+    def test_unreadable_record_exits_1_with_its_row(self, tmp_path, capsys, cell, message):
+        data = make_csv(tmp_path / "d.csv", n=200)
+        lines = data.read_bytes().splitlines()
+        cites, oa, _ = lines[4].split(b",")
+        lines[4] = b",".join([cites, oa, cell])
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        config = write_json(tmp_path / "run.json", RUN_CONFIG)
+        code = main(["fit", "--data", str(data), "--config", str(config),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == message
+
     @pytest.mark.parametrize("command", ["fit", "restrict"])
     def test_unknown_family_exits_1_before_reading_data(self, tmp_path, capsys, command):
         data = tmp_path / "d.csv"

@@ -35,14 +35,38 @@ def _oracle_count(raw, row, column):
     return int(value)
 
 
+def _oracle_records(reader, path):
+    """(row number, record) pairs, the header as row 0.  A record csv.reader
+    cannot read, or one holding an undecodable byte (a lone surrogate under
+    errors="surrogateescape"), raises a DataError naming its row."""
+    row = 0
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            problem = str(exc)
+        else:
+            bad = [c for cell in record for c in cell if "\udc80" <= c <= "\udcff"]
+            if not bad:
+                yield row, record
+                row += 1
+                continue
+            problem = f"undecodable byte 0x{ord(bad[0]) - 0xDC00:02x}"
+        if row == 0:
+            raise DataError(f"{problem} in the header of {path}")
+        raise DataError(problem, row=row)
+
+
 def oracle_read_csv(path, config):
     """The row-by-row reader: every check on one row before the next row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        records = _oracle_records(csv.reader(fh), path)
+        first = next(records, None)
+        if first is None:
+            raise DataError(f"empty file: {path}")
+        header = first[1]
         index = {name: i for i, name in enumerate(header)}
         needed = [config.response] + [p.name for p in config.predictors]
         for name in needed:
@@ -50,7 +74,7 @@ def oracle_read_csv(path, config):
                 raise DataError(f"missing column {name!r} in {path}")
         y_vals = []
         raw_cols = {p.name: [] for p in config.predictors}
-        for row_number, row in enumerate(reader, start=1):
+        for row_number, row in records:
             if len(row) != len(header):
                 raise DataError("wrong field count", row=row_number, column=None)
             for name in needed:
@@ -265,7 +289,7 @@ def _same_as_oracle(path, config=CONFIG):
     def outcome(reader):
         try:
             return reader(path, config)
-        except Exception as exc:  # DataError, or e.g. UnicodeDecodeError
+        except Exception as exc:  # DataError, or anything else a reader raises
             return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
 
     got, want = outcome(read_csv), outcome(oracle_read_csv)
@@ -359,6 +383,12 @@ DECLINES = {
     "blank line at the end": f"{HEAD}\n{ROW}\n\n",
     "blank first record": f"{HEAD}\n\n{ROW}\n",
     "field over csv's size limit": f"{HEAD}\n{ROW}\n0.5,{'j' * 131073},3,2,plain,1\n",
+    "quoted text over csv's size limit across short lines": f"{HEAD}\n{ROW}\n0.5,"
+    + '"' + ("j" * 999 + "\n") * 132 + '",3,2,plain,1\n',
+    # An earlier bad row is reported first, also inside the undecodable chunk.
+    "undecodable byte after a bad row": f"{HEAD}\n{ROW}\n,j,3,2,plain,1\n".encode()
+    + b"0.5,j,3,2,pl\xe9ain,1\n",
+    "over-long field after a bad row": f"{HEAD}\n,j,3,2,plain,1\n0.5,{'j' * 131073},3,2,plain,1\n",
     "header only": f"{HEAD}\n",
     "header only, no line end": HEAD,
     "separator byte in a number": f"{HEAD}\n{ROW}\n\x1c0.5,j,3,2,plain,1\n",
@@ -428,6 +458,32 @@ class TestLoadtxtFastPath:
             predictors=(PredictorSpec(name="cites", kind="categorical", base="3"),),
         )
         assert _read(tmp_path, monkeypatch, f"{HEAD}\n{ROW}\n{ROW}\n", config)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("undecodable byte", "undecodable byte 0xff (row 601)"),
+            ("undecodable first record", "undecodable byte 0xff (row 1)"),
+            ("field over csv's size limit", "field larger than field limit (131072) (row 2)"),
+        ],
+    )
+    def test_unreadable_record_is_named_by_its_row(self, tmp_path, monkeypatch, case, message):
+        assert _read(tmp_path, monkeypatch, DECLINES[case])
+        with pytest.raises(DataError) as info:
+            read_csv(tmp_path / "data.csv", CONFIG)
+        assert (str(info.value), info.value.column) == (message, None)
+
+    @pytest.mark.parametrize(
+        "header",
+        [HEAD.encode() + b"\xfe", f"{HEAD},{'h' * 131073}".encode()],
+        ids=["undecodable", "over-long"],
+    )
+    def test_unreadable_header_matches_the_oracle(self, tmp_path, header):
+        path = tmp_path / "data.csv"
+        path.write_bytes(header + f"\n{ROW}\n".encode())
+        _same_as_oracle(path)
+        with pytest.raises(DataError, match="in the header of"):
+            read_csv(path, CONFIG)
 
     @pytest.mark.parametrize("content", ACCEPTS.values(), ids=ACCEPTS.keys())
     def test_accepts(self, tmp_path, monkeypatch, content):

@@ -1,6 +1,7 @@
 """CSV ingestion and design-matrix encoding."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,48 @@ class TestReadCsv:
     def test_non_finite_cell_precedes_later_unparsable_row(self, tmp_path):
         path = write(tmp_path, "cites,oa,authors\n3,closed,inf\n1,green,abc\n")
         with pytest.raises(DataError, match=r"non-finite numeric value inf.*row 1"):
+            read_csv(path, BASIC_CONFIG)
+
+    def test_cell_over_csv_field_limit_names_its_row(self, tmp_path):
+        path = write(tmp_path, f"cites,oa,authors\n3,closed,2\n1,green,{'1' * 131073}\n")
+        with pytest.raises(DataError) as info:
+            read_csv(path, BASIC_CONFIG)
+        assert str(info.value) == "field larger than field limit (131072) (row 2)"
+        assert (info.value.row, info.value.column) == (2, None)
+
+    def test_earlier_bad_row_precedes_an_over_long_cell(self, tmp_path):
+        path = write(tmp_path, f"cites,oa,authors\n3,,2\n1,green,{'1' * 131073}\n")
+        with pytest.raises(DataError, match=r"empty cell \(row 1, column 'oa'\)"):
+            read_csv(path, BASIC_CONFIG)
+
+    def test_undecodable_byte_names_its_row(self, tmp_path):
+        # 5,001 rows: the bad byte lies beyond the decoder's first chunks.
+        path = tmp_path / "data.csv"
+        rows = "".join(f"{i % 7},closed,{i}.5\n" for i in range(5000))
+        path.write_bytes(f"cites,oa,authors\n{rows}".encode() + b"3,closed,\xff\n")
+        with pytest.raises(DataError) as info:
+            read_csv(path, BASIC_CONFIG)
+        assert str(info.value) == "undecodable byte 0xff (row 5001)"
+        assert (info.value.row, info.value.column) == (5001, None)
+
+    def test_earlier_bad_row_in_the_same_chunk_precedes_an_undecodable_byte(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"cites,oa,authors\n3,closed,2\n1,green,abc\n2,gold,\xc3\n")
+        with pytest.raises(DataError, match=r"unparsable numeric value 'abc' \(row 2"):
+            read_csv(path, BASIC_CONFIG)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"cites,oa,auth\xffors", "undecodable byte 0xff in the header of"),
+            (b"cites,oa,authors," + b"h" * 131073, "field larger than field limit (131072) in the header of"),
+        ],
+        ids=["undecodable", "over-long"],
+    )
+    def test_unreadable_header_is_named(self, tmp_path, header, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(header + b"\n3,closed,2\n")
+        with pytest.raises(DataError, match=re.escape(message)):
             read_csv(path, BASIC_CONFIG)
 
     def test_missing_column(self, tmp_path):

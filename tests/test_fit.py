@@ -5,12 +5,14 @@ truth recovered within reported standard errors, and exact structural
 identities of the hurdle decomposition.
 """
 
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
 
+from countreg import fit as fit_module
 from countreg.exceptions import SeparationError
 from countreg.distributions import NbParams, nb_log_pmf
 from countreg.fit import (
@@ -247,8 +249,9 @@ class TestFitNb:
         y = simulate_nb(rng, X, np.array([1.2, 0.4]), 0.6)
         m = fit_nb(X, y)
         from countreg.fit import _nb_objective, _newton_maximize
+        from countreg.special import ln_gamma
 
-        objective = _nb_objective(X, y, truncated=False)
+        objective = _nb_objective(X, y, False, ln_gamma(y + 1.0))
         state = _newton_maximize(objective, m.params_unconstrained, FitOptions())
         assert state.converged
         assert abs(state.value - m.loglik) < 1e-8
@@ -461,3 +464,62 @@ class TestFittedModel:
         assert isinstance(m, FittedModel)
         with pytest.raises(AttributeError):
             m.loglik = 0.0
+
+
+class TestNewtonEvaluations:
+    def test_hessian_evaluated_only_at_start_and_accepted_points(self, monkeypatch):
+        newton = fit_module._newton_maximize
+        blocks = []
+
+        def counting_newton(objective, u0, options, guard=None):
+            counts = {"objective": 0, "hessian": 0}
+
+            def counted(u):
+                counts["objective"] += 1
+                value, score, hessian = objective(u)
+
+                def counted_hessian():
+                    counts["hessian"] += 1
+                    return hessian()
+
+                return value, score, counted_hessian
+
+            state = newton(counted, u0, options, guard)
+            blocks.append((state, counts))
+            return state
+
+        monkeypatch.setattr(fit_module, "_newton_maximize", counting_newton)
+        # The convex-start data of the truncated part: its first Newton steps
+        # are halved, so the line search rejects trial points.
+        y = np.repeat([0, 1, 2, 3], [100, 134, 12, 2])
+        m = fit_homogeneous("HNB", y)
+        assert m.converged
+        assert len(blocks) == 3  # logistic part, Poisson start, truncated part
+        for state, counts in blocks:
+            assert counts["hessian"] == state.iterations + 1
+        truncated_state, truncated_counts = blocks[-1]
+        assert truncated_counts["objective"] > truncated_state.iterations + 1
+
+
+class TestPinnedFits:
+    # sha256 of the little-endian params_unconstrained, covariance and loglik
+    # of seeded fits.  A change to the order of floating-point operations in
+    # the likelihoods or the optimizer moves them; so may another numpy/BLAS
+    # build, whose reductions may round differently.
+    PINNED_DIGESTS = {
+        "NB": "f775401e31450820748db5cccc67f5a257dd8c59d8cb620b46b3ebe6d5e65068",
+        "HNB": "946db8e266f9a242492871d57ffaf5ae647917787b6f672ed6738cb7f43558ac",
+    }
+
+    @pytest.mark.parametrize("family", ["NB", "HNB"])
+    def test_fits_match_pinned_digests(self, family):
+        rng = np.random.default_rng(2024)
+        X = design(rng, 1500, 3)
+        y = simulate_nb(rng, X, np.array([0.9, 0.4, -0.3]), 0.8)
+        X_h = None
+        if family == "HNB":
+            X_h = X[:, :2]
+            y = simulate_hnb(rng, X, np.array([1.1, 0.3, -0.2]), 0.6, X_h, np.array([-0.8, 0.5]))
+        m = fit_family(family, X, y, X_h=X_h)
+        data = np.concatenate([m.params_unconstrained, m.covariance.ravel(), [m.loglik]])
+        assert hashlib.sha256(data.astype("<f8").tobytes()).hexdigest() == self.PINNED_DIGESTS[family]

@@ -5,6 +5,7 @@ fractions, and byte-level determinism of generated datasets.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ class TestGenerate:
 
 
 class TestRecoveryStudy:
+    def test_summary_matches_pinned_digest(self):
+        # sha256 of the summary's JSON: every estimate and standard error of
+        # 12 HNB refits, as recovery.json carries them.  Another numpy/BLAS
+        # build may round reductions differently and move it.
+        design = SimDesign(
+            family="HNB",
+            n=1200,
+            covariates=(CovariateSpec(name="x1", kind="normal"),),
+            beta={"intercept": 1.2, "x1": 0.4},
+            seed=17,
+            r=0.6,
+            delta={"intercept": -0.85, "x1": 0.3},
+        )
+        summary = recovery_study(design, replications=12)
+        digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+        assert digest == "1a36504b70d89ce0a7cf06be8e2e55a2b98f9d282032719fcf4f76134963da2e"
+
     def test_single_replication_verbatim(self):
         summary = recovery_study(nb_design(n=1500, seed=3), replications=1)
         assert summary["replications"] == 1
