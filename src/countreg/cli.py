@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EncodingConfig, encode, read_csv
+from .data import EncodingConfig, encode, encode_columns, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
 from .exceptions import ConfigError, CountregError, DataError, SeparationError
 from .fit import FitOptions, _require_family, fit_family
@@ -68,11 +68,16 @@ def _fit_options(doc: dict) -> FitOptions | None:
     raw = doc.get("fit_options")
     if raw is None:
         return None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'fit_options' must be an object, not {raw!r}")
     allowed = {"max_iterations", "gradient_tolerance", "step_halving_limit", "hessian_step"}
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown fit options {sorted(unknown)}")
-    return FitOptions(**{key: value for key, value in raw.items() if key != "hessian_step"})
+    try:
+        return FitOptions(**{key: value for key, value in raw.items() if key != "hessian_step"})
+    except ValueError as exc:
+        raise ConfigError(f"fit option {exc}") from None
 
 
 def _coefficient_row(report) -> dict:
@@ -234,19 +239,23 @@ def _compare_families(args, doc):
 
 
 def _prepare(args, families_of=_run_family):
-    """Load the run config, check its families, then read and encode the data."""
+    """Load the run config, check its families, fit options and ``y_max``, then
+    read and encode the data."""
     doc = _load_json(args.config)
     config = EncodingConfig.from_dict(doc)
     family = families_of(args, doc)
+    options = _fit_options(doc)
+    y_max = doc.get("y_max")
+    if y_max is not None and (isinstance(y_max, bool) or not isinstance(y_max, int) or y_max < 0):
+        raise ConfigError(f"'y_max' must be a nonnegative integer, not {y_max!r}")
     data_path = args.data or doc.get("data")
     if not data_path:
         raise ConfigError("no data file given (use --data or the config 'data' field)")
     dataset = read_csv(data_path, config)
     X = encode(dataset, config, equation="mean")
     X_h = encode(dataset, config, equation="hurdle")
-    options = _fit_options(doc)
-    y_max_default = int(min(int(dataset.y.max()), 200))
-    y_max = int(doc.get("y_max", y_max_default))
+    if y_max is None:
+        y_max = min(int(dataset.y.max()), 200)
     return doc, config, data_path, dataset, X, X_h, options, family, y_max
 
 
@@ -370,12 +379,10 @@ def _prune(rows_by_name, names, level):
     return kept, dropped
 
 
-def _columns_to_predictors(labels, predictors):
-    """Map surviving design-column labels back to predictor names."""
-    keep = set()
-    for label in labels:
-        keep.add(label.split("=", 1)[0])
-    return [p.name for p in predictors if p.name in keep]
+def _kept_specs(labels, specs):
+    """The predictor specs, in declaration order, of surviving design-column labels."""
+    keep = {label.split("=", 1)[0] for label in labels}
+    return tuple(spec for spec in specs if spec.name in keep)
 
 
 def cmd_restrict(args) -> int:
@@ -393,29 +400,20 @@ def cmd_restrict(args) -> int:
     warnings = []
     if not kept_mean:
         warnings.append("all mean-equation covariates dropped; intercept-only")
-    mean_predictors = _columns_to_predictors(kept_mean, config.predictors)
+    mean_specs = hurdle_specs = _kept_specs(kept_mean, config.predictors)
 
     dropped_zero = []
-    hurdle_predictors = None
     if family == "HNB":
-        zero_names = [name.removeprefix("zero:") for name in full_model.hurdle_names]
-        kept_zero, dropped_zero_named = _prune(
-            {name.removeprefix("zero:"): rows[name] for name in full_model.hurdle_names},
-            zero_names,
-            level,
-        )
-        dropped_zero = dropped_zero_named
+        zero_rows = {name.removeprefix("zero:"): rows[name] for name in full_model.hurdle_names}
+        kept_zero, dropped_zero = _prune(zero_rows, list(zero_rows), level)
         if not kept_zero:
             warnings.append("all hurdle-equation covariates dropped; intercept-only")
-        hurdle_predictors = _columns_to_predictors(kept_zero, config.hurdle_specs())
+        # Each equation keeps its own predictors: one may survive in the
+        # hurdle equation only.
+        hurdle_specs = _kept_specs(kept_zero, config.hurdle_specs())
 
-    restricted_config = EncodingConfig(
-        response=config.response,
-        predictors=tuple(p for p in config.predictors if p.name in set(mean_predictors)),
-        hurdle_predictors=tuple(hurdle_predictors) if hurdle_predictors is not None else None,
-    )
-    Xr = encode(dataset, restricted_config, equation="mean")
-    Xr_h = encode(dataset, restricted_config, equation="hurdle")
+    Xr = encode_columns(dataset.columns, mean_specs, dataset.n)
+    Xr_h = encode_columns(dataset.columns, hurdle_specs, dataset.n)
     restricted = fit_family(family, Xr.X, dataset.y, Xr_h.X, options, Xr.labels, Xr_h.labels)
 
     report = _model_report(restricted, data_path)

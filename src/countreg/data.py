@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -115,13 +116,22 @@ class EncodingConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EncodingConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"the configuration must be a JSON object, not {type(doc).__name__}")
         try:
             response = doc["response"]
             raw_predictors = doc["predictors"]
         except KeyError as exc:
             raise ConfigError(f"encoding config is missing {exc.args[0]!r}") from None
+        if not isinstance(raw_predictors, list):
+            raise ConfigError(f"'predictors' must be a list, not {raw_predictors!r}")
+        hurdle = doc.get("hurdle_predictors")
+        if hurdle is not None and not isinstance(hurdle, list):
+            raise ConfigError(f"'hurdle_predictors' must be a list, not {hurdle!r}")
         specs = []
-        for entry in raw_predictors:
+        for i, entry in enumerate(raw_predictors):
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise ConfigError(f"predictors[{i}] must be an object with a string 'name', not {entry!r}")
             transform = entry.get("transform", "none")
             origin = 0.0
             if isinstance(transform, dict):
@@ -130,6 +140,8 @@ class EncodingConfig:
                 origin = float(transform["origin"])
                 transform = "offset"
             levels = entry.get("levels")
+            if levels is not None and not isinstance(levels, list):
+                raise ConfigError(f"'levels' of {entry['name']!r} must be a list, not {levels!r}")
             specs.append(
                 PredictorSpec(
                     name=entry["name"],
@@ -140,7 +152,6 @@ class EncodingConfig:
                     levels=tuple(levels) if levels is not None else None,
                 )
             )
-        hurdle = doc.get("hurdle_predictors")
         return cls(
             response=response,
             predictors=tuple(specs),
@@ -332,23 +343,21 @@ def _read_blocks(records, width, fields, path, stop):
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
-def _checked_line(line):
-    """``line``, or ValueError where loadtxt would part from csv.reader.
-
-    loadtxt skips a blank line and reads a field longer than
-    ``csv.field_size_limit()``; csv.reader returns an empty record for the
-    one and raises csv.Error for the other.
-    """
-    if line in _LINE_ENDS or len(line) > csv.field_size_limit():
-        raise ValueError("blank or long line")
-    return line
-
-
 def _has_separators(path):
     """Whether the file holds any of ``_SEPARATORS``, read 1 MiB at a time."""
     with open(path, "rb") as fh:
         chunks = iter(partial(fh.read, 1 << 20), b"")
         return any(byte in chunk for chunk in chunks for byte in _SEPARATORS)
+
+
+def _csv_reads(path):
+    """Whether csv.reader reads every record of the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            deque(csv.reader(fh), maxlen=0)
+        except csv.Error:
+            return False
+    return True
 
 
 def _loadtxt_fields(path, lines, width, fields):
@@ -360,9 +369,10 @@ def _loadtxt_fields(path, lines, width, fields):
     declines: a separator byte, a column read both as text and as a number,
     no data line, any ValueError (undecodable bytes, a cell loadtxt cannot
     parse, a wrong field count, a blank line, even one inside quotes, a line
-    longer than csv's field limit), a text cell longer than that limit, a
-    failed value check or an empty categorical cell.  A decline may leave
-    ``lines`` partly consumed.
+    longer than csv's field limit), a quoted cell spread over lines that
+    csv.reader cannot read (it may pass the line check, yet be longer than
+    the limit), a failed value check or an empty categorical cell.  A
+    decline may leave ``lines`` partly consumed.
     """
     numeric = {position for position, _, kind in fields if kind != "categorical"}
     if _has_separators(path) or any(
@@ -370,19 +380,29 @@ def _loadtxt_fields(path, lines, width, fields):
     ):
         return None
     dtype = [(f"f{i}", float if i in numeric else object) for i in range(width)]
+    limit = csv.field_size_limit()
+    read = [0]  # lines
+
+    def checked(line):
+        # loadtxt skips a blank line and reads a line over csv's field limit;
+        # csv.reader returns an empty record for one and raises for the other.
+        if line in _LINE_ENDS or len(line) > limit:
+            raise ValueError("blank or long line")
+        read[0] += 1
+        return line
+
     try:
         first = next(lines, None)
         if first is None:
             return None
         table = np.loadtxt(
-            map(_checked_line, chain([first], lines)),
+            map(checked, chain([first], lines)),
             dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
         )
     except ValueError:
         return None
-    # A quoted text cell may span lines that each pass _checked_line.
-    limit = csv.field_size_limit()
-    if any(max(map(len, table[f"f{i}"])) > limit for i in range(width) if i not in numeric):
+    # Fewer records than lines: a quoted cell spans lines that each passed.
+    if table.size < read[0] and not _csv_reads(path):
         return None
     arrays = []
     for position, _, kind in fields:

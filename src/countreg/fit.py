@@ -1,11 +1,14 @@
 """Maximum-likelihood fitting for Poisson, NB, and hurdle-NB regressions.
 
 Every block (Poisson, NB, the logistic hurdle part and the zero-truncated NB
-part) is maximized by one Newton routine on its exact Hessian with a
-step-halving (Armijo) line search.  The dispersion parameter is optimized as
-log r.  Starting values: beta from a Poisson Newton fit on the already
-validated rows, r from the method of moments r0 = max((s^2 - ybar)/ybar^2,
-1e-3).  :func:`fit_family` dispatches on the family name.
+part) is evaluated by its one kernel in :mod:`countreg.likelihood` and
+maximized by one Newton routine on its exact Hessian with a step-halving
+(Armijo) line search.  The dispersion parameter is optimized as log r.
+``_nb_block`` fits an NB or zero-truncated NB block from its starting
+values: beta from a Poisson Newton fit on the already validated rows, r from
+the method of moments r0 = max((s^2 - ybar)/ybar^2, 1e-3).  ``_model``
+assembles every FittedModel from its fitted blocks, and :func:`fit_family`
+dispatches on the family name.
 
 An objective maps a point u to (loglik, score, hessian), where ``hessian``
 is a zero-argument callable returning the exact Hessian at u; the optimizer
@@ -23,13 +26,14 @@ to the natural scale by the delta method.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import _validate_counts
 from .exceptions import SeparationError
-from .likelihood import LINEAR_PREDICTOR_BOUND, _nb_kernel, link_mean
+from .likelihood import _logit_kernel, _nb_kernel, _poisson_kernel
 from .special import ln_gamma
 
 __all__ = ["FitOptions", "FittedModel", "fit_family", "fit_poisson", "fit_nb", "fit_hnb", "fit_homogeneous"]
@@ -51,10 +55,13 @@ class FitOptions:
     step_halving_limit: int = 30
 
     def __post_init__(self):
-        if min(self.max_iterations, self.step_halving_limit) < 1:
-            raise ValueError("iteration limits must be positive")
-        if self.gradient_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for key in ("max_iterations", "step_halving_limit"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{key} must be a positive integer, not {value!r}")
+        tol = self.gradient_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise ValueError(f"gradient_tolerance must be a positive finite number, not {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -198,19 +205,22 @@ def _nb_objective(X, y, truncated, lgy1):
     return objective
 
 
+def _objective(kernel, X, y, const=0.0):
+    """u -> objective of the Poisson or logit ``kernel`` on (X, y), less ``const``."""
+
+    def objective(u):
+        terms, score, hessian = kernel(u, X, y)
+        return float(np.sum(terms)) - const, score, hessian
+
+    return objective
+
+
 def _poisson_maximize(X, y, options, lgy1) -> _OptState:
     """Poisson Newton fit of float counts ``y`` (lnG(y+1) row ``lgy1``) from
     beta = (log ybar, 0, ...); also the NB start."""
-    const = float(np.sum(lgy1))
-
-    def objective(beta):
-        theta = link_mean(X, beta)
-        value = float(np.sum(y * np.log(theta) - theta)) - const
-        return value, X.T @ (y - theta), lambda: -(X.T @ (X * theta[:, None]))
-
     beta0 = np.zeros(X.shape[1])
     beta0[0] = math.log(max(float(np.mean(y)), 1e-8))
-    return _newton_maximize(objective, beta0, options)
+    return _newton_maximize(_objective(_poisson_kernel, X, y, float(np.sum(lgy1))), beta0, options)
 
 
 def _check_block(M, labels, what, min_extra=None, name="labels"):
@@ -258,36 +268,6 @@ def _require_positive_count(y):
         raise ValueError("fit needs at least one positive count; the response is all zero")
 
 
-def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
-    """Poisson regression under the log link."""
-    options = options or FitOptions()
-    X, y, labels, _, _ = _validate_design(X, y, labels)
-    _require_positive_count(y)
-    n, k = X.shape
-    yf = y.astype(float)
-    state = _poisson_maximize(X, yf, options, ln_gamma(yf + 1.0))
-    cov, cov_warnings = _covariance(state.hess)
-    estimates = dict(zip(labels, state.u.tolist()))
-    return FittedModel(
-        family="P",
-        names=labels,
-        estimates=estimates,
-        params_unconstrained=state.u,
-        covariance=cov,
-        covariance_unconstrained=cov,
-        loglik=state.value,
-        n=n,
-        k_mean=k,
-        k_hurdle=0,
-        n_params=k,
-        converged=state.converged,
-        iterations=state.iterations,
-        gradient_norm=_max_norm(state.grad),
-        mean_names=labels,
-        warnings=tuple(state.warnings + cov_warnings),
-    )
-
-
 def _moment_start_r(y) -> float:
     ybar = float(np.mean(y))
     s2 = float(np.var(y, ddof=1)) if y.size > 1 else 0.0
@@ -296,50 +276,77 @@ def _moment_start_r(y) -> float:
     return max((s2 - ybar) / ybar**2, 1e-3)
 
 
+def _nb_block(X, y, truncated, options) -> _OptState:
+    """Newton fit of the NB or, with ``truncated``, the zero-truncated NB part
+    of checked counts ``y``, from the Poisson fit and the moment r0; an r
+    below ``_POISSON_BOUNDARY_R`` adds the warning poisson_boundary."""
+    yf = y.astype(float)
+    lgy1 = ln_gamma(yf + 1.0)
+    u0 = np.append(_poisson_maximize(X, yf, options, lgy1).u, math.log(_moment_start_r(y)))
+    state = _newton_maximize(_nb_objective(X, yf, truncated, lgy1), u0, options)
+    if math.exp(float(state.u[-1])) < _POISSON_BOUNDARY_R:
+        state.warnings.append("poisson_boundary")
+    return state
+
+
+def _model(family, n, labels, blocks, hurdle_labels=()) -> FittedModel:
+    """The FittedModel of the fitted ``blocks`` in parameter order: beta (then
+    log r unless ``family`` is "P") and, for HNB, delta.  The covariance is
+    block diagonal, its r row and column mapped by the delta method.  The
+    blocks were fitted last to first: their warnings come in that order, then
+    those of their covariances in parameter order."""
+    k = len(labels)
+    params_u = np.concatenate([state.u for state in blocks])
+    covariances = [_covariance(state.hess) for state in blocks]
+    cov_u = np.zeros((params_u.size, params_u.size))
+    start = 0
+    for cov, _ in covariances:
+        cov_u[start : start + len(cov), start : start + len(cov)] = cov
+        start += len(cov)
+    values = params_u.tolist()
+    scale = np.ones(params_u.size)
+    if family != "P":
+        values[k] = scale[k] = math.exp(values[k])
+    zero_names = tuple(f"zero:{name}" for name in hurdle_labels)
+    names = labels + (("r",) if family != "P" else ()) + zero_names
+    warnings = [w for state in reversed(blocks) for w in state.warnings]
+    warnings += [w for _, cov_warnings in covariances for w in cov_warnings]
+    return FittedModel(
+        family=family,
+        names=names,
+        estimates=dict(zip(names, values)),
+        params_unconstrained=params_u,
+        covariance=cov_u * np.outer(scale, scale),
+        covariance_unconstrained=cov_u,
+        loglik=sum(state.value for state in blocks),
+        n=n,
+        k_mean=k,
+        k_hurdle=len(zero_names),
+        n_params=params_u.size,
+        converged=all(state.converged for state in blocks),
+        iterations=sum(state.iterations for state in blocks),
+        gradient_norm=max(_max_norm(state.grad) for state in blocks),
+        mean_names=labels,
+        hurdle_names=zero_names,
+        warnings=tuple(warnings),
+    )
+
+
+def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
+    """Poisson regression under the log link."""
+    options = options or FitOptions()
+    X, y, labels, _, _ = _validate_design(X, y, labels)
+    _require_positive_count(y)
+    yf = y.astype(float)
+    return _model("P", X.shape[0], labels, [_poisson_maximize(X, yf, options, ln_gamma(yf + 1.0))])
+
+
 def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Negative binomial regression; beta starts at the Poisson fit."""
     options = options or FitOptions()
     X, y, labels, _, _ = _validate_design(X, y, labels, min_extra=1)
     _require_positive_count(y)
-    n, k = X.shape
-    yf = y.astype(float)
-    lgy1 = ln_gamma(yf + 1.0)
-    beta0 = _poisson_maximize(X, yf, options, lgy1).u
-    u0 = np.concatenate([beta0, [math.log(_moment_start_r(y))]])
-
-    state = _newton_maximize(_nb_objective(X, yf, False, lgy1), u0, options)
-    r_hat = math.exp(float(state.u[k]))
-    warnings = list(state.warnings)
-    if r_hat < _POISSON_BOUNDARY_R:
-        warnings.append("poisson_boundary")
-
-    cov_u, cov_warnings = _covariance(state.hess)
-    warnings += cov_warnings
-    scale = np.ones(k + 1)
-    scale[k] = r_hat  # delta method: d r / d log r = r
-    cov_nat = cov_u * np.outer(scale, scale)
-
-    names = labels + ("r",)
-    estimates = dict(zip(labels, state.u[:k].tolist()))
-    estimates["r"] = r_hat
-    return FittedModel(
-        family="NB",
-        names=names,
-        estimates=estimates,
-        params_unconstrained=state.u,
-        covariance=cov_nat,
-        covariance_unconstrained=cov_u,
-        loglik=state.value,
-        n=n,
-        k_mean=k,
-        k_hurdle=0,
-        n_params=k + 1,
-        converged=state.converged,
-        iterations=state.iterations,
-        gradient_norm=_max_norm(state.grad),
-        mean_names=labels,
-        warnings=tuple(warnings),
-    )
+    return _model("NB", X.shape[0], labels, [_nb_block(X, y, False, options)])
 
 
 def _separation_guard(X_h, hurdle_labels):
@@ -366,83 +373,23 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     X, y, labels, X_h, hurdle_labels = _validate_design(
         X, y, labels, min_extra=1, X_h=X_h, hurdle_labels=hurdle_labels
     )
-    n, k = X.shape
-    k_h = X_h.shape[1]
-
     zero = y == 0
     if not zero.any() or zero.all():
         raise ValueError("hurdle fit needs both zero and positive counts")
 
     # Binary part: logistic regression of I(y == 0) on X_h.
     z = zero.astype(float)
-
-    def binary_objective(delta):
-        eta = np.clip(X_h @ delta, -LINEAR_PREDICTOR_BOUND, LINEAR_PREDICTOR_BOUND)
-        value = float(np.sum(z * eta - np.logaddexp(0.0, eta)))
-        phi = np.exp(-np.logaddexp(0.0, -eta))  # link_hurdle of the same eta
-        return value, X_h.T @ (z - phi), lambda: -(X_h.T @ (X_h * (phi * (1.0 - phi))[:, None]))
-
-    delta0 = np.zeros(k_h)
+    delta0 = np.zeros(X_h.shape[1])
     zbar = float(np.mean(z))
     delta0[0] = math.log(zbar / (1.0 - zbar))
-    binary_state = _newton_maximize(
-        binary_objective, delta0, options, guard=_separation_guard(X_h, hurdle_labels)
-    )
+    guard = _separation_guard(X_h, hurdle_labels)
+    binary = _newton_maximize(_objective(_logit_kernel, X_h, z), delta0, options, guard=guard)
 
     # Zero-truncated part on the positive rows only; they must identify beta.
     Xp = X[~zero]
-    yp = y[~zero].astype(float)
     _check_block(Xp, labels, "design matrix", min_extra=0)
-    lgy1 = ln_gamma(yp + 1.0)
-    u0 = np.concatenate(
-        [_poisson_maximize(Xp, yp, options, lgy1).u, [math.log(_moment_start_r(y[~zero]))]]
-    )
-
-    truncated_state = _newton_maximize(_nb_objective(Xp, yp, True, lgy1), u0, options)
-    r_hat = math.exp(float(truncated_state.u[k]))
-
-    warnings = list(binary_state.warnings) + list(truncated_state.warnings)
-    if r_hat < _POISSON_BOUNDARY_R:
-        warnings.append("poisson_boundary")
-
-    cov_trunc, w1 = _covariance(truncated_state.hess)
-    cov_binary, w2 = _covariance(binary_state.hess)
-    warnings += w1 + w2
-
-    p_total = k + 1 + k_h
-    cov_u = np.zeros((p_total, p_total))
-    cov_u[: k + 1, : k + 1] = cov_trunc
-    cov_u[k + 1 :, k + 1 :] = cov_binary
-    scale = np.ones(p_total)
-    scale[k] = r_hat
-    cov_nat = cov_u * np.outer(scale, scale)
-
-    zero_names = tuple(f"zero:{name}" for name in hurdle_labels)
-    names = labels + ("r",) + zero_names
-    params_u = np.concatenate([truncated_state.u, binary_state.u])
-    estimates = dict(zip(labels, truncated_state.u[:k].tolist()))
-    estimates["r"] = r_hat
-    estimates.update(dict(zip(zero_names, binary_state.u.tolist())))
-
-    return FittedModel(
-        family="HNB",
-        names=names,
-        estimates=estimates,
-        params_unconstrained=params_u,
-        covariance=cov_nat,
-        covariance_unconstrained=cov_u,
-        loglik=binary_state.value + truncated_state.value,
-        n=n,
-        k_mean=k,
-        k_hurdle=k_h,
-        n_params=p_total,
-        converged=binary_state.converged and truncated_state.converged,
-        iterations=binary_state.iterations + truncated_state.iterations,
-        gradient_norm=max(_max_norm(binary_state.grad), _max_norm(truncated_state.grad)),
-        mean_names=labels,
-        hurdle_names=zero_names,
-        warnings=tuple(warnings),
-    )
+    truncated = _nb_block(Xp, y[~zero], True, options)
+    return _model("HNB", X.shape[0], labels, [truncated, binary], hurdle_labels)
 
 
 def _require_family(family: str) -> None:

@@ -13,13 +13,17 @@ requested.  The gamma terms are evaluated as the cancellation-free sum
 lnG(1/r + y) - lnG(1/r) + y log r = sum_{j<y} log1p(j r) (Lawless 1987);
 that sum and its first two log r derivatives share one cumulative-sum grid,
 so the NB and zero-truncated NB log-likelihood, score and exact Hessian in
-(beta, log r) need no special functions beyond the lnG(y+1) constant.  One
-private kernel, ``_nb_kernel``, computes the linear predictor, the grid and
-all three from one pass over the rows, and defers the Hessian to a
-zero-argument callable; the public likelihoods check their inputs once and
-call it.  The hurdle log-likelihood separates into a binary part, which
-depends only on delta, and a zero-truncated part in (beta, log r); the two
-blocks maximize independently.
+(beta, log r) need no special functions beyond the lnG(y+1) constant.
+
+Each likelihood block has exactly one private kernel, which returns its row
+terms, score and a zero-argument Hessian callable from one linear predictor:
+``_poisson_kernel`` (y log theta - theta), ``_logit_kernel`` (the hurdle's
+binary part, z eta - log(1 + e^eta)) and ``_nb_kernel`` (NB or
+zero-truncated NB, one grid per call).  The fitter and the public
+likelihoods, which check their inputs once, call the same kernels, so a
+fit's log-likelihood is the public one at its estimates, bit for bit.  The
+hurdle log-likelihood separates into the binary part in delta and the
+zero-truncated part in (beta, log r); the two blocks maximize independently.
 
 Observation sums run in natural (row) order, so repeated evaluation of the
 same inputs is bit-stable.
@@ -80,50 +84,65 @@ class HnbRegParams:
 
 
 def _check_dims(X, coef, name):
-    if X.ndim != 2 or X.shape[1] != coef.shape[0]:
+    if X.ndim != 2 or X.shape[1] != np.shape(coef)[0]:
         raise ValueError(
-            f"dimension mismatch: {name} design is {X.shape}, coefficients {coef.shape}"
+            f"dimension mismatch: {name} design is {X.shape}, coefficients {np.shape(coef)}"
         )
-
-
-def link_mean(X, beta) -> np.ndarray:
-    """theta_i = exp(x_i' beta); linear predictor clamped to +-700."""
-    beta = np.asarray(beta, dtype=float)
-    _check_dims(X, beta, "mean")
-    eta = np.clip(X @ beta, -LINEAR_PREDICTOR_BOUND, LINEAR_PREDICTOR_BOUND)
-    return np.exp(eta)
-
-
-def link_hurdle(X_h, delta) -> np.ndarray:
-    """phi_i = logistic(x_i' delta), kept strictly inside (0, 1)."""
-    delta = np.asarray(delta, dtype=float)
-    _check_dims(X_h, delta, "hurdle")
-    eta = np.clip(X_h @ delta, -LINEAR_PREDICTOR_BOUND, LINEAR_PREDICTOR_BOUND)
-    return np.exp(-np.logaddexp(0.0, -eta))
 
 
 def _clamped_eta(X, beta):
     return np.clip(X @ np.asarray(beta, dtype=float), -LINEAR_PREDICTOR_BOUND, LINEAR_PREDICTOR_BOUND)
 
 
+def _logistic(eta):
+    return np.exp(-np.logaddexp(0.0, -eta))
+
+
+def link_mean(X, beta) -> np.ndarray:
+    """theta_i = exp(x_i' beta); linear predictor clamped to +-700."""
+    _check_dims(X, beta, "mean")
+    return np.exp(_clamped_eta(X, beta))
+
+
+def link_hurdle(X_h, delta) -> np.ndarray:
+    """phi_i = logistic(x_i' delta), kept strictly inside (0, 1)."""
+    _check_dims(X_h, delta, "hurdle")
+    return _logistic(_clamped_eta(X_h, delta))
+
+
+def _poisson_kernel(beta, X, y):
+    """(row terms y log theta - theta, score, Hessian callable) of the Poisson
+    log-likelihood without its -lnG(y+1) constant.  Inputs are not checked."""
+    theta = np.exp(_clamped_eta(X, beta))
+    return y * np.log(theta) - theta, X.T @ (y - theta), lambda: -(X.T @ (X * theta[:, None]))
+
+
+def _logit_kernel(delta, X_h, z):
+    """(row terms, score, Hessian callable) of the logistic log-likelihood of
+    the 0/1 floats ``z`` with P(z = 1) = phi; the terms are z log phi +
+    (1 - z) log(1 - phi) = z eta - log(1 + e^eta).  Inputs are not checked."""
+    eta = _clamped_eta(X_h, delta)
+    phi = _logistic(eta)
+
+    def hessian():
+        return -(X_h.T @ (X_h * (phi * (1.0 - phi))[:, None]))
+
+    return z * eta - np.logaddexp(0.0, eta), X_h.T @ (z - phi), hessian
+
+
 def poisson_loglik(beta, X, y, full: bool = True) -> float:
     """Poisson log-likelihood under the log link."""
-    beta = np.asarray(beta, dtype=float)
     _check_dims(X, beta, "mean")
     y = _validate_counts(y, float)
-    eta = _clamped_eta(X, beta)
-    value = float(np.sum(y * eta - np.exp(eta)))
+    value = float(np.sum(_poisson_kernel(beta, X, y)[0]))
     if full:
         value -= float(np.sum(ln_gamma(y + 1.0)))
     return value
 
 
 def poisson_score(beta, X, y) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
     _check_dims(X, beta, "mean")
-    y = _validate_counts(y, float)
-    theta = np.exp(_clamped_eta(X, beta))
-    return X.T @ (y - theta)
+    return _poisson_kernel(beta, X, _validate_counts(y, float))[1]
 
 
 def _dispersion_sums(y, r):
@@ -228,20 +247,11 @@ def hnb_loglik_parts(params: HnbRegParams, X, X_h, y, full: bool = True):
     _check_dims(X, params.nb.beta, "mean")
     _check_dims(X_h, params.delta, "hurdle")
     y = _validate_counts(y, float)
-    eta_h = np.clip(X_h @ params.delta, -LINEAR_PREDICTOR_BOUND, LINEAR_PREDICTOR_BOUND)
     zero = y == 0
-    # log phi = -log(1+exp(-eta)), log(1-phi) = -log(1+exp(eta))
-    log_phi = -np.logaddexp(0.0, -eta_h)
-    log_phibar = -np.logaddexp(0.0, eta_h)
-    binary = float(np.sum(np.where(zero, log_phi, log_phibar)))
-    positive = ~zero
-    if positive.any():
-        truncated = float(
-            np.sum(_truncated_nb_loglik_terms(params.nb, X[positive], y[positive], full))
-        )
-    else:
-        truncated = 0.0
-    return binary, truncated
+    truncated = 0.0
+    if not zero.all():
+        truncated = float(np.sum(_truncated_nb_loglik_terms(params.nb, X[~zero], y[~zero], full)))
+    return float(np.sum(_logit_kernel(params.delta, X_h, zero.astype(float))[0])), truncated
 
 
 def hnb_loglik(params: HnbRegParams, X, X_h, y, full: bool = True) -> float:
@@ -264,12 +274,7 @@ def hnb_score(params: HnbRegParams, X, X_h, y) -> np.ndarray:
     _check_dims(X_h, params.delta, "hurdle")
     y = _validate_counts(y, float)
     zero = y == 0
-    phi = link_hurdle(X_h, params.delta)
-    grad_delta = X_h.T @ (zero.astype(float) - phi)
-
-    positive = ~zero
-    k = params.nb.beta.shape[0]
-    nb_block = np.zeros(k + 1)
-    if positive.any():
-        nb_block = _truncated_nb_score(params.nb, X[positive], y[positive])
-    return np.concatenate([nb_block, grad_delta])
+    nb_block = np.zeros(params.nb.beta.shape[0] + 1)
+    if not zero.all():
+        nb_block = _truncated_nb_score(params.nb, X[~zero], y[~zero])
+    return np.concatenate([nb_block, _logit_kernel(params.delta, X_h, zero.astype(float))[1]])

@@ -3,9 +3,9 @@
 ``ln_gamma`` (Lanczos) and ``digamma`` (recurrence plus asymptotic series) are
 the exact routines; the likelihoods use only ``ln_gamma``, for the lnG(y+1)
 constant.  ``ln_gamma_approx`` evaluates a closed-form Stirling
-variant based on ``z*sinh(1/z)`` that is occasionally convenient when the
-dispersion parameter is being estimated; it is kept as a cross-check utility
-and is not used by the likelihood code.  ``ln_gamma_ratio`` evaluates
+variant based on ``z*sinh(1/z)``; nothing in countreg calls it, and it is
+kept as a public cross-check utility with a documented error bound (see its
+docstring).  ``ln_gamma_ratio`` evaluates
 ``log Gamma(a+b) - log Gamma(a)`` for integer ``b`` as a sum of logarithms,
 which avoids the gamma function entirely.
 

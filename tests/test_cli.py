@@ -214,6 +214,47 @@ class TestFit:
         assert "unknown family 'ZIP'; expected one of P, NB, HNB" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param({**RUN_CONFIG, "fit_options": {"gradient_tolerance": "5"}},
+                         "fit option gradient_tolerance must be a positive finite number, not '5'",
+                         id="gradient_tolerance-numeric-string"),
+            pytest.param({**RUN_CONFIG, "fit_options": {"gradient_tolerance": None}},
+                         "fit option gradient_tolerance must be a positive finite number, not None",
+                         id="gradient_tolerance-null"),
+            pytest.param({**RUN_CONFIG, "fit_options": {"gradient_tolerance": "x"}},
+                         "fit option gradient_tolerance must be a positive finite number, not 'x'",
+                         id="gradient_tolerance-text"),
+            pytest.param({**RUN_CONFIG, "fit_options": {"max_iterations": 2.5}},
+                         "fit option max_iterations must be a positive integer, not 2.5",
+                         id="max_iterations-fraction"),
+            pytest.param({**RUN_CONFIG, "predictors": 5}, "'predictors' must be a list, not 5",
+                         id="predictors-number"),
+            pytest.param({**RUN_CONFIG, "predictors": [{"kind": "numeric"}]},
+                         "predictors[0] must be an object with a string 'name', not {'kind': 'numeric'}",
+                         id="predictor-without-name"),
+            pytest.param({**RUN_CONFIG, "predictors": ["x1"]},
+                         "predictors[0] must be an object with a string 'name', not 'x1'",
+                         id="predictor-string"),
+            pytest.param([RUN_CONFIG], "the configuration must be a JSON object, not list",
+                         id="top-level-list"),
+            pytest.param({**RUN_CONFIG, "y_max": -5}, "'y_max' must be a nonnegative integer, not -5",
+                         id="y_max-negative"),
+            pytest.param({**RUN_CONFIG, "y_max": -1}, "'y_max' must be a nonnegative integer, not -1",
+                         id="y_max-minus-one"),
+            pytest.param({**RUN_CONFIG, "y_max": 2.5}, "'y_max' must be a nonnegative integer, not 2.5",
+                         id="y_max-fraction"),
+        ],
+    )
+    def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, doc, message):
+        data = make_csv(tmp_path / "d.csv", n=200)
+        config = write_json(tmp_path / "run.json", doc)
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
+        assert not out.exists()
+
     def test_usage_error_exits_1(self):
         assert main(["no-such-command"]) == 1
 
@@ -445,6 +486,32 @@ class TestRestrict:
         assert "noise" in report["dropped"]["mean"]
         assert "noise" in report["dropped"]["zeros"]
         assert "positives" in report and "zeros" in report
+
+
+    def test_hnb_keeps_a_predictor_that_survives_only_in_the_zero_equation(self, tmp_path):
+        rng = np.random.default_rng(31)
+        n = 3000
+        x1, x2 = rng.normal(size=n), rng.normal(size=n)
+        X = np.column_stack([np.ones(n), x1, x2])
+        theta = link_mean(X, np.array([1.0, 0.4, 0.0]))
+        y = np.zeros(n, dtype=np.int64)
+        idx = np.flatnonzero(rng.random(n) >= link_hurdle(X, np.array([-0.5, 0.0, 0.9])))
+        while idx.size:
+            y[idx] = rng.poisson(rng.gamma(1 / 0.6, 0.6 * theta[idx]))
+            idx = idx[y[idx] == 0]
+        rows = "".join(f"{y[i]},{float(x1[i])!r},{float(x2[i])!r}\n" for i in range(n))
+        data = tmp_path / "d.csv"
+        data.write_text("cites,x1,x2\n" + rows, encoding="utf-8")
+        run = {"family": "HNB", "response": "cites", "predictors": [{"name": "x1"}, {"name": "x2"}]}
+        config = write_json(tmp_path / "run.json", run)
+        out = tmp_path / "out"
+        code = main(["restrict", "--data", str(data), "--config", str(config),
+                     "--level", "0.10", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "restricted_report.json").read_text())
+        assert report["dropped"] == {"mean": ["x2"], "zeros": ["x1"]}
+        assert [row["name"] for row in report["positives"]] == ["intercept", "x1"]
+        assert [row["name"] for row in report["zeros"]] == ["zero:intercept", "zero:x2"]
 
 
 class TestStartup:

@@ -385,6 +385,8 @@ DECLINES = {
     "field over csv's size limit": f"{HEAD}\n{ROW}\n0.5,{'j' * 131073},3,2,plain,1\n",
     "quoted text over csv's size limit across short lines": f"{HEAD}\n{ROW}\n0.5,"
     + '"' + ("j" * 999 + "\n") * 132 + '",3,2,plain,1\n',
+    "quoted number over csv's size limit across short lines": f"{HEAD}\n{ROW}\n"
+    + '"' + (" " * 1000 + "\n") * 140 + '1",j,3,2,plain,1\n',
     # An earlier bad row is reported first, also inside the undecodable chunk.
     "undecodable byte after a bad row": f"{HEAD}\n{ROW}\n,j,3,2,plain,1\n".encode()
     + b"0.5,j,3,2,pl\xe9ain,1\n",
