@@ -7,6 +7,11 @@ Subcommands::
     countreg simulate  --config design.json --out outdir [--seed N] [--threads N]
     countreg restrict  --data d.csv --config run.json --level 0.10 --out outdir
 
+``simulate`` runs a design's recovery study on one worker process per usable
+CPU (its affinity set, else ``os.cpu_count()``), at most one per replication;
+``--threads N`` sets the count and ``--threads 1`` runs it in the calling
+process.  The summary is byte-identical whatever the count.
+
 The run configuration is a JSON document with the encoding fields
 (``response``, ``predictors``, optional ``hurdle_predictors``) plus
 ``family`` (fit/restrict), optional ``families``, optional ``fit_options``,
@@ -29,6 +34,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -238,12 +244,26 @@ def _compare_families(args, doc):
     return families
 
 
-def _prepare(args, families_of=_run_family):
-    """Load the run config, check its families, fit options and ``y_max``, then
-    read and encode the data."""
+def _restrict_run(args, doc):
+    """The checked family and significance level of a restrict run; ``--level``
+    overrides the config ``level``."""
+    family = _run_family(args, doc)
+    if args.level is not None:
+        if not 0.0 <= args.level <= 1.0:
+            raise ConfigError(f"--level must be in [0, 1], not {args.level!r}")
+        return family, args.level
+    level = doc.get("level", 0.10)
+    if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0.0 <= level <= 1.0:
+        raise ConfigError(f"'level' must be a number in [0, 1], not {level!r}")
+    return family, float(level)
+
+
+def _prepare(args, run_of=_run_family):
+    """Load the run config, check the command's own keys (``run_of``), fit
+    options and ``y_max``, then read and encode the data."""
     doc = _load_json(args.config)
     config = EncodingConfig.from_dict(doc)
-    family = families_of(args, doc)
+    family = run_of(args, doc)
     options = _fit_options(doc)
     y_max = doc.get("y_max")
     if y_max is not None and (isinstance(y_max, bool) or not isinstance(y_max, int) or y_max < 0):
@@ -256,11 +276,11 @@ def _prepare(args, families_of=_run_family):
     X_h = encode(dataset, config, equation="hurdle")
     if y_max is None:
         y_max = min(int(dataset.y.max()), 200)
-    return doc, config, data_path, dataset, X, X_h, options, family, y_max
+    return config, data_path, dataset, X, X_h, options, family, y_max
 
 
 def cmd_fit(args) -> int:
-    _, _, data_path, dataset, X, X_h, options, family, y_max = _prepare(args)
+    _, data_path, dataset, X, X_h, options, family, y_max = _prepare(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
@@ -274,7 +294,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _, _, data_path, dataset, X, X_h, options, families, _ = _prepare(args, _compare_families)
+    _, data_path, dataset, X, X_h, options, families, _ = _prepare(args, _compare_families)
     models = [
         fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
         for family in families
@@ -315,9 +335,26 @@ def _write_dataset_csv(path, dataset):
     _write_columns(path, header, columns)
 
 
+def _replications(doc):
+    """The checked replication count of the design's ``recovery`` block; None
+    without one."""
+    recovery = doc.get("recovery")
+    if recovery is None:
+        return None
+    if not isinstance(recovery, dict):
+        raise ConfigError(f"'recovery' must be an object, not {recovery!r}")
+    replications = recovery.get("replications")
+    if isinstance(replications, bool) or not isinstance(replications, int) or replications < 1:
+        raise ConfigError(f"recovery 'replications' must be a positive integer, not {replications!r}")
+    return replications
+
+
 def cmd_simulate(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be a positive integer, not {args.threads}")
     doc = _load_json(args.config)
     design = SimDesign.from_dict(doc)
+    replications = _replications(doc)
     if args.seed is not None:
         import dataclasses
 
@@ -344,10 +381,8 @@ def cmd_simulate(args) -> int:
         },
     }
     _write_report(out_dir / "truth.json", sidecar)
-    recovery = doc.get("recovery")
-    if recovery:
-        replications = int(recovery.get("replications", 0))
-        summary = recovery_study(design, replications, threads=max(1, args.threads))
+    if replications is not None:
+        summary = recovery_study(design, replications, threads=args.threads)
         summary_report = {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate/recovery",
@@ -386,10 +421,7 @@ def _kept_specs(labels, specs):
 
 
 def cmd_restrict(args) -> int:
-    doc, config, data_path, dataset, X, X_h, options, family, y_max = _prepare(args)
-    level = args.level if args.level is not None else float(doc.get("level", 0.10))
-    if not 0.0 <= level <= 1.0:
-        raise ConfigError("significance level must be in [0, 1]")
+    config, data_path, dataset, X, X_h, options, (family, level), _ = _prepare(args, _restrict_run)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -455,7 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate data from a simulation design")
     common(p_sim, data=False)
     p_sim.add_argument("--seed", type=int, help="override the design seed")
-    p_sim.add_argument("--threads", type=int, default=1, help="worker processes for the recovery study")
+    p_sim.add_argument(
+        "--threads",
+        type=int,
+        help="worker processes for the recovery study (default: one per usable CPU)",
+    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_res = sub.add_parser("restrict", help="drop insignificant covariates and refit")

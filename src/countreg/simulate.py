@@ -23,6 +23,8 @@ Designs serialize to a declarative JSON document::
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +156,14 @@ class SimDesign:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimDesign":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"the simulation design must be a JSON object, not {type(doc).__name__}")
+        raw_covariates = doc.get("covariates", [])
+        if not isinstance(raw_covariates, list):
+            raise ConfigError(f"'covariates' must be a list, not {raw_covariates!r}")
+        for i, entry in enumerate(raw_covariates):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"covariates[{i}] must be an object, not {entry!r}")
         try:
             covariates = tuple(
                 CovariateSpec(
@@ -250,30 +260,50 @@ def _run_replication(args):
     return rep, (estimates, ses, model.converged), None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _workers(threads: int | None, replications: int, cpus: int) -> int:
+    """Worker processes for a study: ``threads``, or ``cpus`` when it is None,
+    at most one per replication and at least one."""
+    return max(1, min(cpus if threads is None else threads, replications))
+
+
 def recovery_study(
     design: SimDesign,
     replications: int,
     options: FitOptions | None = None,
-    threads: int = 1,
+    threads: int | None = 1,
 ) -> dict:
     """Bias, RMSE, and 95% Wald coverage over independent replications.
 
-    Fit failures are counted and reported, not fatal.  Results are merged by
-    replication index, so they do not depend on scheduling.
+    Fit failures are counted and reported, not fatal.  Results are merged in
+    replication order, so they do not depend on scheduling.  ``threads``
+    worker processes share the replications (None: one per usable CPU); the
+    default stays serial, since a worker pool under the spawn or forkserver
+    start method needs the calling script to guard its ``__main__``.
     """
     if replications < 1:
         raise ConfigError("replications must be at least 1")
     truth = _true_parameter_map(design)
     jobs = [(design, rep, options) for rep in range(replications)]
-    if threads > 1:
+    workers = _workers(threads, replications, _usable_cpus())
+    if workers > 1:
         # Imported here: it costs every CLI process about 20 ms otherwise.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(_run_replication, jobs))
+        # About four chunks per worker: one job per message costs each
+        # replication a round trip, while a few chunks still balance the load.
+        chunksize = math.ceil(replications / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(_run_replication, jobs, chunksize=chunksize))
     else:
         raw = [_run_replication(job) for job in jobs]
-    raw.sort(key=lambda item: item[0])
 
     failures = [{"replication": rep, "error": err} for rep, _, err in raw if err]
     kept = [(rep, payload) for rep, payload, err in raw if not err]

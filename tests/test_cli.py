@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from countreg.cli import main
+from countreg.cli import build_parser, main
 from countreg.likelihood import link_hurdle, link_mean
 
 RUN_CONFIG = {
@@ -394,6 +394,61 @@ class TestSimulate:
         assert summary["completed"] == 5
         assert set(summary["parameters"]) == {"intercept", "x1", "r"}
 
+    def test_recovery_summary_does_not_depend_on_threads(self, tmp_path):
+        # The default runs one worker per usable CPU, capped at the three
+        # replications, so no more than three workers start on any host.
+        design = {**SIM_DESIGN, "n": 600, "recovery": {"replications": 3}}
+        config = write_json(tmp_path / "design.json", design)
+        summaries = []
+        for i, threads in enumerate([["--threads", "1"], ["--threads", "2"], []]):
+            out = tmp_path / f"o{i}"
+            assert main(["simulate", "--config", str(config), "--out", str(out), *threads]) == 0
+            summaries.append((out / "recovery.json").read_bytes())
+        assert summaries[0] == summaries[1] == summaries[2]
+
+    def test_threads_default_to_every_usable_cpu(self):
+        args = build_parser().parse_args(["simulate", "--config", "design.json"])
+        assert args.threads is None
+
+    @pytest.mark.parametrize(
+        "doc, flags, message",
+        [
+            pytest.param([1], [], "the simulation design must be a JSON object, not list",
+                         id="top-level-list"),
+            pytest.param({**SIM_DESIGN, "covariates": [5]}, [],
+                         "covariates[0] must be an object, not 5", id="covariate-number"),
+            pytest.param({**SIM_DESIGN, "covariates": 5}, [],
+                         "'covariates' must be a list, not 5", id="covariates-number"),
+            pytest.param({**SIM_DESIGN, "recovery": [3]}, [],
+                         "'recovery' must be an object, not [3]", id="recovery-list"),
+            pytest.param({**SIM_DESIGN, "recovery": {"replications": None}}, [],
+                         "recovery 'replications' must be a positive integer, not None",
+                         id="replications-null"),
+            pytest.param({**SIM_DESIGN, "recovery": {"replications": 2.5}}, [],
+                         "recovery 'replications' must be a positive integer, not 2.5",
+                         id="replications-fraction"),
+            pytest.param({**SIM_DESIGN, "recovery": {"replications": True}}, [],
+                         "recovery 'replications' must be a positive integer, not True",
+                         id="replications-bool"),
+            pytest.param({**SIM_DESIGN, "recovery": {"replications": 0}}, [],
+                         "recovery 'replications' must be a positive integer, not 0",
+                         id="replications-zero"),
+            pytest.param({**SIM_DESIGN, "recovery": {}}, [],
+                         "recovery 'replications' must be a positive integer, not None",
+                         id="replications-missing"),
+            pytest.param({**SIM_DESIGN, "recovery": {"replications": 2}}, ["--threads", "0"],
+                         "--threads must be a positive integer, not 0", id="threads-zero"),
+            pytest.param({**SIM_DESIGN, "recovery": {"replications": 2}}, ["--threads", "-3"],
+                         "--threads must be a positive integer, not -3", id="threads-negative"),
+        ],
+    )
+    def test_malformed_design_exits_1_before_writing(self, tmp_path, capsys, doc, flags, message):
+        config = write_json(tmp_path / "design.json", doc)
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(config), "--out", str(out), *flags])
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
+        assert not out.exists()
+
     def test_missing_design_file_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
@@ -469,6 +524,39 @@ class TestRestrict:
         report = json.loads((out / "restricted_report.json").read_text())
         assert [row["name"] for row in report["coefficients"]] == ["intercept"]
         assert any("intercept-only" in w for w in report["restriction_warnings"])
+
+    @pytest.mark.parametrize(
+        "level, flags, message",
+        [
+            pytest.param(None, [], "'level' must be a number in [0, 1], not None", id="null"),
+            pytest.param(True, [], "'level' must be a number in [0, 1], not True", id="bool"),
+            pytest.param("x", [], "'level' must be a number in [0, 1], not 'x'", id="text"),
+            pytest.param(1.5, [], "'level' must be a number in [0, 1], not 1.5", id="above-one"),
+            pytest.param(0.1, ["--level", "-0.5"], "--level must be in [0, 1], not -0.5",
+                         id="flag-below-zero"),
+        ],
+    )
+    def test_malformed_level_exits_1_before_reading_data(self, tmp_path, capsys, level, flags, message):
+        data = tmp_path / "d.csv"
+        data.write_text("cites,oa,x1\n3,closed,abc\n", encoding="utf-8")
+        config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "level": level})
+        out = tmp_path / "o"
+        code = main(["restrict", "--data", str(data), "--config", str(config),
+                     "--out", str(out), *flags])
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
+        assert not out.exists()
+
+    def test_level_flag_overrides_the_config_level(self, tmp_path):
+        data = make_csv(tmp_path / "d.csv", n=800, seed=6)
+        config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "level": 0})
+        levels = {}
+        for name, flags in (("config", []), ("flag", ["--level", "1"])):
+            out = tmp_path / name
+            assert main(["restrict", "--data", str(data), "--config", str(config),
+                         "--out", str(out), *flags]) == 0
+            report = json.loads((out / "restricted_report.json").read_text())
+            levels[name] = (report["level"], len(report["dropped"]["mean"]))
+        assert levels == {"config": (0.0, 3), "flag": (1.0, 0)}
 
     def test_hnb_prunes_equations_independently(self, tmp_path):
         data = make_csv(tmp_path / "d.csv", family="HNB", seed=7, n=5000, noise_column=True)

@@ -6,6 +6,7 @@ fractions, and byte-level determinism of generated datasets.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from countreg.data import encode_columns
 from countreg.exceptions import ConfigError
 from countreg.fit import fit_family
 from countreg.likelihood import link_hurdle, link_mean
-from countreg.simulate import CovariateSpec, SimDesign, citation_scale_design, generate, recovery_study
+from countreg.simulate import (
+    CovariateSpec,
+    SimDesign,
+    _usable_cpus,
+    _workers,
+    citation_scale_design,
+    generate,
+    recovery_study,
+)
 
 
 def nb_design(n=2000, seed=1, beta=None, r=0.7):
@@ -223,7 +232,39 @@ class TestRecoveryStudy:
         design = nb_design(n=1200, seed=8)
         serial = recovery_study(design, replications=6, threads=1)
         parallel = recovery_study(design, replications=6, threads=2)
-        assert serial["parameters"] == parallel["parameters"]
+        assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+    def test_failures_do_not_depend_on_scheduling(self):
+        # At n = 10 some hurdle refits fail; their indices and errors, like
+        # the estimates, must not depend on which worker ran them.
+        design = hnb_design(n=10, seed=9)
+        serial = recovery_study(design, replications=8, threads=1)
+        parallel = recovery_study(design, replications=8, threads=2)
+        assert 0 < len(serial["failures"]) < 8
+        assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "threads, replications, cpus, workers",
+        [
+            pytest.param(None, 150, 2, 2, id="default-every-cpu"),
+            pytest.param(None, 150, 1, 1, id="default-one-cpu"),
+            pytest.param(3, 150, 2, 3, id="explicit"),
+            pytest.param(1, 150, 64, 1, id="explicit-serial"),
+            pytest.param(None, 3, 64, 3, id="default-capped-at-replications"),
+            pytest.param(8, 2, 2, 2, id="explicit-capped-at-replications"),
+        ],
+    )
+    def test_worker_count(self, threads, replications, cpus, workers):
+        assert _workers(threads, replications, cpus) == workers
+
+    def test_usable_cpus_reads_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert _usable_cpus() == 3
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert _usable_cpus() == 6
 
     def test_bad_replications(self):
         with pytest.raises(ConfigError):
