@@ -8,9 +8,14 @@ Subcommands::
     countreg restrict  --data d.csv --config run.json --level 0.10 --out outdir
 
 ``simulate`` runs a design's recovery study on one worker process per usable
-CPU (its affinity set, else ``os.cpu_count()``), at most one per replication;
-``--threads N`` sets the count and ``--threads 1`` runs it in the calling
-process.  The summary is byte-identical whatever the count.
+CPU (its affinity set, else ``os.cpu_count()``), at most one per replication.
+A CSV of at least twice ``_CELLS_PER_WORKER`` cells (in practice a large
+``dataset.csv``) is formatted in row blocks on up to as many workers, one per
+``_CELLS_PER_WORKER`` cells, when workers start by fork, and written in row
+order.
+``--threads N`` sets the count for both, and ``--threads 1`` keeps the whole
+command in the calling process.  The files are byte-identical whatever the
+count.
 
 The run configuration is a JSON document with the encoding fields
 (``response``, ``predictors``, optional ``hurdle_predictors``) plus
@@ -21,7 +26,8 @@ Hessians, so it is accepted and ignored.  Reports are JSON with
 ``schema_version`` 1; tabulated estimates are fixed to 4 decimals while
 machine fields carry 6 significant digits.  Plot data (frequency table,
 Pearson residual scatter, NB deviance residuals) is written as RFC 4180 CSV
-for external plotting.
+for external plotting; the two-column residual CSVs of fits under 250,000
+rows are formatted in the calling process.
 
 Exit codes: 0 success, 1 configuration or I/O errors, 2 statistical
 non-convergence (the report is still written, flagged).
@@ -40,12 +46,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EncodingConfig, encode, encode_columns, read_csv
+from .data import _BLOCK_ROWS, EncodingConfig, encode, encode_columns, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
 from .exceptions import ConfigError, CountregError, DataError, SeparationError
 from .fit import FitOptions, _require_family, fit_family
 from .inference import aic, compare, irr, wald_table
-from .simulate import SimDesign, generate, recovery_study
+from .simulate import SimDesign, _pool_map, _usable_cpus, _workers, generate, recovery_study
 
 SCHEMA_VERSION = 1
 
@@ -161,18 +167,88 @@ def _residual_section(res, dev):
     return section
 
 
-def _write_columns(path, header, columns):
-    """Write equal-length columns of CSV cell text as a CSV under ``header``.
+# A CSV is formatted on one worker process per this many cells, up to one
+# per usable CPU, so a table of fewer than twice as many stays in the calling
+# process.  On 2 CPUs a fresh `countreg simulate` of the citation-scale
+# design gains from 2 workers from about 500,000 cells on; below that the
+# pool's start-up (importing concurrent.futures, forking, moving the blocks:
+# 50-70 ms) costs more than it saves.
+_CELLS_PER_WORKER = 250_000
 
-    Cells are written as given, so each must already be CSV text: numbers as
-    ``repr``/``str`` need no quoting, strings go through ``_quoted``.  Only
-    the header is written by the csv module.  Records end in ``\r\n``, as
-    csv.writer ends them.
+
+def _float_cells(values):
+    """Each value as ``repr(float)``, the shortest text that reads back exactly.
+
+    A column of integer-valued floats (finite, integral, |v| < 2**53, no
+    -0.0) whose range spans fewer values than it has rows takes its text from
+    a table of ``repr`` of each value in that range.
     """
-    record = ",".join(["{}"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(map(record.format, *columns))
+    a = np.asarray(values, dtype=float)
+    if a.size:
+        lo, hi = float(a.min()), float(a.max())
+        # NaN fails every comparison; infinities fail the magnitude bound.
+        if (
+            -(2.0**53) < lo
+            and hi < 2.0**53
+            and hi - lo < a.size
+            and np.array_equal(a, np.trunc(a))
+            and not np.any(np.signbit(a) & (a == 0.0))
+        ):
+            table = np.array([repr(float(v)) for v in range(int(lo), int(hi) + 1)], dtype=object)
+            return table[(a - lo).astype(np.intp)].tolist()
+    return list(map(repr, a.tolist()))
+
+
+def _cells(kind, values):
+    """CSV cell text of one column: ``count`` (integers), ``float``, or
+    ``text`` (cells that are already CSV text, written as given)."""
+    if kind == "count":
+        return list(map(str, np.asarray(values).tolist()))
+    if kind == "float":
+        return _float_cells(values)
+    return values
+
+
+def _format_rows(columns):
+    """The CSV records of equal-length ``(kind, values)`` columns, UTF-8 encoded.
+
+    Records end in ``\r\n``, as csv.writer ends them.
+    """
+    rows = list(map(",".join, zip(*(_cells(kind, values) for kind, values in columns))))
+    rows.append("")
+    return "\r\n".join(rows).encode("utf-8")
+
+
+def _write_columns(path, header, columns, threads=None):
+    """Write equal-length ``(kind, values)`` columns as a CSV under ``header``.
+
+    Only the header is written by the csv module; ``text`` cells must already
+    be CSV text (strings go through ``_quoted``), and numbers need no quoting.
+    Rows are formatted in blocks of ``_BLOCK_ROWS``, the reader's block, so
+    the text of one block at a time is held.  The blocks go to one worker
+    process per ``_CELLS_PER_WORKER`` cells, at most ``threads`` (None: one
+    per usable CPU), when workers start by fork, and are written in row order,
+    so the bytes do not depend on the count.
+    """
+    n = len(columns[0][1])
+    workers = _workers(threads, n * len(columns) // _CELLS_PER_WORKER, _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        # A spawned or forkserver worker imports numpy and countreg afresh
+        # (about 0.3 s), which costs the citation-scale dataset.csv more than
+        # its pool saves; only forked workers start as a copy of this process.
+        if multiprocessing.get_start_method() != "fork":
+            workers = 1
+    blocks = [
+        [(kind, values[start : start + _BLOCK_ROWS]) for kind, values in columns]
+        for start in range(0, n, _BLOCK_ROWS)
+    ]
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode("utf-8"))
+        fh.writelines(_pool_map(_format_rows, blocks, workers))
 
 
 def _quoted(values):
@@ -182,12 +258,7 @@ def _quoted(values):
         buf = io.StringIO()
         csv.writer(buf).writerow([value, ""])
         text[value] = buf.getvalue()[: -len(",\r\n")]
-    return map(text.__getitem__, values)
-
-
-def _floats(values):
-    """Each value as ``repr(float)``, the shortest text that reads back exactly."""
-    return map(repr, np.asarray(values, dtype=float).tolist())
+    return list(map(text.__getitem__, values))
 
 
 def _write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
@@ -196,25 +267,25 @@ def _write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
     _write_columns(
         out_dir / "frequency.csv",
         ["value", "empirical", "fitted"],
-        [values, map(str, empirical.tolist()), _floats(fitted)],
+        [("text", values), ("count", empirical), ("float", fitted)],
     )
-    means = _floats(res.mu)
+    means = ("float", res.mu)
     if dev is not None:
         # An NB fit's two residual sets carry the same means: format them once.
         if np.asarray(dev.mu, float).tobytes() == np.asarray(res.mu, float).tobytes():
-            means = deviance_means = list(means)
+            means = deviance_means = ("text", _float_cells(res.mu))
         else:
-            deviance_means = _floats(dev.mu)
+            deviance_means = ("float", dev.mu)
     _write_columns(
         out_dir / "pearson_residuals.csv",
         ["predicted_mean", "pearson_residual"],
-        [means, _floats(res.pearson)],
+        [means, ("float", res.pearson)],
     )
     if dev is not None:
         _write_columns(
             out_dir / "deviance_residuals.csv",
             ["predicted_mean", "deviance_residual"],
-            [deviance_means, _floats(dev.deviance)],
+            [deviance_means, ("float", dev.deviance)],
         )
 
 
@@ -325,14 +396,14 @@ def cmd_compare(args) -> int:
     return 0 if all(m.converged for m in models) else 2
 
 
-def _write_dataset_csv(path, dataset):
+def _write_dataset_csv(path, dataset, threads=None):
     header = [dataset.response_name] + [col.name for col in dataset.columns]
-    columns = [map(str, dataset.y.tolist())] + [
-        _quoted(list(map(str, col.values.tolist()))) if col.kind == "categorical"
-        else _floats(col.values)
+    columns = [("count", dataset.y)] + [
+        ("text", _quoted(list(map(str, col.values.tolist())))) if col.kind == "categorical"
+        else ("float", col.values)
         for col in dataset.columns
     ]
-    _write_columns(path, header, columns)
+    _write_columns(path, header, columns, threads)
 
 
 def _replications(doc):
@@ -362,7 +433,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset, truth = generate(design)
-    _write_dataset_csv(out_dir / "dataset.csv", dataset)
+    _write_dataset_csv(out_dir / "dataset.csv", dataset, args.threads)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
@@ -490,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--threads",
         type=int,
-        help="worker processes for the recovery study (default: one per usable CPU)",
+        help="worker processes for the recovery study and the dataset.csv writer "
+        "(default: one per usable CPU)",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

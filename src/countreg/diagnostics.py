@@ -127,27 +127,40 @@ def deviance_residuals(model: FittedModel, X, y) -> ResidualSet:
     )
 
 
-def _pmf_matrix_column(model, theta, phi, r, value):
-    """P(Y = value | x_i) for every row, vectorized over rows."""
+def _pmf_columns(model, theta, phi, r, y_max):
+    """P(Y = v | x_i) for every row, for v = 0..y_max in turn.
+
+    The per-row logarithms are computed once, not once per value.
+    """
     from .special import ln_gamma, ln_gamma_ratio
 
-    v = float(value)
     if model.family == "P":
-        return np.exp(-theta + v * np.log(theta) - ln_gamma(v + 1.0))
+        log_theta = np.log(theta)
+        for value in range(y_max + 1):
+            v = float(value)
+            yield np.exp(-theta + v * log_theta - ln_gamma(v + 1.0))
+        return
     a = 1.0 / r
     log1prt = np.log1p(r * theta)
-    log_nb = (
-        ln_gamma_ratio(a, int(value))
-        - ln_gamma_ratio(1.0, int(value))
-        - (a + v) * log1prt
-        + v * np.log(r * theta)
-    )
-    if model.family == "NB":
-        return np.exp(log_nb)
-    log_p0 = -a * log1prt
-    if value == 0:
-        return phi
-    return (1.0 - phi) * np.exp(log_nb) / (-np.expm1(log_p0))
+    log_rt = np.log(r * theta)
+    if model.family == "HNB":
+        positive = 1.0 - phi
+        p_positive = -np.expm1(-a * log1prt)
+    for value in range(y_max + 1):
+        if model.family == "HNB" and value == 0:
+            yield phi
+            continue
+        v = float(value)
+        log_nb = (
+            ln_gamma_ratio(a, value)
+            - ln_gamma_ratio(1.0, value)
+            - (a + v) * log1prt
+            + v * log_rt
+        )
+        if model.family == "NB":
+            yield np.exp(log_nb)
+        else:
+            yield positive * np.exp(log_nb) / p_positive
 
 
 def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
@@ -175,7 +188,7 @@ def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
     counts = np.bincount(y.astype(np.int64), minlength=y_max + 1)
     empirical[: y_max + 1] = counts[: y_max + 1]
     empirical[y_max + 1] = int(np.sum(y > y_max))
-    for value in range(y_max + 1):
-        fitted[value] = float(np.sum(_pmf_matrix_column(model, theta, phi, r, value)))
+    for value, pmf in enumerate(_pmf_columns(model, theta, phi, r, y_max)):
+        fitted[value] = float(np.sum(pmf))
     fitted[y_max + 1] = n - float(np.sum(fitted[: y_max + 1]))
     return empirical, fitted

@@ -268,10 +268,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(threads: int | None, replications: int, cpus: int) -> int:
-    """Worker processes for a study: ``threads``, or ``cpus`` when it is None,
-    at most one per replication and at least one."""
-    return max(1, min(cpus if threads is None else threads, replications))
+def _workers(threads: int | None, jobs: int, cpus: int) -> int:
+    """Worker processes for ``jobs`` jobs: ``threads``, or ``cpus`` when it is
+    None, at most one per job and at least one."""
+    return max(1, min(cpus if threads is None else threads, jobs))
+
+
+def _pool_map(fn, jobs, workers: int):
+    """``fn`` over ``jobs``, yielded in job order as the results arrive.
+
+    With one worker the jobs run in the calling process.  Otherwise they go
+    to one pool of ``workers`` processes under the platform's default start
+    method, in about four chunks per worker.  This is the one place countreg
+    starts worker processes.
+    """
+    if workers == 1:
+        yield from map(fn, jobs)
+        return
+    # Imported here: it costs every CLI process about 20 ms otherwise.
+    from concurrent.futures import ProcessPoolExecutor
+
+    # About four chunks per worker: one job per message costs each job a
+    # round trip, while a few chunks still balance the load.
+    chunksize = math.ceil(len(jobs) / (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, jobs, chunksize=chunksize)
 
 
 def recovery_study(
@@ -293,17 +314,7 @@ def recovery_study(
     truth = _true_parameter_map(design)
     jobs = [(design, rep, options) for rep in range(replications)]
     workers = _workers(threads, replications, _usable_cpus())
-    if workers > 1:
-        # Imported here: it costs every CLI process about 20 ms otherwise.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # About four chunks per worker: one job per message costs each
-        # replication a round trip, while a few chunks still balance the load.
-        chunksize = math.ceil(replications / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_replication, jobs, chunksize=chunksize))
-    else:
-        raw = [_run_replication(job) for job in jobs]
+    raw = list(_pool_map(_run_replication, jobs, workers))
 
     failures = [{"replication": rep, "error": err} for rep, _, err in raw if err]
     kept = [(rep, payload) for rep, payload, err in raw if not err]

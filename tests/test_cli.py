@@ -604,7 +604,8 @@ class TestRestrict:
 
 class TestStartup:
     # scipy is a test-only oracle, and the process pool serves only
-    # recovery_study(threads > 1); the CLI must not pay for importing either.
+    # recovery_study(threads > 1) and CSVs of 500,000 cells or more; the CLI
+    # must not pay for importing either.
     @pytest.mark.parametrize("module", ["scipy", "concurrent.futures.process"])
     def test_import_does_not_load(self, module):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -1,7 +1,9 @@
 """Block-wise CSV reading and column-wise CSV writing against row-by-row oracles."""
 
+import concurrent.futures
 import csv
 import math
+import multiprocessing
 import warnings
 from types import SimpleNamespace
 
@@ -601,3 +603,91 @@ class TestWritersMatchRowOracle:
             oracle_write_plot_data(old, model, X, None, y, r, d, int(y.max()))
             _same_bytes(new, old, PLOT_FILES if d is not None else PLOT_FILES[:2])
             assert (new / "deviance_residuals.csv").exists() == (d is not None)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 2.0**53, -(2.0**53), 1e15, 1e16, -7.0, 5e-324, math.nan, math.inf,
+                  -math.inf]
+
+
+def _odd_dataset(n=37):
+    """Every cell kind the dataset writer has, with special floats among integers."""
+    rng = np.random.default_rng(3)
+    specials = np.array(SPECIAL_FLOATS * (n // len(SPECIAL_FLOATS) + 1))[:n]
+    mixed = rng.integers(-3, 4, n).astype(float)
+    mixed[::5] = specials[::5]
+    return Dataset(
+        y=rng.integers(0, 40, n),
+        columns=(
+            Column(name="oa", kind="categorical",
+                   values=np.array(["a,b", 'say "hi"', "plain", "é"] * n, dtype=object)[:n]),
+            Column(name="funded", kind="binary", values=rng.integers(0, 2, n).astype(float)),
+            Column(name="age", kind="numeric", values=rng.integers(0, 8, n).astype(float)),
+            Column(name="mixed", kind="numeric", values=mixed),
+            Column(name="x", kind="numeric", values=np.resize(FLOATS, n) * rng.normal(size=n)),
+        ),
+        response_name="cites",
+    )
+
+
+class TestPoolPathMatchesRowOracle:
+    """The worker-process path, run on small tables with block boundaries inside."""
+
+    @pytest.fixture(autouse=True)
+    def every_table_goes_to_the_pool(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_dataset_csv(self, tmp_path, workers):
+        dataset = _odd_dataset()
+        cli._write_dataset_csv(tmp_path / "new.csv", dataset, threads=workers)
+        oracle_write_dataset_csv(tmp_path / "old.csv", dataset)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_no_pool_unless_workers_fork(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "spawn")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        dataset = _odd_dataset()
+        cli._write_dataset_csv(tmp_path / "new.csv", dataset, threads=2)
+        oracle_write_dataset_csv(tmp_path / "old.csv", dataset)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_residual_and_frequency_csvs(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        rng = np.random.default_rng(12)
+        n = 150
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = rng.poisson(rng.gamma(2.0, 0.5 * np.exp(0.8 + 0.3 * X[:, 1])))
+        model = fit_family("NB", X, y)
+        res, dev = cli._residuals(model, X, None, y)
+        new, old = tmp_path / "new", tmp_path / "old"
+        new.mkdir()
+        old.mkdir()
+        cli._write_plot_data(new, model, X, None, y, res, dev, int(y.max()))
+        oracle_write_plot_data(old, model, X, None, y, res, dev, int(y.max()))
+        _same_bytes(new, old, PLOT_FILES)
+
+
+class TestFloatCells:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-20, 20).map(float), st.sampled_from(SPECIAL_FLOATS)),
+                    min_size=1, max_size=80))
+    def test_text_is_repr(self, values):
+        a = np.array(values)
+        assert cli._float_cells(a) == list(map(repr, a.tolist()))
+
+    def test_an_integer_valued_column_formats_each_distinct_value_once(self, monkeypatch):
+        calls = []
+
+        def counting_repr(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+        a = np.arange(1000) % 8 - 3.0
+        assert cli._float_cells(a) == list(map(repr, a.tolist()))
+        assert len(calls) == 8

@@ -11,6 +11,7 @@ Reports name their data file, so every command runs inside its output
 directory with relative paths.
 """
 
+import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from countreg import cli
 from countreg.cli import main
 
 DESIGN = {
@@ -106,17 +108,20 @@ def _digests(directory, inputs):
     }
 
 
+def _simulate(out, threads):
+    out.mkdir()
+    (out / "design.json").write_text(json.dumps(DESIGN), encoding="utf-8")
+    with _inside(out):
+        code = main(["simulate", "--config", "design.json", "--threads", threads, "--out", "."])
+    return {"exit": code, **_digests(out, {"design.json"})}
+
+
 def run_all(root):
     """Run every command on ``DESIGN`` under ``root``; {run: {file: sha256}}."""
     root = Path(root)
     runs = {}
     for threads in ("1", "2"):
-        out = root / f"simulate-threads{threads}"
-        out.mkdir()
-        (out / "design.json").write_text(json.dumps(DESIGN), encoding="utf-8")
-        with _inside(out):
-            code = main(["simulate", "--config", "design.json", "--threads", threads, "--out", "."])
-        runs[out.name] = {"exit": code, **_digests(out, {"design.json"})}
+        runs[f"simulate-threads{threads}"] = _simulate(root / f"simulate-threads{threads}", threads)
     data = root / "simulate-threads1" / "dataset.csv"
     truth = json.loads((data.parent / "truth.json").read_text(encoding="utf-8"))
     commands = [(f"fit-{family}", family, ["fit"]) for family in ("P", "NB", "HNB")]
@@ -148,6 +153,22 @@ def test_output_bytes_are_pinned(runs, run):
 
 def test_every_run_is_pinned(runs):
     assert sorted(runs) == sorted(PINNED)
+
+
+def test_threads_1_starts_no_process(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(cli, "_CELLS_PER_WORKER", 1)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 150)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    assert _simulate(tmp_path / "o", "1") == PINNED["simulate-threads1"]
+
+
+def test_dataset_csv_from_worker_processes_has_the_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CELLS_PER_WORKER", 1)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 150)
+    assert _simulate(tmp_path / "o", "2") == PINNED["simulate-threads2"]
 
 
 if __name__ == "__main__":
