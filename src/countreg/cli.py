@@ -26,8 +26,11 @@ Hessians, so it is accepted and ignored.  Reports are JSON with
 ``schema_version`` 1; tabulated estimates are fixed to 4 decimals while
 machine fields carry 6 significant digits.  Plot data (frequency table,
 Pearson residual scatter, NB deviance residuals) is written as RFC 4180 CSV
-for external plotting; the two-column residual CSVs of fits under 250,000
-rows are formatted in the calling process.
+for external plotting.  An NB fit's two residual CSVs carry the same means,
+so both are written in one pass over three columns, which formats each block
+of means once.  A pass of fewer than twice ``_CELLS_PER_WORKER`` cells (the
+residuals of a fit under 250,000 rows, or of an NB fit under 166,667) is
+formatted in the calling process.
 
 Exit codes: 0 success, 1 configuration or I/O errors, 2 statistical
 non-convergence (the report is still written, flagged).
@@ -36,7 +39,9 @@ non-convergence (the report is still written, flagged).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -46,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _BLOCK_ROWS, EncodingConfig, encode, encode_columns, read_csv
+from .data import _BLOCK_ROWS, DesignMatrix, EncodingConfig, encode, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
 from .exceptions import ConfigError, CountregError, DataError, SeparationError
 from .fit import FitOptions, _require_family, fit_family
@@ -209,26 +214,35 @@ def _cells(kind, values):
     return values
 
 
-def _format_rows(columns):
-    """The CSV records of equal-length ``(kind, values)`` columns, UTF-8 encoded.
+def _format_tables(tables, columns):
+    """The CSV records of each table of equal-length ``(kind, values)``
+    columns, UTF-8 encoded, one text per table.
 
-    Records end in ``\r\n``, as csv.writer ends them.
+    A table is a tuple of column indices; each column is formatted once,
+    however many tables carry it.  Records end in ``\r\n``, as csv.writer ends
+    them.
     """
-    rows = list(map(",".join, zip(*(_cells(kind, values) for kind, values in columns))))
-    rows.append("")
-    return "\r\n".join(rows).encode("utf-8")
+    cells = [_cells(kind, values) for kind, values in columns]
+    texts = []
+    for table in tables:
+        rows = list(map(",".join, zip(*(cells[i] for i in table))))
+        rows.append("")
+        texts.append("\r\n".join(rows).encode("utf-8"))
+    return texts
 
 
-def _write_columns(path, header, columns, threads=None):
-    """Write equal-length ``(kind, values)`` columns as a CSV under ``header``.
+def _write_tables(files, columns, threads=None):
+    """Write CSVs over shared equal-length ``(kind, values)`` columns; each
+    of ``files`` is a ``(path, header, column indices)``.
 
-    Only the header is written by the csv module; ``text`` cells must already
-    be CSV text (strings go through ``_quoted``), and numbers need no quoting.
-    Rows are formatted in blocks of ``_BLOCK_ROWS``, the reader's block, so
-    the text of one block at a time is held.  The blocks go to one worker
-    process per ``_CELLS_PER_WORKER`` cells, at most ``threads`` (None: one
-    per usable CPU), when workers start by fork, and are written in row order,
-    so the bytes do not depend on the count.
+    Only the headers are written by the csv module; ``text`` cells must
+    already be CSV text (strings go through ``_quoted``), and numbers need no
+    quoting.  Rows are formatted in blocks of ``_BLOCK_ROWS``, the reader's
+    block, each column once per block, so the text of one block at a time is
+    held.  The blocks go to one worker process per ``_CELLS_PER_WORKER``
+    cells of ``columns``, at most ``threads`` (None: one per usable CPU),
+    when workers start by fork, and are written in row order, so the bytes do
+    not depend on the count.
     """
     n = len(columns[0][1])
     workers = _workers(threads, n * len(columns) // _CELLS_PER_WORKER, _usable_cpus())
@@ -244,11 +258,21 @@ def _write_columns(path, header, columns, threads=None):
         [(kind, values[start : start + _BLOCK_ROWS]) for kind, values in columns]
         for start in range(0, n, _BLOCK_ROWS)
     ]
-    head = io.StringIO()
-    csv.writer(head).writerow(header)
-    with open(path, "wb") as fh:
-        fh.write(head.getvalue().encode("utf-8"))
-        fh.writelines(_pool_map(_format_rows, blocks, workers))
+    tables = tuple(tuple(indices) for _, _, indices in files)
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "wb")) for path, _, _ in files]
+        for fh, (_, header, _) in zip(handles, files):
+            head = io.StringIO()
+            csv.writer(head).writerow(header)
+            fh.write(head.getvalue().encode("utf-8"))
+        for texts in _pool_map(functools.partial(_format_tables, tables), blocks, workers):
+            for fh, text in zip(handles, texts):
+                fh.write(text)
+
+
+def _write_columns(path, header, columns, threads=None):
+    """Write equal-length ``(kind, values)`` columns as one CSV under ``header``."""
+    _write_tables([(path, header, range(len(columns)))], columns, threads)
 
 
 def _quoted(values):
@@ -269,24 +293,21 @@ def _write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
         ["value", "empirical", "fitted"],
         [("text", values), ("count", empirical), ("float", fitted)],
     )
-    means = ("float", res.mu)
+    columns = [("float", res.mu), ("float", res.pearson)]
+    files = [(out_dir / "pearson_residuals.csv", ["predicted_mean", "pearson_residual"], (0, 1))]
     if dev is not None:
-        # An NB fit's two residual sets carry the same means: format them once.
-        if np.asarray(dev.mu, float).tobytes() == np.asarray(res.mu, float).tobytes():
-            means = deviance_means = ("text", _float_cells(res.mu))
-        else:
-            deviance_means = ("float", dev.mu)
-    _write_columns(
-        out_dir / "pearson_residuals.csv",
-        ["predicted_mean", "pearson_residual"],
-        [means, ("float", res.pearson)],
-    )
-    if dev is not None:
-        _write_columns(
-            out_dir / "deviance_residuals.csv",
-            ["predicted_mean", "deviance_residual"],
-            [deviance_means, ("float", dev.deviance)],
+        # An NB fit's two residual sets carry the same means: both CSVs are
+        # written in one pass, which formats each block of means once.
+        means = 0
+        if np.asarray(dev.mu, float).tobytes() != np.asarray(res.mu, float).tobytes():
+            means = len(columns)
+            columns.append(("float", dev.mu))
+        columns.append(("float", dev.deviance))
+        files.append(
+            (out_dir / "deviance_residuals.csv", ["predicted_mean", "deviance_residual"],
+             (means, len(columns) - 1))
         )
+    _write_tables(files, columns)
 
 
 def _write_report(path, report):
@@ -331,7 +352,8 @@ def _restrict_run(args, doc):
 
 def _prepare(args, run_of=_run_family):
     """Load the run config, check the command's own keys (``run_of``), fit
-    options and ``y_max``, then read and encode the data."""
+    options and ``y_max``, then read and encode the data; the raw columns
+    are not returned, so one encoded copy of the data outlives this call."""
     doc = _load_json(args.config)
     config = EncodingConfig.from_dict(doc)
     family = run_of(args, doc)
@@ -344,30 +366,34 @@ def _prepare(args, run_of=_run_family):
         raise ConfigError("no data file given (use --data or the config 'data' field)")
     dataset = read_csv(data_path, config)
     X = encode(dataset, config, equation="mean")
-    X_h = encode(dataset, config, equation="hurdle")
+    # The hurdle equation shares X unless hurdle_predictors narrows it.
+    if config.hurdle_specs() == config.predictors:
+        X_h = X
+    else:
+        X_h = encode(dataset, config, equation="hurdle")
     if y_max is None:
         y_max = min(int(dataset.y.max()), 200)
-    return config, data_path, dataset, X, X_h, options, family, y_max
+    return config, data_path, dataset.y, X, X_h, options, family, y_max
 
 
 def cmd_fit(args) -> int:
-    _, data_path, dataset, X, X_h, options, family, y_max = _prepare(args)
+    _, data_path, y, X, X_h, options, family, y_max = _prepare(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
+    model = fit_family(family, X.X, y, X_h.X, options, X.labels, X_h.labels)
     report = _model_report(model, data_path)
     X_h_fit = X_h.X if model.family == "HNB" else None
-    res, dev = _residuals(model, X.X, X_h_fit, dataset.y)
+    res, dev = _residuals(model, X.X, X_h_fit, y)
     report["residuals"] = _residual_section(res, dev)
     _write_report(out_dir / "report.json", report)
-    _write_plot_data(out_dir, model, X.X, X_h_fit, dataset.y, res, dev, y_max)
+    _write_plot_data(out_dir, model, X.X, X_h_fit, y, res, dev, y_max)
     return 0 if model.converged else 2
 
 
 def cmd_compare(args) -> int:
-    _, data_path, dataset, X, X_h, options, families, _ = _prepare(args, _compare_families)
+    _, data_path, y, X, X_h, options, families, _ = _prepare(args, _compare_families)
     models = [
-        fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
+        fit_family(family, X.X, y, X_h.X, options, X.labels, X_h.labels)
         for family in families
     ]
     ranking = compare(models)
@@ -375,7 +401,7 @@ def cmd_compare(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
         "data": str(data_path),
-        "n": dataset.n,
+        "n": X.n,
         "best": ranking[0].family,
         "ranking": [
             {
@@ -485,25 +511,45 @@ def _prune(rows_by_name, names, level):
     return kept, dropped
 
 
+def _owns(spec, label):
+    """Whether design-column ``label`` encodes predictor ``spec``."""
+    if spec.kind == "categorical":
+        return label.startswith(f"{spec.name}=")
+    return label == spec.name
+
+
 def _kept_specs(labels, specs):
     """The predictor specs, in declaration order, of surviving design-column labels."""
-    keep = {label.split("=", 1)[0] for label in labels}
-    return tuple(spec for spec in specs if spec.name in keep)
+    return tuple(spec for spec in specs if any(_owns(spec, label) for label in labels))
+
+
+def _narrowed(design, labels, specs):
+    """The design of the ``specs`` that own a surviving label, as
+    ``encode_columns`` lays it out (intercept first, declaration order, C
+    order), taken from the columns of ``design``, which encodes ``specs``;
+    its array when every column survives."""
+    kept = _kept_specs(labels, specs)
+    cols = [0] + [j for j in range(1, design.k) if any(_owns(spec, design.labels[j]) for spec in kept)]
+    return DesignMatrix(
+        X=design.X if len(cols) == design.k else design.X.take(cols, axis=1),
+        labels=tuple(design.labels[j] for j in cols),
+        base_levels={spec.name: spec.base for spec in kept if spec.kind == "categorical"},
+    )
 
 
 def cmd_restrict(args) -> int:
-    config, data_path, dataset, X, X_h, options, (family, level), _ = _prepare(args, _restrict_run)
+    config, data_path, y, X, X_h, options, (family, level), _ = _prepare(args, _restrict_run)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    full_model = fit_family(family, X.X, dataset.y, X_h.X, options, X.labels, X_h.labels)
+    full_model = fit_family(family, X.X, y, X_h.X, options, X.labels, X_h.labels)
     rows = {row.name: row for row in wald_table(full_model)}
 
     kept_mean, dropped_mean = _prune(rows, full_model.mean_names, level)
     warnings = []
     if not kept_mean:
         warnings.append("all mean-equation covariates dropped; intercept-only")
-    mean_specs = hurdle_specs = _kept_specs(kept_mean, config.predictors)
+    Xr = Xr_h = _narrowed(X, kept_mean, config.predictors)
 
     dropped_zero = []
     if family == "HNB":
@@ -513,11 +559,9 @@ def cmd_restrict(args) -> int:
             warnings.append("all hurdle-equation covariates dropped; intercept-only")
         # Each equation keeps its own predictors: one may survive in the
         # hurdle equation only.
-        hurdle_specs = _kept_specs(kept_zero, config.hurdle_specs())
+        Xr_h = _narrowed(X_h, kept_zero, config.hurdle_specs())
 
-    Xr = encode_columns(dataset.columns, mean_specs, dataset.n)
-    Xr_h = encode_columns(dataset.columns, hurdle_specs, dataset.n)
-    restricted = fit_family(family, Xr.X, dataset.y, Xr_h.X, options, Xr.labels, Xr_h.labels)
+    restricted = fit_family(family, Xr.X, y, Xr_h.X, options, Xr.labels, Xr_h.labels)
 
     report = _model_report(restricted, data_path)
     report["command"] = "restrict"
@@ -525,7 +569,7 @@ def cmd_restrict(args) -> int:
     report["dropped"] = {"mean": dropped_mean, "zeros": dropped_zero}
     report["restriction_warnings"] = warnings
     report["residuals"] = _residual_section(
-        *_residuals(restricted, Xr.X, Xr_h.X if family == "HNB" else None, dataset.y)
+        *_residuals(restricted, Xr.X, Xr_h.X if family == "HNB" else None, y)
     )
     full_report = _model_report(full_model, data_path)
     _write_report(out_dir / "restricted_report.json", report)

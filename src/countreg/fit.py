@@ -223,14 +223,20 @@ def _poisson_maximize(X, y, options, lgy1) -> _OptState:
     return _newton_maximize(_objective(_poisson_kernel, X, y, float(np.sum(lgy1))), beta0, options)
 
 
+def _block_labels(k, labels, what, name="labels"):
+    """``labels``, or default names if None, of a block of ``k`` columns."""
+    if labels is None:
+        return ("intercept",) + tuple(f"x{j}" for j in range(1, k))
+    if len(labels) != k:
+        raise ValueError(f"{name} length does not match the {what} ({len(labels)} labels, {k} columns)")
+    return tuple(labels)
+
+
 def _check_block(M, labels, what, min_extra=None, name="labels"):
     """Labels (default names if None) of a finite, full-column-rank design with,
     unless ``min_extra`` is None, more than k + min_extra rows."""
     n, k = M.shape
-    if labels is None:
-        labels = ["intercept"] + [f"x{j}" for j in range(1, k)]
-    elif len(labels) != k:
-        raise ValueError(f"{name} length does not match the {what} ({len(labels)} labels, {k} columns)")
+    labels = _block_labels(k, labels, what, name)
     finite = np.isfinite(M)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -239,7 +245,7 @@ def _check_block(M, labels, what, min_extra=None, name="labels"):
         raise ValueError(f"need more observations than parameters (n={n}, k={k})")
     if np.linalg.matrix_rank(M) < k:
         raise ValueError(f"{what} is rank deficient")
-    return tuple(labels)
+    return labels
 
 
 def _validate_design(X, y, labels, min_extra=0, X_h=None, hurdle_labels=None):
@@ -255,9 +261,15 @@ def _validate_design(X, y, labels, min_extra=0, X_h=None, hurdle_labels=None):
     labels = _check_block(X, labels, "design matrix", min_extra)
     if X_h is not None:
         X_h = np.asarray(X_h, dtype=float)
-        if X_h.ndim != 2 or X_h.shape[0] != X.shape[0]:
+        if X_h is X:
+            # The default hurdle design: X has just passed the same checks.
+            hurdle_labels = _block_labels(
+                X.shape[1], hurdle_labels, "hurdle design matrix", "hurdle_labels"
+            )
+        elif X_h.ndim != 2 or X_h.shape[0] != X.shape[0]:
             raise ValueError("hurdle design must have the same number of rows as X")
-        hurdle_labels = _check_block(X_h, hurdle_labels, "hurdle design matrix", name="hurdle_labels")
+        else:
+            hurdle_labels = _check_block(X_h, hurdle_labels, "hurdle design matrix", name="hurdle_labels")
     return X, y, labels, X_h, hurdle_labels
 
 

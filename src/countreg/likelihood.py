@@ -145,22 +145,48 @@ def poisson_score(beta, X, y) -> np.ndarray:
     return _poisson_kernel(beta, X, _validate_counts(y, float))[1]
 
 
+# The dispersion grid is built in chunks of this many values of j, so that
+# its memory stays bounded whatever the largest count.
+_GRID_CHUNK = 2**20
+
+
+def _dispersion_grid(r, lo, hi, start):
+    """The three cumulative sums of ``_dispersion_sums`` at m = lo..hi,
+    continuing from their values ``start`` at m = lo."""
+    jr = r * np.arange(lo, hi, dtype=float)
+    grids = np.empty((3, hi - lo + 1))
+    grids[:, 0] = start
+    np.log1p(jr, out=grids[0, 1:])
+    np.divide(jr, 1.0 + jr, out=grids[1, 1:])
+    np.divide(grids[1, 1:], 1.0 + jr, out=grids[2, 1:])
+    return np.cumsum(grids, axis=1, out=grids)
+
+
 def _dispersion_sums(y, r):
     """Per-row sums over j < y of log1p(j r), j r/(1 + j r) and j r/(1 + j r)^2.
 
     The first equals lnG(1/r + y) - lnG(1/r) + y log r (Lawless 1987); the
     other two are its first and second derivatives in log r.  Each is one
     cumulative sum over j = 0..max(y) - 1 gathered at y, and no term cancels
-    at any r.
+    at any r.  Counts above ``_GRID_CHUNK`` are summed chunk by chunk, each
+    chunk's sums continuing from the last of the chunk before; a cumulative
+    sum adds in order, so the sums are bit for bit those of one pass.
     """
     counts = y.astype(np.int64)
-    jr = r * np.arange(int(counts.max(initial=0)), dtype=float)
-    q = jr / (1.0 + jr)
-    grids = np.zeros((3, jr.size + 1))
-    np.cumsum(np.log1p(jr), out=grids[0, 1:])
-    np.cumsum(q, out=grids[1, 1:])
-    np.cumsum(q / (1.0 + jr), out=grids[2, 1:])
-    return tuple(grid[counts] for grid in grids)
+    top = int(counts.max(initial=0))
+    if top <= _GRID_CHUNK:
+        return tuple(grid[counts] for grid in _dispersion_grid(r, 0, top, 0.0))
+    sums = tuple(np.empty(counts.size) for _ in range(3))
+    start = 0.0
+    for lo in range(0, top, _GRID_CHUNK):
+        hi = min(lo + _GRID_CHUNK, top)
+        grids = _dispersion_grid(r, lo, hi, start)
+        rows = (lo <= counts) & (counts <= hi)
+        at = counts[rows] - lo
+        for total, grid in zip(sums, grids):
+            total[rows] = grid[at]
+        start = grids[:, -1].copy()
+    return sums
 
 
 def _nb_kernel(beta, log_r, X, y, truncated, lgy1=None):

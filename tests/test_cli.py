@@ -601,6 +601,23 @@ class TestRestrict:
         assert [row["name"] for row in report["positives"]] == ["intercept", "x1"]
         assert [row["name"] for row in report["zeros"]] == ["zero:intercept", "zero:x2"]
 
+    def test_a_surviving_predictor_named_with_an_equals_sign_is_kept(self, tmp_path):
+        rng = np.random.default_rng(1)
+        n = 500
+        x = rng.normal(size=n)
+        y = rng.poisson(np.exp(1.0 + 0.5 * x))
+        data = tmp_path / "d.csv"
+        data.write_text("cites,a=b\n" + "".join(f"{y[i]},{float(x[i])!r}\n" for i in range(n)),
+                        encoding="utf-8")
+        run = {"family": "P", "response": "cites", "predictors": [{"name": "a=b"}]}
+        config = write_json(tmp_path / "run.json", run)
+        out = tmp_path / "out"
+        assert main(["restrict", "--data", str(data), "--config", str(config),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "restricted_report.json").read_text())
+        assert report["dropped"] == {"mean": [], "zeros": []}
+        assert [row["name"] for row in report["coefficients"]] == ["intercept", "a=b"]
+
 
 class TestStartup:
     # scipy is a test-only oracle, and the process pool serves only

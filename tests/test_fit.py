@@ -147,6 +147,10 @@ class TestValidation:
         shapes.clear()
         fit_hnb(X, X_h, y)
         assert shapes == [X.shape, X_h.shape, (int(np.sum(y > 0)), 3)]
+        shapes.clear()
+        # A hurdle design that is X itself takes X's verdict.
+        fit_hnb(X, X, y)
+        assert shapes == [X.shape, (int(np.sum(y > 0)), 3)]
 
     def test_positive_rows_must_identify_the_truncated_part(self):
         X = np.column_stack([np.ones(12), np.repeat([1.0, 0.0], 6)])

@@ -3,13 +3,19 @@
 Oracle: the per-row log-likelihood terms, the first and second row
 derivatives and the Hessian assembly exactly as they were evaluated before
 the kernel existed, one pass each.  The kernel keeps their floating-point
-operation order, so value, score and Hessian must agree bit for bit.
+operation order, so value, score and Hessian must agree bit for bit.  The
+chunked dispersion grid is checked the same way against the one-pass grid
+over 0..max(y).
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countreg import likelihood
 from countreg.likelihood import NbRegParams, _clamped_eta, _dispersion_sums, _nb_kernel
 from countreg.special import ln_gamma
 
@@ -132,3 +138,61 @@ class TestKernelMatchesThreePassRoute:
             assert_bitwise(floats[0], ints[0])
             assert_bitwise(floats[1], ints[1])
             assert_bitwise(floats[2](), ints[2]())
+
+
+def one_pass_dispersion_sums(y, r):
+    """The dispersion sums from one grid over j = 0..max(y) - 1."""
+    counts = y.astype(np.int64)
+    jr = r * np.arange(int(counts.max(initial=0)), dtype=float)
+    q = jr / (1.0 + jr)
+    grids = np.zeros((3, jr.size + 1))
+    np.cumsum(np.log1p(jr), out=grids[0, 1:])
+    np.cumsum(q, out=grids[1, 1:])
+    np.cumsum(q / (1.0 + jr), out=grids[2, 1:])
+    return tuple(grid[counts] for grid in grids)
+
+
+class TestChunkedDispersionGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        chunk=st.sampled_from([1, 2, 3, 7, 64]),
+        seed=st.integers(0, 2**32 - 1),
+        top=st.integers(0, 600),
+        log_r=st.floats(np.log(1e-4), np.log(1e2)),
+    )
+    def test_matches_the_one_pass_grid(self, chunk, seed, top, log_r):
+        rng = np.random.default_rng(seed)
+        # Zeros, chunk boundaries either side and the largest count.
+        y = np.concatenate([rng.integers(0, top + 1, 50), [0, top, chunk, chunk + 1]])
+        y = np.minimum(y, top).astype(float)
+        r = float(np.exp(log_r))
+        with mock.patch.object(likelihood, "_GRID_CHUNK", chunk):
+            sums = _dispersion_sums(y, r)
+        for got, want in zip(sums, one_pass_dispersion_sums(y, r)):
+            assert_bitwise(got, want)
+
+    def test_kernel_is_unchanged_by_chunking(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X = np.column_stack([np.ones(40), rng.normal(size=40)])
+        y = rng.integers(0, 500, 40).astype(float)
+        want = _nb_kernel(np.array([0.3, 0.2]), -0.4, X, y, False)
+        monkeypatch.setattr(likelihood, "_GRID_CHUNK", 16)
+        got = _nb_kernel(np.array([0.3, 0.2]), -0.4, X, y, False)
+        assert_bitwise(got[0], want[0])
+        assert_bitwise(got[1], want[1])
+        assert_bitwise(got[2](), want[2]())
+
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # One grid over 0..10**6 would take 8 MB a row; chunks of 1,024
+        # values take about 25 kB each.
+        monkeypatch.setattr(likelihood, "_GRID_CHUNK", 1024)
+        y = np.array([0.0, 5.0, 10.0**6, 123_456.0])
+        tracemalloc.start()
+        try:
+            sums = _dispersion_sums(y, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        for got, want in zip(sums, one_pass_dispersion_sums(y, 0.5)):
+            assert_bitwise(got, want)
