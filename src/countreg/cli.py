@@ -9,28 +9,28 @@ Subcommands::
 
 ``simulate`` runs a design's recovery study on one worker process per usable
 CPU (its affinity set, else ``os.cpu_count()``), at most one per replication.
-A CSV of at least twice ``_CELLS_PER_WORKER`` cells (in practice a large
-``dataset.csv``) is formatted in row blocks on up to as many workers, one per
-``_CELLS_PER_WORKER`` cells, when workers start by fork, and written in row
-order.
-``--threads N`` sets the count for both, and ``--threads 1`` keeps the whole
-command in the calling process.  The files are byte-identical whatever the
-count.
+A CSV of at least twice ``_CELLS_PER_WORKER`` cells (a large ``dataset.csv``,
+or the residuals of a fit of 166,667 rows or more) is formatted in row blocks
+on one worker per ``_CELLS_PER_WORKER`` cells when workers start by fork, and
+written in row order.  ``--threads N`` sets the count for both, and
+``--threads 1`` keeps the whole command in the calling process.  The files
+are byte-identical whatever the count.
 
 The run configuration is a JSON document with the encoding fields
-(``response``, ``predictors``, optional ``hurdle_predictors``) plus
-``family`` (fit/restrict), optional ``families``, optional ``fit_options``,
-and an optional ``y_max`` for the frequency table.  ``fit_options`` may still
-carry the schema-1 key ``hessian_step``; covariances now come from exact
-Hessians, so it is accepted and ignored.  Reports are JSON with
+(``response``, ``predictors``, optional ``hurdle_predictors``) plus optional
+``family`` (fit/restrict, default NB), ``families`` (compare), ``level``
+(restrict), ``fit_options``, ``y_max`` (frequency table) and ``data``.
+``_run_config`` reads them all through the typed getters of
+``data.ConfigDoc`` before the CSV is read, and ``SimDesign.from_dict`` reads a
+design the same way, so a malformed value exits 1 with ``'<key path>' must
+be <what>, not <value>``.  ``fit_options`` may still carry the schema-1 key
+``hessian_step``, which is accepted and ignored.  An output directory is
+created only once there is something to write.  Reports are JSON with
 ``schema_version`` 1; tabulated estimates are fixed to 4 decimals while
 machine fields carry 6 significant digits.  Plot data (frequency table,
-Pearson residual scatter, NB deviance residuals) is written as RFC 4180 CSV
-for external plotting.  An NB fit's two residual CSVs carry the same means,
-so both are written in one pass over three columns, which formats each block
-of means once.  A pass of fewer than twice ``_CELLS_PER_WORKER`` cells (the
-residuals of a fit under 250,000 rows, or of an NB fit under 166,667) is
-formatted in the calling process.
+Pearson residual scatter, NB deviance residuals) is written as RFC 4180 CSV;
+an NB fit's two residual CSVs share their means, so both are written in one
+pass that formats each block of means once.
 
 Exit codes: 0 success, 1 configuration or I/O errors, 2 statistical
 non-convergence (the report is still written, flagged).
@@ -39,19 +39,21 @@ non-convergence (the report is still written, flagged).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
 import math
-import numbers
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .data import _BLOCK_ROWS, DesignMatrix, EncodingConfig, encode, read_csv
+from .data import _BLOCK_ROWS, NONNEGATIVE_INTEGER, OBJECT, PATH, POSITIVE, POSITIVE_INTEGER, PROBABILITY
+from .data import STRING, ConfigDoc, DesignMatrix, EncodingConfig, encode, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
 from .exceptions import ConfigError, CountregError, DataError, SeparationError
 from .fit import FitOptions, _require_family, fit_family
@@ -79,22 +81,6 @@ def _load_json(path):
         raise ConfigError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-
-
-def _fit_options(doc: dict) -> FitOptions | None:
-    raw = doc.get("fit_options")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"'fit_options' must be an object, not {raw!r}")
-    allowed = {"max_iterations", "gradient_tolerance", "step_halving_limit", "hessian_step"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown fit options {sorted(unknown)}")
-    try:
-        return FitOptions(**{key: value for key, value in raw.items() if key != "hessian_step"})
-    except ValueError as exc:
-        raise ConfigError(f"fit option {exc}") from None
 
 
 def _coefficient_row(report) -> dict:
@@ -316,91 +302,88 @@ def _write_report(path, report):
         fh.write("\n")
 
 
-def _run_family(args, doc):
-    """The checked ``family`` of a fit or restrict run."""
-    family = doc.get("family", "NB")
-    _require_family(family)
-    return family
+# The kind of each fit option; a schema-1 "hessian_step" is accepted and ignored.
+_FIT_OPTIONS = {
+    "max_iterations": POSITIVE_INTEGER, "gradient_tolerance": POSITIVE, "step_halving_limit": POSITIVE_INTEGER
+}
 
 
-def _compare_families(args, doc):
-    """The checked families of a compare run, from ``--families`` or the config."""
-    if args.families:
+_Run = collections.namedtuple("_Run", "config data options family families level y_max")
+
+
+def _run_config(args):
+    """The checked run configuration of ``fit``, ``compare`` or ``restrict``,
+    read before the data; ``--data``, ``--families`` and ``--level`` override
+    the config's ``data``, ``families`` and ``level``."""
+    raw = _load_json(args.config)
+    config = EncodingConfig.from_dict(raw)
+    doc = ConfigDoc(raw)
+    family = doc.get("family", STRING, "NB")
+    families = doc.each("families", STRING, ())
+    if getattr(args, "families", None):
         families = [f.strip() for f in args.families.split(",") if f.strip()]
-    else:
-        families = list(doc.get("families", []))
-    if len(families) < 2:
-        raise ConfigError("compare needs at least two families")
-    for family in families:
-        _require_family(family)
-    return families
-
-
-def _restrict_run(args, doc):
-    """The checked family and significance level of a restrict run; ``--level``
-    overrides the config ``level``."""
-    family = _run_family(args, doc)
-    if args.level is not None:
+    for name in [family, *families]:
+        _require_family(name)
+    level = doc.get("level", PROBABILITY, 0.10)
+    if getattr(args, "level", None) is not None:
         if not 0.0 <= args.level <= 1.0:
             raise ConfigError(f"--level must be in [0, 1], not {args.level!r}")
-        return family, args.level
-    level = doc.get("level", 0.10)
-    if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0.0 <= level <= 1.0:
-        raise ConfigError(f"'level' must be a number in [0, 1], not {level!r}")
-    return family, float(level)
-
-
-def _prepare(args, run_of=_run_family):
-    """Load the run config, check the command's own keys (``run_of``), fit
-    options and ``y_max``, then read and encode the data; the raw columns
-    are not returned, so one encoded copy of the data outlives this call."""
-    doc = _load_json(args.config)
-    config = EncodingConfig.from_dict(doc)
-    family = run_of(args, doc)
-    options = _fit_options(doc)
-    y_max = doc.get("y_max")
-    if y_max is not None and (isinstance(y_max, bool) or not isinstance(y_max, int) or y_max < 0):
-        raise ConfigError(f"'y_max' must be a nonnegative integer, not {y_max!r}")
-    data_path = args.data or doc.get("data")
-    if not data_path:
+        level = args.level
+    options = doc.get("fit_options", OBJECT, None)
+    if options is not None:
+        unknown = set(options.value) - set(_FIT_OPTIONS) - {"hessian_step"}
+        if unknown:
+            raise ConfigError(f"'fit_options' has unknown keys {sorted(unknown)}")
+        options = FitOptions(**options.entries(_FIT_OPTIONS))
+    y_max = doc.get("y_max", NONNEGATIVE_INTEGER, None)
+    data = doc.get("data", PATH, None)
+    data = args.data or data
+    if not data:
         raise ConfigError("no data file given (use --data or the config 'data' field)")
-    dataset = read_csv(data_path, config)
-    X = encode(dataset, config, equation="mean")
+    return _Run(config, data, options, family, families, float(level), y_max)
+
+
+def _prepare(run):
+    """Read and encode the run's data; the raw columns are not returned, so
+    one encoded copy of the data outlives this call."""
+    dataset = read_csv(run.data, run.config)
+    X = encode(dataset, run.config, equation="mean")
     # The hurdle equation shares X unless hurdle_predictors narrows it.
-    if config.hurdle_specs() == config.predictors:
-        X_h = X
-    else:
-        X_h = encode(dataset, config, equation="hurdle")
-    if y_max is None:
-        y_max = min(int(dataset.y.max()), 200)
-    return config, data_path, dataset.y, X, X_h, options, family, y_max
+    shared = run.config.hurdle_specs() == run.config.predictors
+    X_h = X if shared else encode(dataset, run.config, equation="hurdle")
+    y_max = run.y_max if run.y_max is not None else min(int(dataset.y.max()), 200)
+    return dataset.y, X, X_h, y_max
 
 
 def cmd_fit(args) -> int:
-    _, data_path, y, X, X_h, options, family, y_max = _prepare(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model = fit_family(family, X.X, y, X_h.X, options, X.labels, X_h.labels)
-    report = _model_report(model, data_path)
+    run = _run_config(args)
+    y, X, X_h, y_max = _prepare(run)
+    model = fit_family(run.family, X.X, y, X_h.X, run.options, X.labels, X_h.labels)
+    report = _model_report(model, run.data)
     X_h_fit = X_h.X if model.family == "HNB" else None
     res, dev = _residuals(model, X.X, X_h_fit, y)
     report["residuals"] = _residual_section(res, dev)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "report.json", report)
     _write_plot_data(out_dir, model, X.X, X_h_fit, y, res, dev, y_max)
     return 0 if model.converged else 2
 
 
 def cmd_compare(args) -> int:
-    _, data_path, y, X, X_h, options, families, _ = _prepare(args, _compare_families)
+    run = _run_config(args)
+    if len(run.families) < 2:
+        raise ConfigError("compare needs at least two families")
+    y, X, X_h, _ = _prepare(run)
     models = [
-        fit_family(family, X.X, y, X_h.X, options, X.labels, X_h.labels)
-        for family in families
+        fit_family(family, X.X, y, X_h.X, run.options, X.labels, X_h.labels)
+        for family in run.families
     ]
     ranking = compare(models)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
-        "data": str(data_path),
+        "data": str(run.data),
         "n": X.n,
         "best": ranking[0].family,
         "ranking": [
@@ -432,33 +415,15 @@ def _write_dataset_csv(path, dataset, threads=None):
     _write_columns(path, header, columns, threads)
 
 
-def _replications(doc):
-    """The checked replication count of the design's ``recovery`` block; None
-    without one."""
-    recovery = doc.get("recovery")
-    if recovery is None:
-        return None
-    if not isinstance(recovery, dict):
-        raise ConfigError(f"'recovery' must be an object, not {recovery!r}")
-    replications = recovery.get("replications")
-    if isinstance(replications, bool) or not isinstance(replications, int) or replications < 1:
-        raise ConfigError(f"recovery 'replications' must be a positive integer, not {replications!r}")
-    return replications
-
-
 def cmd_simulate(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"--threads must be a positive integer, not {args.threads}")
-    doc = _load_json(args.config)
-    design = SimDesign.from_dict(doc)
-    replications = _replications(doc)
+    design = SimDesign.from_dict(_load_json(args.config))
     if args.seed is not None:
-        import dataclasses
-
         design = dataclasses.replace(design, seed=args.seed)
+    dataset, truth = generate(design)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset, truth = generate(design)
     _write_dataset_csv(out_dir / "dataset.csv", dataset, args.threads)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
@@ -478,8 +443,8 @@ def cmd_simulate(args) -> int:
         },
     }
     _write_report(out_dir / "truth.json", sidecar)
-    if replications is not None:
-        summary = recovery_study(design, replications, threads=args.threads)
+    if design.replications is not None:
+        summary = recovery_study(design, design.replications, threads=args.threads)
         summary_report = {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate/recovery",
@@ -538,40 +503,40 @@ def _narrowed(design, labels, specs):
 
 
 def cmd_restrict(args) -> int:
-    config, data_path, y, X, X_h, options, (family, level), _ = _prepare(args, _restrict_run)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    full_model = fit_family(family, X.X, y, X_h.X, options, X.labels, X_h.labels)
+    run = _run_config(args)
+    y, X, X_h, _ = _prepare(run)
+    full_model = fit_family(run.family, X.X, y, X_h.X, run.options, X.labels, X_h.labels)
     rows = {row.name: row for row in wald_table(full_model)}
 
-    kept_mean, dropped_mean = _prune(rows, full_model.mean_names, level)
+    kept_mean, dropped_mean = _prune(rows, full_model.mean_names, run.level)
     warnings = []
     if not kept_mean:
         warnings.append("all mean-equation covariates dropped; intercept-only")
-    Xr = Xr_h = _narrowed(X, kept_mean, config.predictors)
+    Xr = Xr_h = _narrowed(X, kept_mean, run.config.predictors)
 
     dropped_zero = []
-    if family == "HNB":
+    if run.family == "HNB":
         zero_rows = {name.removeprefix("zero:"): rows[name] for name in full_model.hurdle_names}
-        kept_zero, dropped_zero = _prune(zero_rows, list(zero_rows), level)
+        kept_zero, dropped_zero = _prune(zero_rows, list(zero_rows), run.level)
         if not kept_zero:
             warnings.append("all hurdle-equation covariates dropped; intercept-only")
         # Each equation keeps its own predictors: one may survive in the
         # hurdle equation only.
-        Xr_h = _narrowed(X_h, kept_zero, config.hurdle_specs())
+        Xr_h = _narrowed(X_h, kept_zero, run.config.hurdle_specs())
 
-    restricted = fit_family(family, Xr.X, y, Xr_h.X, options, Xr.labels, Xr_h.labels)
+    restricted = fit_family(run.family, Xr.X, y, Xr_h.X, run.options, Xr.labels, Xr_h.labels)
 
-    report = _model_report(restricted, data_path)
+    report = _model_report(restricted, run.data)
     report["command"] = "restrict"
-    report["level"] = level
+    report["level"] = run.level
     report["dropped"] = {"mean": dropped_mean, "zeros": dropped_zero}
     report["restriction_warnings"] = warnings
     report["residuals"] = _residual_section(
-        *_residuals(restricted, Xr.X, Xr_h.X if family == "HNB" else None, y)
+        *_residuals(restricted, Xr.X, Xr_h.X if run.family == "HNB" else None, y)
     )
-    full_report = _model_report(full_model, data_path)
+    full_report = _model_report(full_model, run.data)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "restricted_report.json", report)
     _write_report(out_dir / "full_report.json", full_report)
     return 0 if restricted.converged else 2

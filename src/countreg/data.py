@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -69,6 +70,65 @@ _LINE_ENDS = ("\n", "\r\n", "\r")
 # An undecodable byte b, read with errors="surrogateescape", is the lone
 # surrogate U+DC00 + b; valid UTF-8 never decodes to one.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
+_REQUIRED = object()
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a JSON number (not a bool) that is finite as a float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# (what, test) of each kind of value a JSON configuration document holds.
+STRING = ("a string", lambda v: isinstance(v, str))
+PATH = ("a file path", lambda v: isinstance(v, str) and "\0" not in v)
+NUMBER = ("a finite number", _finite)
+POSITIVE = ("a positive finite number", lambda v: _finite(v) and v > 0)
+NONNEGATIVE = ("a nonnegative finite number", lambda v: _finite(v) and v >= 0)
+PROBABILITY = ("a number in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1)
+POSITIVE_INTEGER = ("a positive integer", lambda v: type(v) is int and v >= 1)
+NONNEGATIVE_INTEGER = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
+LIST = ("a list", lambda v: isinstance(v, list))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+_TRANSFORM = ("a string or an object", lambda v: isinstance(v, (str, dict)))
+_OFFSET = ("'offset'", lambda v: v == "offset")
+
+
+class ConfigDoc:
+    """A JSON object or list of a configuration document at key path
+    ``path`` (such as ``covariates[2]``), read through typed getters.
+
+    A key that is missing, or null where the default is None, reads as the
+    default, and as None without one.  A value that is not of its kind
+    raises ``ConfigError("'<key path>' must be <what>, not <repr>")``.
+    """
+
+    def __init__(self, value, path=""):
+        self.value = value
+        self.path = path
+
+    def get(self, key, kind, default=_REQUIRED):
+        """The entry at ``key`` (an object key or a list index), checked as
+        ``kind``; an object or a list comes back as a ConfigDoc."""
+        missing = isinstance(key, str) and key not in self.value
+        value = None if missing else self.value[key]
+        if default is not _REQUIRED and (missing or (value is None and default is None)):
+            return default
+        path = f"{self.path}[{key}]" if isinstance(key, int) else f"{self.path}.{key}" if self.path else key
+        what, test = kind
+        if not test(value):
+            raise ConfigError(f"'{path}' must be {what}, not {value!r}")
+        return ConfigDoc(value, path) if isinstance(value, (dict, list)) else value
+
+    def each(self, key, kind, default=_REQUIRED):
+        """The entries of the list at ``key`` as a tuple, each checked as ``kind``."""
+        items = self.get(key, LIST, default)
+        return default if items is default else tuple(items.get(i, kind) for i in range(len(items.value)))
+
+    def entries(self, kinds) -> dict:
+        """The entries of this object that the dict ``kinds`` names, each
+        checked as its kind, or, given one kind, every entry checked as it."""
+        kinds = kinds if isinstance(kinds, dict) else dict.fromkeys(self.value, kinds)
+        return {key: self.get(key, kind) for key, kind in kinds.items() if key in self.value}
 
 
 @dataclass(frozen=True)
@@ -84,9 +144,7 @@ class PredictorSpec:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown predictor kind {self.kind!r} for {self.name!r}")
         if self.transform not in _TRANSFORMS:
-            raise ConfigError(
-                f"unknown transform {self.transform!r} for {self.name!r}"
-            )
+            raise ConfigError(f"unknown transform {self.transform!r} for {self.name!r}")
         if self.kind == "categorical" and self.base is None:
             raise ConfigError(f"categorical predictor {self.name!r} needs a base level")
         if self.kind != "numeric" and self.transform != "none":
@@ -102,7 +160,7 @@ class EncodingConfig:
     def __post_init__(self):
         names = [p.name for p in self.predictors]
         if len(set(names)) != len(names):
-            raise ConfigError("duplicate predictor names")
+            raise ConfigError(f"duplicate predictor names in {names}")
         if self.hurdle_predictors is not None:
             unknown = set(self.hurdle_predictors) - set(names)
             if unknown:
@@ -118,45 +176,28 @@ class EncodingConfig:
     def from_dict(cls, doc: dict) -> "EncodingConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"the configuration must be a JSON object, not {type(doc).__name__}")
-        try:
-            response = doc["response"]
-            raw_predictors = doc["predictors"]
-        except KeyError as exc:
-            raise ConfigError(f"encoding config is missing {exc.args[0]!r}") from None
-        if not isinstance(raw_predictors, list):
-            raise ConfigError(f"'predictors' must be a list, not {raw_predictors!r}")
-        hurdle = doc.get("hurdle_predictors")
-        if hurdle is not None and not isinstance(hurdle, list):
-            raise ConfigError(f"'hurdle_predictors' must be a list, not {hurdle!r}")
+        doc = ConfigDoc(doc)
+        response = doc.get("response", STRING)
         specs = []
-        for i, entry in enumerate(raw_predictors):
-            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-                raise ConfigError(f"predictors[{i}] must be an object with a string 'name', not {entry!r}")
-            transform = entry.get("transform", "none")
+        for entry in doc.each("predictors", OBJECT):
+            name = entry.get("name", STRING)
+            transform = entry.get("transform", _TRANSFORM, "none")
             origin = 0.0
-            if isinstance(transform, dict):
-                if transform.get("type") != "offset" or "origin" not in transform:
-                    raise ConfigError(f"bad transform spec for {entry.get('name')!r}")
-                origin = float(transform["origin"])
+            if isinstance(transform, ConfigDoc):
+                transform.get("type", _OFFSET)
+                origin = float(transform.get("origin", NUMBER))
                 transform = "offset"
-            levels = entry.get("levels")
-            if levels is not None and not isinstance(levels, list):
-                raise ConfigError(f"'levels' of {entry['name']!r} must be a list, not {levels!r}")
             specs.append(
                 PredictorSpec(
-                    name=entry["name"],
-                    kind=entry.get("kind", "numeric"),
+                    name=name,
+                    kind=entry.get("kind", STRING, "numeric"),
                     transform=transform,
                     origin=origin,
-                    base=entry.get("base"),
-                    levels=tuple(levels) if levels is not None else None,
+                    base=entry.get("base", STRING, None),
+                    levels=entry.each("levels", STRING, None),
                 )
             )
-        return cls(
-            response=response,
-            predictors=tuple(specs),
-            hurdle_predictors=tuple(hurdle) if hurdle is not None else None,
-        )
+        return cls(response, tuple(specs), doc.each("hurdle_predictors", STRING, None))
 
 
 @dataclass(frozen=True)
@@ -477,13 +518,7 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
             arrays = _read_fields(fh, path, config, rescan=True)
     y, *values = arrays
     columns = tuple(
-        Column(
-            name=spec.name,
-            kind=spec.kind,
-            values=arr,
-            transform=spec.transform,
-            origin=spec.origin,
-        )
+        Column(spec.name, spec.kind, arr, spec.transform, spec.origin)
         for spec, arr in zip(config.predictors, values)
     )
     return Dataset(y=y, columns=columns, response_name=config.response)
@@ -510,8 +545,10 @@ def encode_columns(columns, specs, n) -> DesignMatrix:
     by_name = {c.name: c for c in columns}
     blocks = [np.ones((n, 1))]
     labels = ["intercept"]
+    owners = {"intercept": "the intercept"}
     base_levels = {}
     for spec in specs:
+        start = len(labels)
         if spec.name not in by_name:
             raise ConfigError(f"predictor {spec.name!r} not present in the data")
         col = by_name[spec.name]
@@ -520,18 +557,12 @@ def encode_columns(columns, specs, n) -> DesignMatrix:
             levels = list(spec.levels) if spec.levels is not None else list(dict.fromkeys(values))
             present = set(values.tolist())
             if spec.base not in levels:
-                raise ConfigError(
-                    f"base level {spec.base!r} of {spec.name!r} is not a declared level"
-                )
+                raise ConfigError(f"base level {spec.base!r} of {spec.name!r} is not a declared level")
             if spec.base not in present:
-                raise ConfigError(
-                    f"base level {spec.base!r} of {spec.name!r} does not occur in the data"
-                )
+                raise ConfigError(f"base level {spec.base!r} of {spec.name!r} does not occur in the data")
             unseen = present - set(levels)
             if unseen:
-                raise ConfigError(
-                    f"values {sorted(unseen)} of {spec.name!r} are not declared levels"
-                )
+                raise ConfigError(f"values {sorted(unseen)} of {spec.name!r} are not declared levels")
             base_levels[spec.name] = spec.base
             for level in levels:
                 if level == spec.base:
@@ -547,16 +578,18 @@ def encode_columns(columns, specs, n) -> DesignMatrix:
         else:
             blocks.append(_encode_numeric(col.values, spec).reshape(-1, 1))
             labels.append(spec.name)
+        owner = f"predictor {spec.name!r}"
+        for label in labels[start:]:
+            if label in owners:
+                raise ConfigError(f"design column {label!r} is given by both {owners[label]} and {owner}")
+            owners[label] = owner
     X = np.hstack(blocks)
     return DesignMatrix(X=X, labels=tuple(labels), base_levels=base_levels)
 
 
 def encode(ds: Dataset, config: EncodingConfig, equation: str = "mean") -> DesignMatrix:
     """Assemble the design matrix for the mean or hurdle equation."""
-    if equation == "mean":
-        specs = config.predictors
-    elif equation == "hurdle":
-        specs = config.hurdle_specs()
-    else:
+    if equation not in ("mean", "hurdle"):
         raise ConfigError(f"unknown equation {equation!r}")
+    specs = config.predictors if equation == "mean" else config.hurdle_specs()
     return encode_columns(ds.columns, specs, ds.n)

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Column, Dataset, DesignMatrix, EncodingConfig, PredictorSpec, encode_columns
+from .data import NONNEGATIVE, NONNEGATIVE_INTEGER, NUMBER, OBJECT, POSITIVE, POSITIVE_INTEGER, PROBABILITY
+from .data import STRING, Column, ConfigDoc, Dataset, DesignMatrix, EncodingConfig, PredictorSpec, encode_columns
 from .distributions import _sample_hurdle, _sample_nb
 from .exceptions import ConfigError
 from .fit import _FAMILIES, FitOptions, fit_family
@@ -62,6 +63,9 @@ class CovariateSpec:
                 raise ConfigError(f"probabilities of {self.name!r} must sum to 1")
         elif self.kind not in ("normal", "uniform", "integer", "bernoulli", "poisson"):
             raise ConfigError(f"unknown covariate kind {self.kind!r}")
+        integral = float(self.low).is_integer() and float(self.high).is_integer()
+        if self.kind == "integer" and not (integral and -(2**63) <= self.low <= self.high < 2**63 - 1):
+            raise ConfigError(f"integer covariate {self.name!r} needs integral low <= high within int64")
 
     def draw(self, rng, n):
         if self.kind == "normal":
@@ -86,6 +90,11 @@ class CovariateSpec:
         return PredictorSpec(name=self.name, kind="numeric")
 
 
+_COVARIATE_NUMBERS = {
+    "mean": NUMBER, "sd": NONNEGATIVE, "low": NUMBER, "high": NUMBER, "p": PROBABILITY, "lam": NONNEGATIVE
+}
+
+
 @dataclass(frozen=True)
 class SimDesign:
     family: str
@@ -96,6 +105,8 @@ class SimDesign:
     r: float | None = None
     delta: dict | None = None
     response_name: str = "y"
+    # The recovery study a design document asks for; to_dict leaves it out.
+    replications: int | None = None
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -114,17 +125,8 @@ class SimDesign:
         )
 
     def truth_record(self) -> dict:
-        record = {
-            "family": self.family,
-            "n": self.n,
-            "seed": self.seed,
-            "beta": dict(self.beta),
-        }
-        if self.r is not None:
-            record["r"] = self.r
-        if self.delta is not None:
-            record["delta"] = dict(self.delta)
-        return record
+        """``to_dict`` without the response name and the covariates."""
+        return {key: value for key, value in self.to_dict().items() if key not in ("response", "covariates")}
 
     def to_dict(self) -> dict:
         doc = {
@@ -158,41 +160,32 @@ class SimDesign:
     def from_dict(cls, doc: dict) -> "SimDesign":
         if not isinstance(doc, dict):
             raise ConfigError(f"the simulation design must be a JSON object, not {type(doc).__name__}")
-        raw_covariates = doc.get("covariates", [])
-        if not isinstance(raw_covariates, list):
-            raise ConfigError(f"'covariates' must be a list, not {raw_covariates!r}")
-        for i, entry in enumerate(raw_covariates):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"covariates[{i}] must be an object, not {entry!r}")
-        try:
-            covariates = tuple(
-                CovariateSpec(
-                    name=c["name"],
-                    kind=c["kind"],
-                    mean=float(c.get("mean", 0.0)),
-                    sd=float(c.get("sd", 1.0)),
-                    low=float(c.get("low", 0.0)),
-                    high=float(c.get("high", 1.0)),
-                    p=float(c.get("p", 0.5)),
-                    lam=float(c.get("lam", 1.0)),
-                    levels=tuple(c.get("levels", ())),
-                    probs=tuple(c.get("probs", ())),
-                    base=c.get("base"),
-                )
-                for c in doc["covariates"]
+        doc = ConfigDoc(doc)
+        covariates = tuple(
+            CovariateSpec(
+                name=c.get("name", STRING),
+                kind=c.get("kind", STRING),
+                levels=c.each("levels", STRING, ()),
+                probs=c.each("probs", PROBABILITY, ()),
+                base=c.get("base", STRING, None),
+                **{key: float(value) for key, value in c.entries(_COVARIATE_NUMBERS).items()},
             )
-            return cls(
-                family=doc["family"],
-                n=int(doc["n"]),
-                covariates=covariates,
-                beta=dict(doc["beta"]),
-                seed=int(doc["seed"]),
-                r=float(doc["r"]) if "r" in doc else None,
-                delta=dict(doc["delta"]) if "delta" in doc else None,
-                response_name=doc.get("response", "y"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"simulation design is missing {exc.args[0]!r}") from None
+            for c in doc.each("covariates", OBJECT)
+        )
+        r = doc.get("r", POSITIVE, None)
+        delta = doc.get("delta", OBJECT, None)
+        recovery = doc.get("recovery", OBJECT, None)
+        return cls(
+            family=doc.get("family", STRING),
+            n=doc.get("n", POSITIVE_INTEGER),
+            covariates=covariates,
+            beta=doc.get("beta", OBJECT).entries(NUMBER),
+            seed=doc.get("seed", NONNEGATIVE_INTEGER),
+            r=None if r is None else float(r),
+            delta=None if delta is None else delta.entries(NUMBER),
+            response_name=doc.get("response", STRING, "y"),
+            replications=None if recovery is None else recovery.get("replications", POSITIVE_INTEGER),
+        )
 
 
 def _coefficients_for(design_matrix: DesignMatrix, named: dict, what: str) -> np.ndarray:
@@ -209,12 +202,21 @@ def _draw_response(design: SimDesign, rng, X: DesignMatrix):
     """Counts under the design's family; the hurdle equation shares ``X``."""
     beta = _coefficients_for(X, design.beta, "beta")
     theta = link_mean(X.X, beta)
-    if design.family == "P":
-        return rng.poisson(theta).astype(np.int64)
-    if design.family == "NB":
-        return _sample_nb(rng, theta, design.r)
-    delta = _coefficients_for(X, design.delta, "delta")
-    return _sample_hurdle(rng, theta, design.r, link_hurdle(X.X, delta))
+    if design.family == "HNB":
+        delta = _coefficients_for(X, design.delta, "delta")
+        # A positive row's count is drawn again until it is positive, about
+        # 1 / P(y > 0) times, so a row of a smaller chance would take too long.
+        chance = float(np.min(-np.expm1(-np.log1p(design.r * theta) / design.r)))
+        if chance < 1e-4:
+            raise ConfigError(f"beta and r give a row P(y > 0) = {chance:.3g}, too rare to draw (below 1e-4)")
+    try:
+        if design.family == "P":
+            return rng.poisson(theta).astype(np.int64)
+        if design.family == "NB":
+            return _sample_nb(rng, theta, design.r)
+        return _sample_hurdle(rng, theta, design.r, link_hurdle(X.X, delta))
+    except ValueError:  # numpy's Poisson sampler takes means below about 9.2e18
+        raise ConfigError("beta and r give counts too large to draw") from None
 
 
 def _draw(design: SimDesign, seed_sequence):
@@ -250,8 +252,8 @@ def _true_parameter_map(design: SimDesign) -> dict:
 def _run_replication(args):
     design, rep, options = args
     child = np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,))
-    dataset, X = _draw(design, child)
     try:
+        dataset, X = _draw(design, child)
         model = fit_family(design.family, X.X, dataset.y, options=options, labels=X.labels)
     except Exception as exc:  # noqa: BLE001 - failures are tallied, not fatal
         return rep, None, f"{type(exc).__name__}: {exc}"

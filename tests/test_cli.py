@@ -24,6 +24,10 @@ RUN_CONFIG = {
 }
 
 
+def offset_x1(origin):
+    return {"name": "x1", "kind": "numeric", "transform": {"type": "offset", "origin": origin}}
+
+
 def write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     return path
@@ -154,10 +158,25 @@ class TestFit:
         data.write_text("cites,x1\n" + "".join(f"0,{i / 10}\n" for i in range(40)), encoding="utf-8")
         run = {"family": "NB", "response": "cites", "predictors": [{"name": "x1"}]}
         config = write_json(tmp_path / "run.json", run)
-        code = main(["fit", "--data", str(data), "--config", str(config),
-                     "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "all zero" in capsys.readouterr().err
+        for command in ("fit", "restrict"):
+            out = tmp_path / command
+            code = main([command, "--data", str(data), "--config", str(config), "--out", str(out)])
+            assert code == 1
+            assert "all zero" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_two_predictors_giving_one_design_column_exit_1(self, tmp_path, capsys):
+        rows = "".join(f"{i % 4},{'ab'[i % 2]},{i / 7}\n" for i in range(60))
+        data = tmp_path / "d.csv"
+        data.write_text("cites,a,a=b\n" + rows, encoding="utf-8")
+        run = {"family": "P", "response": "cites",
+               "predictors": [{"name": "a", "kind": "categorical", "base": "a"}, {"name": "a=b"}]}
+        config = write_json(tmp_path / "run.json", run)
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        message = "design column 'a=b' is given by both predictor 'a' and predictor 'a=b'"
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
+        assert not out.exists()
 
     def test_non_finite_cell_exits_1_with_coordinates(self, tmp_path, capsys):
         data = make_csv(tmp_path / "d.csv", n=200)
@@ -218,24 +237,24 @@ class TestFit:
         "doc, message",
         [
             pytest.param({**RUN_CONFIG, "fit_options": {"gradient_tolerance": "5"}},
-                         "fit option gradient_tolerance must be a positive finite number, not '5'",
+                         "'fit_options.gradient_tolerance' must be a positive finite number, not '5'",
                          id="gradient_tolerance-numeric-string"),
             pytest.param({**RUN_CONFIG, "fit_options": {"gradient_tolerance": None}},
-                         "fit option gradient_tolerance must be a positive finite number, not None",
+                         "'fit_options.gradient_tolerance' must be a positive finite number, not None",
                          id="gradient_tolerance-null"),
             pytest.param({**RUN_CONFIG, "fit_options": {"gradient_tolerance": "x"}},
-                         "fit option gradient_tolerance must be a positive finite number, not 'x'",
+                         "'fit_options.gradient_tolerance' must be a positive finite number, not 'x'",
                          id="gradient_tolerance-text"),
             pytest.param({**RUN_CONFIG, "fit_options": {"max_iterations": 2.5}},
-                         "fit option max_iterations must be a positive integer, not 2.5",
+                         "'fit_options.max_iterations' must be a positive integer, not 2.5",
                          id="max_iterations-fraction"),
             pytest.param({**RUN_CONFIG, "predictors": 5}, "'predictors' must be a list, not 5",
                          id="predictors-number"),
             pytest.param({**RUN_CONFIG, "predictors": [{"kind": "numeric"}]},
-                         "predictors[0] must be an object with a string 'name', not {'kind': 'numeric'}",
+                         "'predictors[0].name' must be a string, not None",
                          id="predictor-without-name"),
             pytest.param({**RUN_CONFIG, "predictors": ["x1"]},
-                         "predictors[0] must be an object with a string 'name', not 'x1'",
+                         "'predictors[0]' must be an object, not 'x1'",
                          id="predictor-string"),
             pytest.param([RUN_CONFIG], "the configuration must be a JSON object, not list",
                          id="top-level-list"),
@@ -245,6 +264,24 @@ class TestFit:
                          id="y_max-minus-one"),
             pytest.param({**RUN_CONFIG, "y_max": 2.5}, "'y_max' must be a nonnegative integer, not 2.5",
                          id="y_max-fraction"),
+            pytest.param({**RUN_CONFIG, "families": 5}, "'families' must be a list, not 5",
+                         id="families-number"),
+            pytest.param({**RUN_CONFIG, "families": "P,NB"}, "'families' must be a list, not 'P,NB'",
+                         id="families-text"),
+            pytest.param({**RUN_CONFIG, "hurdle_predictors": [{"a": 1}]},
+                         "'hurdle_predictors[0]' must be a string, not {'a': 1}",
+                         id="hurdle_predictor-object"),
+            pytest.param({**RUN_CONFIG, "response": 5}, "'response' must be a string, not 5",
+                         id="response-number"),
+            pytest.param({**RUN_CONFIG, "predictors": [offset_x1(True)]},
+                         "'predictors[0].transform.origin' must be a finite number, not True",
+                         id="origin-bool"),
+            pytest.param({**RUN_CONFIG, "predictors": [offset_x1("z")]},
+                         "'predictors[0].transform.origin' must be a finite number, not 'z'",
+                         id="origin-text"),
+            pytest.param({**RUN_CONFIG, "predictors": [{**RUN_CONFIG["predictors"][0], "levels": [1, 2, 3]}]},
+                         "'predictors[0].levels[0]' must be a string, not 1",
+                         id="levels-integers"),
         ],
     )
     def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, doc, message):
@@ -327,8 +364,7 @@ class TestCompare:
         out = tmp_path / "o"
         code = main(["compare", "--data", str(data), "--config", str(config),
                      "--families", families, "--out", str(out)])
-        assert code == 1
-        assert message in capsys.readouterr().err
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
         assert not out.exists()
 
     def test_config_families_checked_before_reading_data(self, tmp_path, capsys):
@@ -358,6 +394,12 @@ SIM_DESIGN = {
     "covariates": [{"name": "x1", "kind": "normal", "mean": 0, "sd": 1}],
     "beta": {"intercept": 1.0, "x1": 0.3},
 }
+
+
+def grouped_design(levels=("a", "b")):
+    """SIM_DESIGN plus a categorical covariate g that beta does not cover."""
+    grouped = {"name": "g", "kind": "categorical", "levels": levels, "probs": [0.5, 0.5]}
+    return {**SIM_DESIGN, "covariates": SIM_DESIGN["covariates"] + [grouped]}
 
 
 class TestSimulate:
@@ -416,30 +458,53 @@ class TestSimulate:
             pytest.param([1], [], "the simulation design must be a JSON object, not list",
                          id="top-level-list"),
             pytest.param({**SIM_DESIGN, "covariates": [5]}, [],
-                         "covariates[0] must be an object, not 5", id="covariate-number"),
+                         "'covariates[0]' must be an object, not 5", id="covariate-number"),
             pytest.param({**SIM_DESIGN, "covariates": 5}, [],
                          "'covariates' must be a list, not 5", id="covariates-number"),
             pytest.param({**SIM_DESIGN, "recovery": [3]}, [],
                          "'recovery' must be an object, not [3]", id="recovery-list"),
             pytest.param({**SIM_DESIGN, "recovery": {"replications": None}}, [],
-                         "recovery 'replications' must be a positive integer, not None",
+                         "'recovery.replications' must be a positive integer, not None",
                          id="replications-null"),
             pytest.param({**SIM_DESIGN, "recovery": {"replications": 2.5}}, [],
-                         "recovery 'replications' must be a positive integer, not 2.5",
+                         "'recovery.replications' must be a positive integer, not 2.5",
                          id="replications-fraction"),
             pytest.param({**SIM_DESIGN, "recovery": {"replications": True}}, [],
-                         "recovery 'replications' must be a positive integer, not True",
+                         "'recovery.replications' must be a positive integer, not True",
                          id="replications-bool"),
             pytest.param({**SIM_DESIGN, "recovery": {"replications": 0}}, [],
-                         "recovery 'replications' must be a positive integer, not 0",
+                         "'recovery.replications' must be a positive integer, not 0",
                          id="replications-zero"),
             pytest.param({**SIM_DESIGN, "recovery": {}}, [],
-                         "recovery 'replications' must be a positive integer, not None",
+                         "'recovery.replications' must be a positive integer, not None",
                          id="replications-missing"),
             pytest.param({**SIM_DESIGN, "recovery": {"replications": 2}}, ["--threads", "0"],
                          "--threads must be a positive integer, not 0", id="threads-zero"),
             pytest.param({**SIM_DESIGN, "recovery": {"replications": 2}}, ["--threads", "-3"],
                          "--threads must be a positive integer, not -3", id="threads-negative"),
+            pytest.param({**SIM_DESIGN, "beta": 5}, [], "'beta' must be an object, not 5",
+                         id="beta-number"),
+            pytest.param({**SIM_DESIGN, "seed": None}, [],
+                         "'seed' must be a nonnegative integer, not None", id="seed-null"),
+            pytest.param({**SIM_DESIGN, "n": 2.5}, [], "'n' must be a positive integer, not 2.5",
+                         id="n-fraction"),
+            pytest.param({**SIM_DESIGN, "n": True}, [], "'n' must be a positive integer, not True",
+                         id="n-bool"),
+            pytest.param(grouped_design(levels="ab"), [],
+                         "'covariates[1].levels' must be a list, not 'ab'", id="levels-text"),
+            pytest.param({**SIM_DESIGN, "response": [1]}, [], "'response' must be a string, not [1]",
+                         id="response-list"),
+            pytest.param({**SIM_DESIGN, "r": math.nan}, [],
+                         "'r' must be a positive finite number, not nan", id="r-nan"),
+            pytest.param({**SIM_DESIGN, "r": "q"}, [],
+                         "'r' must be a positive finite number, not 'q'", id="r-text"),
+            pytest.param({**SIM_DESIGN, "covariates": [{**SIM_DESIGN["covariates"][0], "sd": "a"}]}, [],
+                         "'covariates[0].sd' must be a nonnegative finite number, not 'a'",
+                         id="sd-text"),
+            pytest.param({**SIM_DESIGN, "beta": {"intercept": 1.0, "x1": "x"}}, [],
+                         "'beta.x1' must be a finite number, not 'x'", id="beta-value-text"),
+            pytest.param(grouped_design(), [], "beta does not cover design columns ['g=b']",
+                         id="beta-misses-a-column"),
         ],
     )
     def test_malformed_design_exits_1_before_writing(self, tmp_path, capsys, doc, flags, message):

@@ -12,6 +12,7 @@ from countreg.data import (
     EncodingConfig,
     PredictorSpec,
     encode,
+    encode_columns,
     read_csv,
 )
 from countreg.exceptions import ConfigError, DataError
@@ -279,6 +280,16 @@ class TestEncode:
         )
         with pytest.raises(ConfigError, match="not declared"):
             encode(make_dataset(), config)
+
+    def test_two_predictors_giving_one_label_are_rejected(self):
+        columns = (
+            Column(name="a", kind="categorical", values=np.array(["a", "b", "a"], dtype=object)),
+            Column(name="a=b", kind="numeric", values=np.array([0.5, 1.5, 2.5])),
+        )
+        specs = (PredictorSpec(name="a", kind="categorical", base="a"), PredictorSpec(name="a=b"))
+        message = "design column 'a=b' is given by both predictor 'a' and predictor 'a=b'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            encode_columns(columns, specs, 3)
 
     def test_levels_default_to_appearance_order(self):
         config = EncodingConfig(

@@ -179,6 +179,15 @@ class TestRecoveryStudy:
         digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
         assert digest == "1a36504b70d89ce0a7cf06be8e2e55a2b98f9d282032719fcf4f76134963da2e"
 
+    def test_a_replication_that_cannot_be_drawn_is_tallied(self):
+        # With n = 20, about a third of the draws miss the base level "a".
+        rare = CovariateSpec(name="g", kind="categorical", levels=("a", "b"), probs=(0.05, 0.95), base="a")
+        design = SimDesign(family="P", n=20, covariates=(rare,), beta={"intercept": 1.0, "g=b": 0.2}, seed=4)
+        summary = recovery_study(design, replications=6)
+        errors = [failure["error"] for failure in summary["failures"]]
+        assert errors and summary["completed"] == 6 - len(errors)
+        assert set(errors) == {"ConfigError: base level 'a' of 'g' does not occur in the data"}
+
     def test_single_replication_verbatim(self):
         summary = recovery_study(nb_design(n=1500, seed=3), replications=1)
         assert summary["replications"] == 1
