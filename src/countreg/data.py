@@ -24,10 +24,12 @@ The encoding configuration is a declarative JSON document::
 
 ``hurdle_predictors`` lists which predictors enter the hurdle equation;
 omitted, the hurdle equation uses the same predictors as the mean equation.
-Empty, unparsable and non-finite (``nan``, ``inf``) cells are rejected with
-their coordinates, and a record that ``csv`` cannot read or that holds bytes
-that are not UTF-8 with its row; a log transform requires strictly positive
-values.
+``read_csv``'s exact reader reads the data records in blocks: it accepts each
+block's columns (``_accepted``), else reports its first bad record
+(``_row_problem``).  Empty, unparsable and non-finite (``nan``, ``inf``) cells
+are rejected with their coordinates, and a record that ``csv`` cannot read or
+that holds bytes that are not UTF-8 with its row; a log transform requires
+strictly positive values.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ _COUNT_LIMIT = 2.0**63
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
 _LINE_ENDS = ("\n", "\r\n", "\r")
 # An undecodable byte b, read with errors="surrogateescape", is the lone
-# surrogate U+DC00 + b; valid UTF-8 never decodes to one.
+# surrogate U+DC00 + b; UTF-8 never decodes to one nor encodes any.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _REQUIRED = object()
 
 
@@ -117,6 +120,8 @@ class ConfigDoc:
         what, test = kind
         if not test(value):
             raise ConfigError(f"'{path}' must be {what}, not {value!r}")
+        if kind is STRING and _SURROGATE.search(value):
+            raise ConfigError(f"'{path}' must be a string that UTF-8 can encode, not {value!r}")
         return ConfigDoc(value, path) if isinstance(value, (dict, list)) else value
 
     def each(self, key, kind, default=_REQUIRED):
@@ -267,13 +272,26 @@ def _bad_values(values, kind):
     return ~np.isfinite(values)
 
 
+def _accepted(values, kind):
+    """The array of a parsed column whose every cell passes its check, or None."""
+    if kind == "categorical":
+        return values if all(map(str.strip, values)) else None
+    if _bad_values(values, kind).any():
+        return None
+    return values.astype(np.int64) if kind == "count" else values
+
+
 def _cell_problem(raw, kind):
-    """Error message for one cell that failed its column's check."""
+    """Error message for one non-empty cell, or None if it passes its column's check."""
+    if kind == "categorical":
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        return f"unparsable {'count' if kind == 'count' else 'numeric value'} {raw!r}"
+    if not _bad_values(np.float64(value), kind):
+        return None
     if kind == "count":
-        try:
-            value = float(raw)
-        except ValueError:
-            return f"unparsable count {raw!r}"
         if not math.isfinite(value):
             problem = "non-finite"
         elif value < 0.0:
@@ -283,10 +301,6 @@ def _cell_problem(raw, kind):
         else:
             return f"count too large {raw!r}"
         return f"{problem} count {raw!r}"
-    try:
-        value = float(raw)
-    except ValueError:
-        return f"unparsable numeric value {raw!r}"
     if not math.isfinite(value):
         return f"non-finite numeric value {value}"
     if kind == "binary":
@@ -294,91 +308,78 @@ def _cell_problem(raw, kind):
     return f"log transform requires positive values, got {raw!r}"
 
 
-def _parses(cell):
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+def _row_problem(record, width, fields):
+    """(message, column) of the first check that ``record`` fails, or None.
+
+    The checks run in this order: a record that could not be read (its
+    problem text, see ``_records``), the field count, empty cells in field
+    order, then each field's own check in field order.
+    """
+    if isinstance(record, str):
+        return record, None
+    if len(record) != width:
+        return "wrong field count", None
+    for position, name, _ in fields:
+        if not record[position].strip():
+            return "empty cell", name
+    for position, name, kind in fields:
+        problem = _cell_problem(record[position], kind)
+        if problem:
+            return problem, name
+    return None
 
 
-def _scan_column(cells, kind):
-    """(values, offset of the first bad cell or None) of one block column."""
+def _block_column(cells, kind):
+    """One block column, numbers parsed as ``float()`` parses them, if accepted; else None."""
     if kind == "categorical":
-        if all(map(str.strip, cells)):
-            return np.array(cells, dtype=object), None
-        return None, next(i for i, cell in enumerate(cells) if not cell.strip())
+        return _accepted(np.array(cells, dtype=object), kind)
     try:
         values = np.fromiter(map(float, cells), float, len(cells))
-        parsed = len(cells)
     except ValueError:
-        parsed = next(i for i, cell in enumerate(cells) if not _parses(cell))
-        values = np.fromiter(map(float, cells[:parsed]), float, parsed)
-    bad = np.flatnonzero(_bad_values(values, kind))
-    first = int(bad[0]) if bad.size else parsed
-    if first < len(cells):
-        return None, first
-    return (values.astype(np.int64) if kind == "count" else values), None
+        return None
+    return _accepted(values, kind)
 
 
 def _read_block(rows, first_row, width, fields):
-    """Parse one block of rows into one array per (position, name, kind) field.
+    """Parse one block of records into one array per (position, name, kind) field.
 
-    Raises the DataError of the block's first bad row.  Within a row the
-    field count comes first, then empty cells in field order, then each
-    field's own check in field order.
+    Accepts the block's columns whole (``_accepted``), else raises the
+    DataError of the block's first bad record (``_row_problem``).
     """
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    wrong = np.flatnonzero(lengths != width)
-    good = int(wrong[0]) if wrong.size else len(rows)
-    if good == 0:
-        raise DataError("wrong field count", row=first_row, column=None)
-    table = list(zip(*rows[:good]))
-    arrays = []
-    errors = []
-    for rank, (position, name, kind) in enumerate(fields):
-        cells = table[position]
-        values, bad = _scan_column(cells, kind)
-        if bad is None:
-            arrays.append(values)
-        elif not cells[bad].strip():
-            errors.append((bad, rank, "empty cell", name))
-        else:
-            errors.append((bad, len(fields) + rank, _cell_problem(cells[bad], kind), name))
-    if errors:
-        offset, _, message, name = min(errors)
-        raise DataError(message, row=first_row + offset, column=name)
-    if wrong.size:
-        raise DataError("wrong field count", row=first_row + good, column=None)
-    return arrays
+    # An unreadable record can only be the last one: ``_records`` ends there.
+    if not isinstance(rows[-1], str) and set(map(len, rows)) == {width}:
+        table = list(zip(*rows))
+        arrays = [_block_column(table[position], kind) for position, _, kind in fields]
+        if all(values is not None for values in arrays):
+            return arrays
+    for offset, record in enumerate(rows):
+        problem = _row_problem(record, width, fields)
+        if problem:
+            raise DataError(problem[0], row=first_row + offset, column=problem[1])
 
 
-def _readable(reader, stop, rescan):
-    """The records of ``reader`` up to the first one that csv.reader cannot
-    read (a field over ``csv.field_size_limit()``) or, on a ``rescan``, that
-    holds an undecodable byte; that record's problem is appended to ``stop``."""
+def _records(reader, rescan):
+    """The records of ``reader``, ending with the problem text of the first
+    one that csv.reader cannot read (a field over ``csv.field_size_limit()``)
+    or, on a ``rescan``, that holds an undecodable byte, in its place."""
     try:
         for record in reader:
             bad = _UNDECODABLE.search("".join(record)) if rescan else None
             if bad:
-                stop.append(f"undecodable byte 0x{ord(bad.group()) - 0xDC00:02x}")
+                yield f"undecodable byte 0x{ord(bad.group()) - 0xDC00:02x}"
                 return
             yield record
     except csv.Error as exc:
-        stop.append(str(exc))
+        yield str(exc)
 
 
-def _read_blocks(records, width, fields, path, stop):
-    """Parse ``records`` (see ``_readable``) block by block (see
-    ``_read_block``); a record that stopped them is reported after the rows
-    before it are checked."""
+def _read_blocks(records, width, fields, path):
+    """Parse ``records`` (see ``_records``) block by block (see ``_read_block``)."""
     blocks = []
     n = 0
     while rows := list(islice(records, _BLOCK_ROWS)):
         blocks.append(_read_block(rows, n + 1, width, fields))
         n += len(rows)
-    if stop:
-        raise DataError(stop[0], row=n + 1)
     if not blocks:
         raise DataError(f"no data rows in {path}")
     return [np.concatenate(parts) for parts in zip(*blocks)]
@@ -447,23 +448,21 @@ def _loadtxt_fields(path, lines, width, fields):
         return None
     arrays = []
     for position, _, kind in fields:
-        values = table[f"f{position}"]
-        if kind == "categorical":
-            if not all(map(str.strip, values)):
-                return None
-        elif _bad_values(values, kind).any():
+        values = _accepted(table[f"f{position}"], kind)
+        if values is None:
             return None
-        arrays.append(values.astype(np.int64) if kind == "count" else values.copy())
+        arrays.append(values if kind == "count" else values.copy())
     return arrays
 
 
 def _read_fields(fh, path, config, rescan):
     """The arrays of the response and the predictors read from ``fh``; the
     fast path is tried unless ``rescan``."""
-    stop = []
-    header = next(_readable(csv.reader(fh), stop, rescan), None)
+    header = next(_records(csv.reader(fh), rescan), None)
     if header is None:
-        raise DataError(f"{stop[0]} in the header of {path}" if stop else f"empty file: {path}")
+        raise DataError(f"empty file: {path}")
+    if isinstance(header, str):
+        raise DataError(f"{header} in the header of {path}")
     index = {name: i for i, name in enumerate(header)}
     # (column, check): the response is a count, a log-transformed numeric
     # column must also be positive.
@@ -476,9 +475,9 @@ def _read_fields(fh, path, config, rescan):
     arrays = None if rescan else _loadtxt_fields(path, fh, len(header), fields)
     if arrays is None:
         fh.seek(0)
-        records = _readable(csv.reader(fh), stop, rescan)
+        records = _records(csv.reader(fh), rescan)
         next(records)
-        arrays = _read_blocks(records, len(header), fields, path, stop)
+        arrays = _read_blocks(records, len(header), fields, path)
     return arrays
 
 
@@ -494,21 +493,21 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
     ``float()`` does wherever both accept a cell, and rejects ``1_000`` and
     non-ASCII digits, which ``float()`` accepts.
 
-    The exact reader parses rows in blocks of ``_BLOCK_ROWS``: each block is
-    transposed once, each needed column is parsed with ``float`` in one pass
-    and checked with one vectorized mask, and the blocks are concatenated.
-    Every error about a data record comes from it.  Every declared column
-    must exist.  The reported error is the first bad data row in file order
-    (1-based); within a row the checks run as: field count; empty cells
-    (response first, then predictors in config order); the response count
-    (unparsable, non-finite, negative, non-integer, too large for int64);
-    then each predictor in config order (unparsable, non-finite, binary
-    value outside {0, 1}, log-transformed value <= 0).  A record that
-    csv.reader cannot read (a field longer than ``csv.field_size_limit()``)
-    or that holds bytes that are not UTF-8 is reported by its row before any
-    other check of it.  Undecodable bytes are located by reading the file
-    once more with each such byte kept as a lone surrogate; that rescan runs
-    only after a decoding error.
+    The exact reader reads the records in blocks of ``_BLOCK_ROWS``.  It
+    accepts each block's columns (``_accepted``), each needed column parsed
+    with ``float`` in one pass and checked with one vectorized mask, else
+    reports its first bad record (``_row_problem``); the blocks are
+    concatenated.  Every error about a data record comes from it and names
+    the first bad data row in file order (1-based).  Every declared column
+    must exist.  Within a record the checks run as: a record that csv.reader
+    cannot read (a field longer than ``csv.field_size_limit()``) or that
+    holds bytes that are not UTF-8; the field count; empty cells (response
+    first, then predictors in config order); the response count (unparsable,
+    non-finite, negative, non-integer, too large for int64); then each
+    predictor in config order (unparsable, non-finite, binary value outside
+    {0, 1}, log-transformed value <= 0).  Undecodable bytes are located by
+    reading the file once more with each such byte kept as a lone surrogate;
+    that rescan runs only after a decoding error.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:

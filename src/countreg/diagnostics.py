@@ -168,11 +168,14 @@ def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
 
     The fitted entry for value v is the sum over rows of P(Y=v | x_i); the
     final entry collects everything above y_max, so the fitted column sums
-    to n up to truncation error.  Intercept-only models may omit ``X``.
+    to n up to truncation error.  A model with only an intercept in its mean
+    (hurdle) equation may omit ``X`` (``X_h``).
     """
     y = np.asarray(y)
     n = y.shape[0]
     if X is None:
+        if model.k_mean > 1:
+            raise ValueError("frequency tables of a model with mean covariates need X")
         X = np.ones((n, model.k_mean))
     X, y = _check_design(model, X, y)
     beta, r = _mean_params(model)
@@ -180,6 +183,8 @@ def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
     phi = None
     if model.family == "HNB":
         if X_h is None:
+            if model.k_hurdle > 1:
+                raise ValueError("frequency tables of an HNB model with hurdle covariates need X_h")
             X_h = np.ones((n, model.k_hurdle))
         delta = np.array([model.estimates[name] for name in model.hurdle_names])
         phi = link_hurdle(np.asarray(X_h, dtype=float), delta)

@@ -38,6 +38,9 @@ from .likelihood import link_hurdle, link_mean
 
 __all__ = ["CovariateSpec", "SimDesign", "generate", "recovery_study", "citation_scale_design"]
 
+# The largest lam numpy's Generator.poisson draws from (numpy's POISSON_LAM_MAX).
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
 
 @dataclass(frozen=True)
 class CovariateSpec:
@@ -66,6 +69,10 @@ class CovariateSpec:
         integral = float(self.low).is_integer() and float(self.high).is_integer()
         if self.kind == "integer" and not (integral and -(2**63) <= self.low <= self.high < 2**63 - 1):
             raise ConfigError(f"integer covariate {self.name!r} needs integral low <= high within int64")
+        if self.kind == "uniform" and not math.isfinite(self.high - self.low):
+            raise ConfigError(f"uniform covariate {self.name!r} needs a finite high - low")
+        if self.kind == "poisson" and not 0.0 <= self.lam <= _POISSON_LAM_MAX:
+            raise ConfigError(f"poisson covariate {self.name!r} needs lam in [0, {_POISSON_LAM_MAX:.4g}]")
 
     def draw(self, rng, n):
         if self.kind == "normal":

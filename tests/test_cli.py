@@ -128,6 +128,12 @@ class TestFit:
         assert code == 1
         assert "absent" in capsys.readouterr().err
 
+    def test_config_data_path_utf8_cannot_encode_is_read(self, tmp_path):
+        # A POSIX file name is bytes; a lone surrogate spells an undecodable one.
+        data = make_csv(tmp_path / os.fsdecode(b"d\x80.csv"), n=1500)
+        config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "data": str(data)})
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
     def test_missing_data_flag_exits_1(self, tmp_path, capsys):
         config = write_json(tmp_path / "run.json", RUN_CONFIG)
         code = main(["fit", "--config", str(config), "--out", str(tmp_path / "o")])
@@ -282,6 +288,9 @@ class TestFit:
             pytest.param({**RUN_CONFIG, "predictors": [{**RUN_CONFIG["predictors"][0], "levels": [1, 2, 3]}]},
                          "'predictors[0].levels[0]' must be a string, not 1",
                          id="levels-integers"),
+            pytest.param({**RUN_CONFIG, "response": "cites\udc80"},
+                         "'response' must be a string that UTF-8 can encode, not 'cites\\udc80'",
+                         id="response-lone-surrogate"),
         ],
     )
     def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, doc, message):
@@ -494,6 +503,14 @@ class TestSimulate:
                          "'covariates[1].levels' must be a list, not 'ab'", id="levels-text"),
             pytest.param({**SIM_DESIGN, "response": [1]}, [], "'response' must be a string, not [1]",
                          id="response-list"),
+            pytest.param({**SIM_DESIGN, "response": "y\udc80"}, [],
+                         "'response' must be a string that UTF-8 can encode, not 'y\\udc80'",
+                         id="response-lone-surrogate"),
+            pytest.param({**SIM_DESIGN, "covariates": [{"name": "x1", "kind": "uniform",
+                                                        "low": -1e308, "high": 1e308}]}, [],
+                         "uniform covariate 'x1' needs a finite high - low", id="uniform-range-overflows"),
+            pytest.param({**SIM_DESIGN, "covariates": [{"name": "x1", "kind": "poisson", "lam": 1e19}]}, [],
+                         "poisson covariate 'x1' needs lam in [0, 9.223e+18]", id="poisson-lam-too-large"),
             pytest.param({**SIM_DESIGN, "r": math.nan}, [],
                          "'r' must be a positive finite number, not nan", id="r-nan"),
             pytest.param({**SIM_DESIGN, "r": "q"}, [],

@@ -494,6 +494,41 @@ class TestLoadtxtFastPath:
         assert not _read(tmp_path, monkeypatch, content)
 
 
+def _exact_outcome(path, block_rows):
+    """read_csv's exact reader (the fast path declines) in blocks of ``block_rows``."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(data_module, "_BLOCK_ROWS", block_rows)
+        patched.setattr(data_module, "_loadtxt_fields", lambda *args: None)
+        return _outcome(read_csv, path)
+
+
+class TestBlockSizeDoesNotMatter:
+    """Accepting a block's columns or explaining its first bad record gives
+    the same Dataset or the same error wherever the blocks split."""
+
+    def check(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _exact_outcome(path, 1024)
+        for block_rows in (1, 2, 3):
+            got = _exact_outcome(path, block_rows)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert not isinstance(got, tuple), got
+                assert_same_dataset(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(csv_texts())
+    def test_csv_texts(self, tmp_path_factory, text):
+        self.check(tmp_path_factory, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(odd_csv_texts())
+    def test_odd_csv_texts(self, tmp_path_factory, text):
+        self.check(tmp_path_factory, text)
+
+
 def oracle_write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -198,3 +198,24 @@ class TestFrequencyTable:
         assert empirical.sum() == n
         assert fitted.sum() == pytest.approx(float(n), abs=1e-8)
         assert np.all(fitted[:-1] >= 0.0)
+
+    def test_omitted_design_of_an_equation_with_covariates_is_refused(self):
+        rng = np.random.default_rng(15)
+        n = 3000
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        theta = link_mean(X, np.array([1.0, 0.4, -0.3]))
+        phi = link_hurdle(X, np.array([-1.0, 0.8, 0.5]))
+        positive = rng.poisson(rng.gamma(1 / 0.5, 0.5 * theta))
+        y = np.where(rng.random(n) < phi, 0, np.maximum(positive, 1))
+        nb = fit_nb(X, y)
+        with pytest.raises(ValueError, match="need X$"):
+            frequency_table(y, nb, y_max=10)
+        hnb = fit_hnb(X, X, y)
+        with pytest.raises(ValueError, match="need X_h"):
+            frequency_table(y, hnb, y_max=10, X=X)
+        # An intercept-only hurdle equation may still omit X_h.
+        ones = np.ones((n, 1))
+        hnb = fit_hnb(X, ones, y)
+        _, omitted = frequency_table(y, hnb, y_max=10, X=X)
+        _, given = frequency_table(y, hnb, y_max=10, X=X, X_h=ones)
+        np.testing.assert_array_equal(omitted, given)
