@@ -360,13 +360,12 @@ def cmd_fit(args) -> int:
     y, X, X_h, y_max = _prepare(run)
     model = fit_family(run.family, X.X, y, X_h.X, run.options, X.labels, X_h.labels)
     report = _model_report(model, run.data)
-    X_h_fit = X_h.X if model.family == "HNB" else None
-    res, dev = _residuals(model, X.X, X_h_fit, y)
+    res, dev = _residuals(model, X.X, X_h.X, y)
     report["residuals"] = _residual_section(res, dev)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "report.json", report)
-    _write_plot_data(out_dir, model, X.X, X_h_fit, y, res, dev, y_max)
+    _write_plot_data(out_dir, model, X.X, X_h.X, y, res, dev, y_max)
     return 0 if model.converged else 2
 
 
@@ -418,6 +417,8 @@ def _write_dataset_csv(path, dataset, threads=None):
 def cmd_simulate(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"--threads must be a positive integer, not {args.threads}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, not {args.seed}")
     design = SimDesign.from_dict(_load_json(args.config))
     if args.seed is not None:
         design = dataclasses.replace(design, seed=args.seed)
@@ -531,9 +532,7 @@ def cmd_restrict(args) -> int:
     report["level"] = run.level
     report["dropped"] = {"mean": dropped_mean, "zeros": dropped_zero}
     report["restriction_warnings"] = warnings
-    report["residuals"] = _residual_section(
-        *_residuals(restricted, Xr.X, Xr_h.X if run.family == "HNB" else None, y)
-    )
+    report["residuals"] = _residual_section(*_residuals(restricted, Xr.X, Xr_h.X, y))
     full_report = _model_report(full_model, run.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

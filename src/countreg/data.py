@@ -45,6 +45,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from .distributions import _bad_counts
 from .exceptions import ConfigError, DataError
 
 __all__ = [
@@ -63,8 +64,6 @@ _TRANSFORMS = ("none", "log", "offset")
 # 1,024 rows read in 0.55 s, 256 in 0.59 s, 4,096 in 0.65 s and 16,384 in
 # 0.77 s.  Only one block's cell strings are alive at a time.
 _BLOCK_ROWS = 1024
-# Counts are stored as int64.
-_COUNT_LIMIT = 2.0**63
 # Bytes that loadtxt strips from a number as whitespace and float() rejects:
 # a file holding any of them is left to the exact reader.
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
@@ -227,8 +226,8 @@ class Dataset:
     def __post_init__(self):
         if self.y.ndim != 1:
             raise DataError("response must be one-dimensional")
-        if np.any(self.y < 0):
-            raise DataError("response counts must be nonnegative")
+        if np.any(_bad_counts(self.y)):
+            raise DataError("response counts must be nonnegative integers")
         for col in self.columns:
             if len(col.values) != self.n:
                 raise DataError(f"column {col.name!r} length differs from response")
@@ -264,7 +263,7 @@ class DesignMatrix:
 def _bad_values(values, kind):
     """Mask of parsed cells that fail the column's value check."""
     if kind == "count":
-        return ~((values >= 0.0) & (values < _COUNT_LIMIT) & (np.floor(values) == values))
+        return _bad_counts(values)
     if kind == "binary":
         return (values != 0.0) & (values != 1.0)
     if kind == "log":

@@ -9,10 +9,11 @@ saturated-minus-fitted log-likelihood gap; both the signed sum (D) and the
 conventional sum of squares are reported, each divided by the degrees of
 freedom, because both conventions circulate.
 
-Hurdle-model means and variances come from the closed-form moments in
-:mod:`countreg.distributions`, evaluated for all rows at once; they are
-tested against truncated summation of the pmf, and the printed bracket form
-of the variance is never used.
+All three evaluate the model through one step, ``_rows``: it checks the
+designs and the response counts against the fitted model and evaluates the
+links.  Hurdle means and variances come from the closed-form moments in
+:mod:`countreg.distributions` for all rows at once, tested against truncated
+summation of the pmf; the printed bracket form of the variance is never used.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _hnb_moments
+from .distributions import _hnb_moments, _validate_counts
 from .fit import FittedModel
 from .likelihood import link_hurdle, link_mean
 
@@ -40,42 +41,50 @@ class ResidualSet:
     df: int
 
 
-def _mean_params(model: FittedModel):
-    beta = model.params_unconstrained[: model.k_mean]
-    r = model.estimates.get("r")
-    return beta, r
+def _rows(model: FittedModel, X, y, X_h, omitted, ones=False):
+    """(y, theta, r, phi) of ``model`` on the given rows; phi is None unless HNB.
 
+    The one check, in order: ``X`` against (n, k_mean), ``y``'s length, its
+    counts, then, for HNB only, ``X_h`` against (n, k_hurdle).  A None design
+    named in ``omitted`` is refused with its message, or, if ``ones`` is set
+    and its equation has one column, is a column of ones."""
 
-def _check_design(model: FittedModel, X, y):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+    def design(given, name, k):
+        if given is None and name in omitted:
+            if not (ones and k == 1):
+                raise ValueError(omitted[name])
+            return np.ones((model.n, k))
+        return np.asarray(given, dtype=float)
+
+    X = design(X, "X", model.k_mean)
     if X.ndim != 2 or X.shape != (model.n, model.k_mean):
         raise ValueError(
             f"design shape {X.shape} does not match the fitted model "
             f"({model.n} x {model.k_mean})"
         )
-    if y.shape != (model.n,):
+    if np.shape(y) != (model.n,):
         raise ValueError("response length does not match the fitted model")
-    return X, y.astype(float)
+    y = _validate_counts(y)
+    theta = link_mean(X, model.params_unconstrained[: model.k_mean])
+    phi = None
+    if model.family == "HNB":
+        X_h = design(X_h, "X_h", model.k_hurdle)
+        if X_h.shape != (model.n, model.k_hurdle):
+            raise ValueError("hurdle design shape does not match the fitted model")
+        delta = np.array([model.estimates[name] for name in model.hurdle_names])
+        phi = link_hurdle(X_h, delta)
+    return y, theta, model.estimates.get("r"), phi
 
 
 def pearson(model: FittedModel, X, y, X_h=None) -> ResidualSet:
     """Pearson residuals and the PS statistic under the fitted model."""
-    X, y = _check_design(model, X, y)
-    beta, r = _mean_params(model)
-    theta = link_mean(X, beta)
+    y, theta, r, phi = _rows(model, X, y, X_h, {"X_h": "HNB residuals need the hurdle design matrix"})
     if model.family == "P":
         mu, sigma2 = theta, theta.copy()
     elif model.family == "NB":
         mu, sigma2 = theta, theta + r * theta**2
     elif model.family == "HNB":
-        if X_h is None:
-            raise ValueError("HNB residuals need the hurdle design matrix")
-        X_h = np.asarray(X_h, dtype=float)
-        if X_h.shape != (model.n, model.k_hurdle):
-            raise ValueError("hurdle design shape does not match the fitted model")
-        delta = np.array([model.estimates[name] for name in model.hurdle_names])
-        mu, sigma2 = _hnb_moments(theta, r, link_hurdle(X_h, delta))
+        mu, sigma2 = _hnb_moments(theta, r, phi)
     else:
         raise ValueError(f"unsupported family {model.family!r}")
     residuals = (y - mu) / np.sqrt(sigma2)
@@ -101,9 +110,7 @@ def deviance_residuals(model: FittedModel, X, y) -> ResidualSet:
     """
     if model.family != "NB":
         raise ValueError("deviance residuals are defined for the NB family only")
-    X, y = _check_design(model, X, y)
-    beta, r = _mean_params(model)
-    theta = link_mean(X, beta)
+    y, theta, r, _ = _rows(model, X, y, None, {})
     a = 1.0 / r
     d2 = np.empty(model.n)
     zero = y == 0
@@ -171,29 +178,14 @@ def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
     to n up to truncation error.  A model with only an intercept in its mean
     (hurdle) equation may omit ``X`` (``X_h``).
     """
-    y = np.asarray(y)
-    n = y.shape[0]
-    if X is None:
-        if model.k_mean > 1:
-            raise ValueError("frequency tables of a model with mean covariates need X")
-        X = np.ones((n, model.k_mean))
-    X, y = _check_design(model, X, y)
-    beta, r = _mean_params(model)
-    theta = link_mean(X, beta)
-    phi = None
-    if model.family == "HNB":
-        if X_h is None:
-            if model.k_hurdle > 1:
-                raise ValueError("frequency tables of an HNB model with hurdle covariates need X_h")
-            X_h = np.ones((n, model.k_hurdle))
-        delta = np.array([model.estimates[name] for name in model.hurdle_names])
-        phi = link_hurdle(np.asarray(X_h, dtype=float), delta)
-    empirical = np.zeros(y_max + 2, dtype=np.int64)
+    omitted = {
+        "X": "frequency tables of a model with mean covariates need X",
+        "X_h": "frequency tables of an HNB model with hurdle covariates need X_h",
+    }
+    y, theta, r, phi = _rows(model, X, y, X_h, omitted, ones=True)
+    empirical = np.bincount(np.minimum(y, y_max + 1), minlength=y_max + 2)
     fitted = np.zeros(y_max + 2)
-    counts = np.bincount(y.astype(np.int64), minlength=y_max + 1)
-    empirical[: y_max + 1] = counts[: y_max + 1]
-    empirical[y_max + 1] = int(np.sum(y > y_max))
     for value, pmf in enumerate(_pmf_columns(model, theta, phi, r, y_max)):
         fitted[value] = float(np.sum(pmf))
-    fitted[y_max + 1] = n - float(np.sum(fitted[: y_max + 1]))
+    fitted[y_max + 1] = model.n - float(np.sum(fitted[: y_max + 1]))
     return empirical, fitted

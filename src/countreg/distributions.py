@@ -69,11 +69,23 @@ class HurdleParams:
             raise ValueError(_PHI_MESSAGE)
 
 
+def _bad_counts(values):
+    """Mask of the entries that break the one count rule: a count is a
+    nonnegative integer below 2**63, which int64 holds.  Integer arrays are
+    compared as integers, not through float64 (2**63 - 1 rounds up there)."""
+    values = np.asarray(values)
+    if values.dtype.kind in "bi":
+        return values < 0
+    if values.dtype.kind == "u":
+        return values >= np.uint64(2**63)
+    values = values.astype(np.float64, copy=False)
+    return ~((values >= 0.0) & (values < 2.0**63) & (np.floor(values) == values))
+
+
 def _validate_counts(y, dtype=np.int64):
-    """``y`` as an array of ``dtype`` after checking it holds nonnegative
-    integers; the one count check of pmfs, likelihoods and fits."""
+    """``y`` as ``dtype`` once ``_bad_counts`` passes it: the one count check of the package."""
     arr = np.asarray(y)
-    if np.any(arr < 0) or not np.all(np.equal(np.mod(arr, 1), 0)):
+    if np.any(_bad_counts(arr)):
         raise ValueError("counts must be nonnegative integers")
     return arr.astype(dtype)
 

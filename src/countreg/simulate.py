@@ -363,7 +363,7 @@ def recovery_study(
     }
 
 
-def citation_scale_design(n: int = 43190, seed: int = 20240301, k: int = 31) -> SimDesign:
+def citation_scale_design(n: int = 43190, seed: int = 20240301) -> SimDesign:
     """A design shaped like a large citation dataset.
 
     Thirty covariates (access-type and discipline style indicators, an
@@ -371,8 +371,6 @@ def citation_scale_design(n: int = 43190, seed: int = 20240301, k: int = 31) -> 
     metrics) with mild effects, overdispersion r = 0.64, and a mean count in
     the tens; useful as a realistic load test.
     """
-    if k != 31:
-        raise ConfigError("the citation-scale design is defined for k = 31 columns")
     rng = np.random.default_rng(987654321)
     covariates = []
     beta = {"intercept": 2.8}
@@ -391,7 +389,7 @@ def citation_scale_design(n: int = 43190, seed: int = 20240301, k: int = 31) -> 
         name = f"metric{i}"
         covariates.append(CovariateSpec(name=name, kind="normal", mean=0.0, sd=1.0))
         beta[name] = round(float(rng.uniform(-0.2, 0.2)), 4)
-    design = SimDesign(
+    return SimDesign(
         family="NB",
         n=n,
         covariates=tuple(covariates),
@@ -400,5 +398,3 @@ def citation_scale_design(n: int = 43190, seed: int = 20240301, k: int = 31) -> 
         r=0.64,
         response_name="cites",
     )
-    assert len(design.covariates) + 1 == 31
-    return design

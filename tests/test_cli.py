@@ -491,6 +491,8 @@ class TestSimulate:
                          "--threads must be a positive integer, not 0", id="threads-zero"),
             pytest.param({**SIM_DESIGN, "recovery": {"replications": 2}}, ["--threads", "-3"],
                          "--threads must be a positive integer, not -3", id="threads-negative"),
+            pytest.param(SIM_DESIGN, ["--seed", "-1"],
+                         "--seed must be a nonnegative integer, not -1", id="seed-negative"),
             pytest.param({**SIM_DESIGN, "beta": 5}, [], "'beta' must be an object, not 5",
                          id="beta-number"),
             pytest.param({**SIM_DESIGN, "seed": None}, [],

@@ -15,6 +15,8 @@ from countreg.data import (
     encode_columns,
     read_csv,
 )
+from countreg.data import _bad_values
+from countreg.distributions import _bad_counts
 from countreg.exceptions import ConfigError, DataError
 
 
@@ -333,3 +335,18 @@ class TestEncodingConfig:
             )
         with pytest.raises(ConfigError):
             PredictorSpec(name="d", kind="categorical")
+
+
+class TestCountRule:
+    @pytest.mark.parametrize(
+        "y",
+        [np.array([1.5, 2.0]), np.array([-1, 2]), np.array([1.0, 1e20]), np.array([2**63], dtype=np.uint64)],
+        ids=["fraction", "negative", "float-1e20", "uint64-2**63"],
+    )
+    def test_dataset_refuses_a_response_that_is_not_counts(self, y):
+        with pytest.raises(DataError, match="^response counts must be nonnegative integers$"):
+            Dataset(y=y, columns=())
+
+    def test_reader_uses_the_package_count_rule(self):
+        values = np.array([0.0, 4.0, -1.0, 0.5, np.nan, -np.inf, 2.0**63, 2.0**63 - 1024])
+        np.testing.assert_array_equal(_bad_values(values, "count"), _bad_counts(values))

@@ -219,3 +219,77 @@ class TestFrequencyTable:
         _, omitted = frequency_table(y, hnb, y_max=10, X=X)
         _, given = frequency_table(y, hnb, y_max=10, X=X, X_h=ones)
         np.testing.assert_array_equal(omitted, given)
+
+
+class TestOneCheckOfTheRows:
+    """Every diagnostic checks its rows through the same step, in one order."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        rng = np.random.default_rng(15)
+        n = 3000
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        theta = link_mean(X, np.array([1.0, 0.4, -0.3]))
+        phi = link_hurdle(X, np.array([-1.0, 0.8, 0.5]))
+        positive = rng.poisson(rng.gamma(1 / 0.5, 0.5 * theta))
+        y = np.where(rng.random(n) < phi, 0, np.maximum(positive, 1))
+        return X, y, fit_nb(X, y), fit_hnb(X, X, y)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_hurdle_design_of_the_wrong_shape_is_refused(self, fits, rows):
+        X, y, _, hnb = fits
+        message = "^hurdle design shape does not match the fitted model$"
+        with pytest.raises(ValueError, match=message):
+            pearson(hnb, X, y, X_h=X[:rows])
+        with pytest.raises(ValueError, match=message):
+            frequency_table(y, hnb, y_max=10, X=X, X_h=X[:rows])
+
+    @pytest.mark.parametrize("bad", [2.5, -3])
+    def test_response_must_hold_counts(self, fits, bad):
+        X, y, nb, hnb = fits
+        y = y.astype(float)
+        y[0] = bad
+        message = "^counts must be nonnegative integers$"
+        with pytest.raises(ValueError, match=message):
+            pearson(nb, X, y)
+        with pytest.raises(ValueError, match=message):
+            pearson(hnb, X, y, X_h=X)
+        with pytest.raises(ValueError, match=message):
+            deviance_residuals(nb, X, y)
+        with pytest.raises(ValueError, match=message):
+            frequency_table(y, nb, y_max=10, X=X)
+        with pytest.raises(ValueError, match=message):
+            frequency_table(y, hnb, y_max=10, X=X, X_h=X)
+
+    def test_checks_run_in_order(self, fits):
+        X, y, _, hnb = fits
+        negative = np.full(y.shape, -1)
+        with pytest.raises(ValueError, match="^design shape"):
+            pearson(hnb, X[:5], negative[:4], X_h=X[:1])
+        with pytest.raises(ValueError, match="^response length"):
+            pearson(hnb, X, negative[:4], X_h=X[:1])
+        with pytest.raises(ValueError, match="^counts must"):
+            pearson(hnb, X, negative, X_h=X[:1])
+        with pytest.raises(ValueError, match="^hurdle design shape"):
+            pearson(hnb, X, y, X_h=X[:1])
+
+    def test_models_without_a_hurdle_ignore_X_h(self, fits):
+        X, y, nb, _ = fits
+        np.testing.assert_array_equal(pearson(nb, X, y, X_h=X[:1]).pearson, pearson(nb, X, y).pearson)
+        given = frequency_table(y, nb, y_max=10, X=X, X_h=X[:1])
+        omitted = frequency_table(y, nb, y_max=10, X=X)
+        np.testing.assert_array_equal(given[0], omitted[0])
+        np.testing.assert_array_equal(given[1], omitted[1])
+
+    def test_omitted_design_with_a_short_response_names_the_response(self):
+        y = np.array([0, 1, 1, 3, 5, 0, 2])
+        m = fit_homogeneous("NB", y)
+        with pytest.raises(ValueError, match="^response length does not match the fitted model$"):
+            frequency_table(y[:-1], m, y_max=5)
+
+    def test_overflow_cell_counts_everything_above_y_max(self):
+        # A count of 10**12 lands in the overflow cell without a bin of its own.
+        m = manual_nb_model(theta=2.0, r=0.5, n=6)
+        empirical, _ = frequency_table(np.array([0, 1, 1, 7, 50, 10**12]), m, y_max=5)
+        assert empirical.dtype == np.int64
+        np.testing.assert_array_equal(empirical, [1, 2, 0, 0, 0, 0, 3])

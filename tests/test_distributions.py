@@ -26,6 +26,8 @@ from countreg.distributions import (
     sample,
     support_bound,
 )
+from countreg.distributions import _bad_counts, _validate_counts
+from countreg.fit import fit_poisson
 
 # Frozen oracle values, computed once by direct evaluation of the pmf
 # formulas via scipy.special.gammaln (independent of the package code).
@@ -274,3 +276,41 @@ class TestSample:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             sample(NbParams(1.0, 1.0), 0, seed=1)
+
+
+class TestCountRule:
+    """Counts are nonnegative integers below 2**63, the range int64 holds."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(np.array([1.0, 1e20]), id="float-1e20"),
+            pytest.param(np.array([1.0, 2.0**63]), id="float-2**63"),
+            pytest.param(np.array([1, 2**64 - 1], dtype=np.uint64), id="uint64-max"),
+            pytest.param(np.array([1, 2**63], dtype=np.uint64), id="uint64-2**63"),
+            pytest.param(np.array([2.5]), id="fraction"),
+            pytest.param(np.array([-3]), id="negative-int"),
+            pytest.param(np.array([np.nan]), id="nan"),
+            pytest.param(np.array([np.inf]), id="inf"),
+            pytest.param([1, 2**70], id="python-int-too-large"),
+        ],
+    )
+    def test_refused(self, values):
+        with pytest.raises(ValueError, match="^counts must be nonnegative integers$"):
+            _validate_counts(values)
+
+    def test_int64_max_accepted_as_is(self):
+        y = np.array([0, 2**63 - 1], dtype=np.int64)
+        assert not _bad_counts(y).any()
+        np.testing.assert_array_equal(_validate_counts(y), y)
+        assert _validate_counts(np.array([2**63 - 1], dtype=np.uint64))[0] == 2**63 - 1
+
+    def test_float_mask(self):
+        values = np.array([0.0, 3.0, 2.0**63 - 1024, -1.0, 2.5, np.nan, np.inf, 2.0**63])
+        np.testing.assert_array_equal(_bad_counts(values), [False] * 3 + [True] * 5)
+
+    def test_pmf_and_fit_refuse_counts_int64_cannot_hold(self):
+        with pytest.raises(ValueError, match="^counts must be nonnegative integers$"):
+            nb_log_pmf([1e19], NbParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="^counts must be nonnegative integers$"):
+            fit_poisson(np.ones((2, 1)), np.array([1.0, 1e20]))
