@@ -130,9 +130,9 @@ def _model_report(model, data_path):
         report["zeros"] = [_coefficient_row(by_name[name]) for name in model.hurdle_names]
     else:
         report["coefficients"] = mean_rows
-    if "r" in model.estimates:
+    if model.family != "P":
         report["dispersion"] = _coefficient_row(by_name["r"])
-    irr_names = [name for name in model.mean_names if name != "intercept"]
+    irr_names = model.mean_names[1:]  # every CLI design leads with its intercept
     if irr_names:
         report["irr"] = [_irr_row(row) for row in irr(rows, irr_names)]
     return report
@@ -462,44 +462,32 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _prune(rows_by_name, names, level):
-    """Names of covariates whose coefficients survive p <= level."""
-    dropped = []
-    kept = []
-    for name in names:
-        if name == "intercept":
+def _prune(design, rows, level):
+    """(positions, labels) of the covariate columns of ``design`` whose Wald
+    ``rows`` have p <= level (or no p), and of the others."""
+    kept, dropped = [], []
+    for j, (predictor, row) in enumerate(zip(design.predictors, rows, strict=True)):
+        if predictor is None:
             continue
-        p_value = rows_by_name[name].p_value
-        if not math.isnan(p_value) and p_value > level:
-            dropped.append(name)
+        if not math.isnan(row.p_value) and row.p_value > level:
+            dropped.append(design.labels[j])
         else:
-            kept.append(name)
+            kept.append(j)
     return kept, dropped
 
 
-def _owns(spec, label):
-    """Whether design-column ``label`` encodes predictor ``spec``."""
-    if spec.kind == "categorical":
-        return label.startswith(f"{spec.name}=")
-    return label == spec.name
-
-
-def _kept_specs(labels, specs):
-    """The predictor specs, in declaration order, of surviving design-column labels."""
-    return tuple(spec for spec in specs if any(_owns(spec, label) for label in labels))
-
-
-def _narrowed(design, labels, specs):
-    """The design of the ``specs`` that own a surviving label, as
-    ``encode_columns`` lays it out (intercept first, declaration order, C
-    order), taken from the columns of ``design``, which encodes ``specs``;
-    its array when every column survives."""
-    kept = _kept_specs(labels, specs)
-    cols = [0] + [j for j in range(1, design.k) if any(_owns(spec, design.labels[j]) for spec in kept)]
+def _narrowed(design, kept):
+    """The intercept and every column of ``design`` whose predictor keeps a
+    column at a position in ``kept``, in order: the layout ``encode_columns``
+    gives those predictors (C order); ``design``'s array when every column
+    survives."""
+    names = {None} | {design.predictors[j] for j in kept}
+    cols = [j for j, predictor in enumerate(design.predictors) if predictor in names]
     return DesignMatrix(
         X=design.X if len(cols) == design.k else design.X.take(cols, axis=1),
         labels=tuple(design.labels[j] for j in cols),
-        base_levels={spec.name: spec.base for spec in kept if spec.kind == "categorical"},
+        predictors=tuple(design.predictors[j] for j in cols),
+        base_levels={name: base for name, base in design.base_levels.items() if name in names},
     )
 
 
@@ -507,23 +495,22 @@ def cmd_restrict(args) -> int:
     run = _run_config(args)
     y, X, X_h, _ = _prepare(run)
     full_model = fit_family(run.family, X.X, y, X_h.X, run.options, X.labels, X_h.labels)
-    rows = {row.name: row for row in wald_table(full_model)}
+    rows = wald_table(full_model)
 
-    kept_mean, dropped_mean = _prune(rows, full_model.mean_names, run.level)
+    kept_mean, dropped_mean = _prune(X, rows[: X.k], run.level)
     warnings = []
     if not kept_mean:
         warnings.append("all mean-equation covariates dropped; intercept-only")
-    Xr = Xr_h = _narrowed(X, kept_mean, run.config.predictors)
+    Xr = Xr_h = _narrowed(X, kept_mean)
 
     dropped_zero = []
     if run.family == "HNB":
-        zero_rows = {name.removeprefix("zero:"): rows[name] for name in full_model.hurdle_names}
-        kept_zero, dropped_zero = _prune(zero_rows, list(zero_rows), run.level)
+        kept_zero, dropped_zero = _prune(X_h, rows[-X_h.k :], run.level)
         if not kept_zero:
             warnings.append("all hurdle-equation covariates dropped; intercept-only")
         # Each equation keeps its own predictors: one may survive in the
         # hurdle equation only.
-        Xr_h = _narrowed(X_h, kept_zero, run.config.hurdle_specs())
+        Xr_h = _narrowed(X_h, kept_zero)
 
     restricted = fit_family(run.family, Xr.X, y, Xr_h.X, run.options, Xr.labels, Xr_h.labels)
 

@@ -24,12 +24,16 @@ The encoding configuration is a declarative JSON document::
 
 ``hurdle_predictors`` lists which predictors enter the hurdle equation;
 omitted, the hurdle equation uses the same predictors as the mean equation.
-``read_csv``'s exact reader reads the data records in blocks: it accepts each
-block's columns (``_accepted``), else reports its first bad record
-(``_row_problem``).  Empty, unparsable and non-finite (``nan``, ``inf``) cells
-are rejected with their coordinates, and a record that ``csv`` cannot read or
-that holds bytes that are not UTF-8 with its row; a log transform requires
-strictly positive values.
+
+``read_csv`` skips a UTF-8 byte-order mark at the start of the file, as
+Excel's "CSV UTF-8" files carry one.  It refuses a header that lacks a
+column the configuration reads or names such a column twice; a column it
+does not read may be named twice.  Its exact reader reads the data records
+in blocks: it accepts each block's columns (``_accepted``), else reports its
+first bad record (``_row_problem``).  Empty, unparsable and non-finite
+(``nan``, ``inf``) cells are rejected with their coordinates, and a record
+that ``csv`` cannot read or that holds bytes that are not UTF-8 with its
+row; a log transform requires strictly positive values.
 """
 
 from __future__ import annotations
@@ -249,6 +253,7 @@ class DesignMatrix:
 
     X: np.ndarray
     labels: tuple[str, ...]
+    predictors: tuple[str | None, ...]  # each column's predictor; None for the intercept
     base_levels: dict = field(default_factory=dict)
 
     @property
@@ -457,6 +462,9 @@ def _loadtxt_fields(path, lines, width, fields):
 def _read_fields(fh, path, config, rescan):
     """The arrays of the response and the predictors read from ``fh``; the
     fast path is tried unless ``rescan``."""
+    # Excel's "CSV UTF-8" files start with a byte-order mark.
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
     header = next(_records(csv.reader(fh), rescan), None)
     if header is None:
         raise DataError(f"empty file: {path}")
@@ -470,6 +478,8 @@ def _read_fields(fh, path, config, rescan):
     for name, _ in needed:
         if name not in index:
             raise DataError(f"missing column {name!r} in {path}")
+        if header.count(name) > 1:
+            raise DataError(f"column {name!r} appears more than once in the header of {path}")
     fields = [(index[name], name, kind) for name, kind in needed]
     arrays = None if rescan else _loadtxt_fields(path, fh, len(header), fields)
     if arrays is None:
@@ -498,7 +508,8 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
     reports its first bad record (``_row_problem``); the blocks are
     concatenated.  Every error about a data record comes from it and names
     the first bad data row in file order (1-based).  Every declared column
-    must exist.  Within a record the checks run as: a record that csv.reader
+    must occur in the header exactly once; a leading byte-order mark is
+    skipped.  Within a record the checks run as: a record that csv.reader
     cannot read (a field longer than ``csv.field_size_limit()``) or that
     holds bytes that are not UTF-8; the field count; empty cells (response
     first, then predictors in config order); the response count (unparsable,
@@ -543,7 +554,7 @@ def encode_columns(columns, specs, n) -> DesignMatrix:
     by_name = {c.name: c for c in columns}
     blocks = [np.ones((n, 1))]
     labels = ["intercept"]
-    owners = {"intercept": "the intercept"}
+    owners = {"intercept": None}  # label -> the predictor that gave it
     base_levels = {}
     for spec in specs:
         start = len(labels)
@@ -576,13 +587,13 @@ def encode_columns(columns, specs, n) -> DesignMatrix:
         else:
             blocks.append(_encode_numeric(col.values, spec).reshape(-1, 1))
             labels.append(spec.name)
-        owner = f"predictor {spec.name!r}"
         for label in labels[start:]:
             if label in owners:
-                raise ConfigError(f"design column {label!r} is given by both {owners[label]} and {owner}")
-            owners[label] = owner
+                first = "the intercept" if owners[label] is None else f"predictor {owners[label]!r}"
+                raise ConfigError(f"design column {label!r} is given by both {first} and predictor {spec.name!r}")
+            owners[label] = spec.name
     X = np.hstack(blocks)
-    return DesignMatrix(X=X, labels=tuple(labels), base_levels=base_levels)
+    return DesignMatrix(X=X, labels=tuple(labels), predictors=tuple(owners.values()), base_levels=base_levels)
 
 
 def encode(ds: Dataset, config: EncodingConfig, equation: str = "mean") -> DesignMatrix:

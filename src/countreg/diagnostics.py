@@ -73,7 +73,7 @@ def _rows(model: FittedModel, X, y, X_h, omitted, ones=False):
             raise ValueError("hurdle design shape does not match the fitted model")
         delta = np.array([model.estimates[name] for name in model.hurdle_names])
         phi = link_hurdle(X_h, delta)
-    return y, theta, model.estimates.get("r"), phi
+    return y, theta, None if model.family == "P" else model.estimates["r"], phi
 
 
 def pearson(model: FittedModel, X, y, X_h=None) -> ResidualSet:

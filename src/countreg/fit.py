@@ -95,7 +95,7 @@ class FittedModel:
         out = {}
         if self.k_mean == 1:
             out["theta"] = math.exp(self.estimates[self.mean_names[0]])
-        if "r" in self.estimates:
+        if self.family != "P":
             out["r"] = self.estimates["r"]
         if self.k_hurdle == 1:
             eta = self.estimates[self.hurdle_names[0]]
@@ -232,6 +232,16 @@ def _block_labels(k, labels, what, name="labels"):
     return tuple(labels)
 
 
+def _parameter_names(family, labels, hurdle_labels=()) -> tuple[str, ...]:
+    """The mean ``labels``, then "r" unless ``family`` is "P", then
+    "zero:<label>" for each hurdle label; ValueError names any given twice."""
+    names = (*labels, *(() if family == "P" else ("r",)), *(f"zero:{label}" for label in hurdle_labels))
+    twice = list(dict.fromkeys(name for name in names if names.count(name) > 1))
+    if twice:
+        raise ValueError(f"parameter names {twice} are given twice")
+    return names
+
+
 def _check_block(M, labels, what, min_extra=None, name="labels"):
     """Labels (default names if None) of a finite, full-column-rank design with,
     unless ``min_extra`` is None, more than k + min_extra rows."""
@@ -248,7 +258,7 @@ def _check_block(M, labels, what, min_extra=None, name="labels"):
     return labels
 
 
-def _validate_design(X, y, labels, min_extra=0, X_h=None, hurdle_labels=None):
+def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
     """The one input check of a fit; returns (X, y, labels, X_h, hurdle_labels).
     Non-finite cells are named by 0-based row and column label."""
     X = np.asarray(X, dtype=float)
@@ -258,7 +268,7 @@ def _validate_design(X, y, labels, min_extra=0, X_h=None, hurdle_labels=None):
     if y.shape != (X.shape[0],):
         raise ValueError("y length does not match the design matrix")
     y = _validate_counts(y)
-    labels = _check_block(X, labels, "design matrix", min_extra)
+    labels = _check_block(X, labels, "design matrix", min_extra=int(family != "P"))
     if X_h is not None:
         X_h = np.asarray(X_h, dtype=float)
         if X_h is X:
@@ -270,6 +280,7 @@ def _validate_design(X, y, labels, min_extra=0, X_h=None, hurdle_labels=None):
             raise ValueError("hurdle design must have the same number of rows as X")
         else:
             hurdle_labels = _check_block(X_h, hurdle_labels, "hurdle design matrix", name="hurdle_labels")
+    _parameter_names(family, labels, hurdle_labels or ())
     return X, y, labels, X_h, hurdle_labels
 
 
@@ -319,8 +330,7 @@ def _model(family, n, labels, blocks, hurdle_labels=()) -> FittedModel:
     scale = np.ones(params_u.size)
     if family != "P":
         values[k] = scale[k] = math.exp(values[k])
-    zero_names = tuple(f"zero:{name}" for name in hurdle_labels)
-    names = labels + (("r",) if family != "P" else ()) + zero_names
+    names = _parameter_names(family, labels, hurdle_labels)
     warnings = [w for state in reversed(blocks) for w in state.warnings]
     warnings += [w for _, cov_warnings in covariances for w in cov_warnings]
     return FittedModel(
@@ -333,13 +343,13 @@ def _model(family, n, labels, blocks, hurdle_labels=()) -> FittedModel:
         loglik=sum(state.value for state in blocks),
         n=n,
         k_mean=k,
-        k_hurdle=len(zero_names),
+        k_hurdle=len(hurdle_labels),
         n_params=params_u.size,
         converged=all(state.converged for state in blocks),
         iterations=sum(state.iterations for state in blocks),
         gradient_norm=max(_max_norm(state.grad) for state in blocks),
         mean_names=labels,
-        hurdle_names=zero_names,
+        hurdle_names=names[len(names) - len(hurdle_labels) :],
         warnings=tuple(warnings),
     )
 
@@ -347,7 +357,7 @@ def _model(family, n, labels, blocks, hurdle_labels=()) -> FittedModel:
 def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Poisson regression under the log link."""
     options = options or FitOptions()
-    X, y, labels, _, _ = _validate_design(X, y, labels)
+    X, y, labels, _, _ = _validate_design("P", X, y, labels)
     _require_positive_count(y)
     yf = y.astype(float)
     return _model("P", X.shape[0], labels, [_poisson_maximize(X, yf, options, ln_gamma(yf + 1.0))])
@@ -356,7 +366,7 @@ def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedM
 def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Negative binomial regression; beta starts at the Poisson fit."""
     options = options or FitOptions()
-    X, y, labels, _, _ = _validate_design(X, y, labels, min_extra=1)
+    X, y, labels, _, _ = _validate_design("NB", X, y, labels)
     _require_positive_count(y)
     return _model("NB", X.shape[0], labels, [_nb_block(X, y, False, options)])
 
@@ -383,7 +393,7 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     """
     options = options or FitOptions()
     X, y, labels, X_h, hurdle_labels = _validate_design(
-        X, y, labels, min_extra=1, X_h=X_h, hurdle_labels=hurdle_labels
+        "HNB", X, y, labels, X_h=X_h, hurdle_labels=hurdle_labels
     )
     zero = y == 0
     if not zero.any() or zero.all():

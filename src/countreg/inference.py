@@ -133,11 +133,11 @@ def marginal_effect_hurdle(model: FittedModel, covariate: str, at) -> float:
     """d phi / d x_j of the hurdle probability at the supplied row.
 
     Equals delta_j * phi * (1 - phi) with phi evaluated at the row.  The
-    covariate must belong to the hurdle equation.
+    covariate is a hurdle parameter name, or else a hurdle column label.
     """
     if model.family != "HNB":
         raise ValueError("marginal hurdle effects require an HNB model")
-    zero_name = covariate if covariate.startswith("zero:") else f"zero:{covariate}"
+    zero_name = covariate if covariate in model.hurdle_names else f"zero:{covariate}"
     if zero_name not in model.hurdle_names:
         raise KeyError(f"{covariate!r} is not in the hurdle equation")
     delta = np.array([model.estimates[name] for name in model.hurdle_names])

@@ -33,7 +33,7 @@ from .data import NONNEGATIVE, NONNEGATIVE_INTEGER, NUMBER, OBJECT, POSITIVE, PO
 from .data import STRING, Column, ConfigDoc, Dataset, DesignMatrix, EncodingConfig, PredictorSpec, encode_columns
 from .distributions import _sample_hurdle, _sample_nb
 from .exceptions import ConfigError
-from .fit import _FAMILIES, FitOptions, fit_family
+from .fit import _FAMILIES, FitOptions, _parameter_names, fit_family
 from .likelihood import link_hurdle, link_mean
 
 __all__ = ["CovariateSpec", "SimDesign", "generate", "recovery_study", "citation_scale_design"]
@@ -124,6 +124,10 @@ class SimDesign:
             raise ConfigError("NB and HNB designs need r > 0")
         if self.family == "HNB" and not self.delta:
             raise ConfigError("HNB designs need hurdle coefficients delta")
+        try:
+            _true_parameter_map(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def encoding_config(self) -> EncodingConfig:
         return EncodingConfig(
@@ -248,12 +252,9 @@ def generate(design: SimDesign, seed_sequence=None):
 
 
 def _true_parameter_map(design: SimDesign) -> dict:
-    truth = dict(design.beta)
-    if design.family in ("NB", "HNB"):
-        truth["r"] = design.r
-    if design.family == "HNB":
-        truth.update({f"zero:{name}": value for name, value in design.delta.items()})
-    return truth
+    hurdle = design.delta if design.family == "HNB" else {}
+    values = (*design.beta.values(), *(() if design.family == "P" else (design.r,)), *hurdle.values())
+    return dict(zip(_parameter_names(design.family, design.beta, hurdle), values, strict=True))
 
 
 def _run_replication(args):

@@ -63,6 +63,21 @@ def make_csv(path, n=3000, seed=0, family="NB", noise_column=False):
     return path
 
 
+def named_predictors_csv(names, n=3000, seed=11):
+    """CSV text of HNB counts (r = 0.5) on standard normal predictors of the
+    given names, with slope 0.6 in the mean equation."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, len(names)))
+    theta = np.exp(1.0 + 0.6 * x.sum(axis=1))
+    y = np.zeros(n, dtype=np.int64)
+    idx = np.flatnonzero(rng.random(n) >= 0.3)
+    while idx.size:
+        y[idx] = rng.poisson(rng.gamma(2.0, 0.5 * theta[idx]))
+        idx = idx[y[idx] == 0]
+    rows = "".join(",".join([str(y[i]), *map(repr, x[i].tolist())]) + "\n" for i in range(n))
+    return ",".join(["cites", *names]) + "\n" + rows
+
+
 class TestFit:
     def test_nb_fit_report_and_plot_data(self, tmp_path):
         data = make_csv(tmp_path / "d.csv")
@@ -183,6 +198,35 @@ class TestFit:
         message = "design column 'a=b' is given by both predictor 'a' and predictor 'a=b'"
         assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "family, names, twice",
+        [("NB", ["r"], "r"), ("HNB", ["zero:x", "x"], "zero:x")],
+        ids=["predictor-r", "predictor-zero:x"],
+    )
+    @pytest.mark.parametrize("command", ["fit", "restrict"])
+    def test_a_parameter_name_given_twice_exits_1(self, tmp_path, capsys, family, names, twice, command):
+        data = tmp_path / "d.csv"
+        data.write_text(named_predictors_csv(names), encoding="utf-8")
+        run = {"family": family, "response": "cites", "predictors": [{"name": name} for name in names]}
+        config = write_json(tmp_path / "run.json", run)
+        out = tmp_path / "o"
+        code = main([command, "--data", str(data), "--config", str(config), "--out", str(out)])
+        message = f"parameter names [{twice!r}] are given twice"
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
+        assert not out.exists()
+
+    def test_a_poisson_predictor_may_be_named_r(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text(named_predictors_csv(["r"]), encoding="utf-8")
+        run = {"family": "P", "response": "cites", "predictors": [{"name": "r"}]}
+        config = write_json(tmp_path / "run.json", run)
+        out = tmp_path / "o"
+        assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [row["name"] for row in report["coefficients"]] == ["intercept", "r"]
+        assert [row["name"] for row in report["irr"]] == ["r"]
+        assert "dispersion" not in report
 
     def test_non_finite_cell_exits_1_with_coordinates(self, tmp_path, capsys):
         data = make_csv(tmp_path / "d.csv", n=200)
@@ -524,6 +568,14 @@ class TestSimulate:
                          "'beta.x1' must be a finite number, not 'x'", id="beta-value-text"),
             pytest.param(grouped_design(), [], "beta does not cover design columns ['g=b']",
                          id="beta-misses-a-column"),
+            pytest.param({**SIM_DESIGN, "covariates": [{"name": "r", "kind": "normal"}],
+                          "beta": {"intercept": 1.0, "r": 0.3}}, [],
+                         "parameter names ['r'] are given twice", id="covariate-named-r"),
+            pytest.param({**SIM_DESIGN, "family": "HNB",
+                          "covariates": [{"name": "zero:x", "kind": "normal"}, {"name": "x", "kind": "normal"}],
+                          "beta": {"intercept": 1.0, "zero:x": 0.3, "x": 0.2},
+                          "delta": {"intercept": -1.0, "zero:x": 0.0, "x": 0.5}}, [],
+                         "parameter names ['zero:x'] are given twice", id="covariate-named-zero:x"),
         ],
     )
     def test_malformed_design_exits_1_before_writing(self, tmp_path, capsys, doc, flags, message):
@@ -684,6 +736,26 @@ class TestRestrict:
         assert report["dropped"] == {"mean": ["x2"], "zeros": ["x1"]}
         assert [row["name"] for row in report["positives"]] == ["intercept", "x1"]
         assert [row["name"] for row in report["zeros"]] == ["zero:intercept", "zero:x2"]
+
+    def test_a_predictor_named_like_a_level_keeps_only_its_own_column(self, tmp_path):
+        # a has no effect; "a=z" is a numeric predictor of slope 0.6.
+        rng = np.random.default_rng(5)
+        n = 3000
+        a = rng.choice(["p", "q", "r"], size=n)
+        z = rng.normal(size=n)
+        y = rng.poisson(np.exp(0.5 + 0.6 * z))
+        data = tmp_path / "d.csv"
+        data.write_text("cites,a,a=z\n" + "".join(f"{y[i]},{a[i]},{float(z[i])!r}\n" for i in range(n)),
+                        encoding="utf-8")
+        run = {"family": "P", "response": "cites", "predictors": [
+            {"name": "a", "kind": "categorical", "base": "p", "levels": ["p", "q", "r"]}, {"name": "a=z"}]}
+        config = write_json(tmp_path / "run.json", run)
+        out = tmp_path / "out"
+        assert main(["restrict", "--data", str(data), "--config", str(config),
+                     "--level", "0.10", "--out", str(out)]) == 0
+        report = json.loads((out / "restricted_report.json").read_text())
+        assert report["dropped"] == {"mean": ["a=q", "a=r"], "zeros": []}
+        assert [row["name"] for row in report["coefficients"]] == ["intercept", "a=z"]
 
     def test_a_surviving_predictor_named_with_an_equals_sign_is_kept(self, tmp_path):
         rng = np.random.default_rng(1)

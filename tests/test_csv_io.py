@@ -494,6 +494,54 @@ class TestLoadtxtFastPath:
         assert not _read(tmp_path, monkeypatch, content)
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark, as Excel's "CSV UTF-8"
+    files do, reads as the same file without it."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["fast-path", "exact-reader"])
+    def test_same_dataset(self, tmp_path, monkeypatch, exact):
+        plain = tmp_path / "plain.csv"
+        config = citation_shaped_csv(plain, n=300)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(BOM + plain.read_bytes())
+        if exact:
+            monkeypatch.setattr(data_module, "_loadtxt_fields", lambda *args: None)
+        assert_same_dataset(read_csv(marked, config), read_csv(plain, config))
+
+    @pytest.mark.parametrize(
+        "cell, column", [(b"abc", "metric2"), (b"nan", "metric2"), (b"\xff", None)],
+        ids=["unparsable", "non-finite", "undecodable"],
+    )
+    def test_same_error(self, tmp_path, cell, column):
+        plain = tmp_path / "plain.csv"
+        config = citation_shaped_csv(plain, n=300)
+        records = plain.read_bytes().split(b"\r\n")
+        # Row 7's metric2 cell; no earlier cell of a record holds a comma.
+        fields = records[7].split(b",")
+        fields[16] = cell
+        records[7] = b",".join(fields)
+        plain.write_bytes(b"\r\n".join(records))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(BOM + plain.read_bytes())
+        outcomes = []
+        for path in (plain, marked):
+            with pytest.raises(DataError) as info:
+                read_csv(path, config)
+            outcomes.append((str(info.value), info.value.row, info.value.column))
+        assert outcomes[0][1:] == (7, column)
+        assert outcomes[1] == outcomes[0]
+
+    def test_quoted_first_name(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text(f'"x",skip,cites,s,oa,d\n{ROW}\n', encoding="utf-8")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(BOM + plain.read_bytes())
+        assert_same_dataset(read_csv(marked, CONFIG), read_csv(plain, CONFIG))
+
+
 def _exact_outcome(path, block_rows):
     """read_csv's exact reader (the fast path declines) in blocks of ``block_rows``."""
     with pytest.MonkeyPatch.context() as patched:

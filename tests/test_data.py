@@ -153,6 +153,19 @@ class TestReadCsv:
         with pytest.raises(DataError, match="'authors'"):
             read_csv(path, BASIC_CONFIG)
 
+    @pytest.mark.parametrize("header, name", [("y,x1,x1", "x1"), ("y,y,x1", "y")])
+    def test_a_needed_column_named_twice_is_refused(self, tmp_path, header, name):
+        path = write(tmp_path, f"{header}\n1,2,3\n")
+        config = EncodingConfig(response="y", predictors=(PredictorSpec(name="x1"),))
+        with pytest.raises(DataError) as info:
+            read_csv(path, config)
+        assert str(info.value) == f"column {name!r} appears more than once in the header of {path}"
+
+    def test_a_column_that_is_not_read_may_be_named_twice(self, tmp_path):
+        path = write(tmp_path, "y,z,x1,z\n1,2,3,4\n")
+        config = EncodingConfig(response="y", predictors=(PredictorSpec(name="x1"),))
+        assert read_csv(path, config).column("x1").values.tolist() == [3.0]
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
         with pytest.raises(DataError, match="empty file"):
@@ -292,6 +305,18 @@ class TestEncode:
         message = "design column 'a=b' is given by both predictor 'a' and predictor 'a=b'"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             encode_columns(columns, specs, 3)
+
+    def test_each_column_records_its_predictor(self):
+        columns = (
+            Column(name="a", kind="categorical", values=np.array(["p", "q", "r"], dtype=object)),
+            Column(name="a=z", kind="numeric", values=np.array([0.5, 1.5, 2.5])),
+        )
+        specs = (PredictorSpec(name="a", kind="categorical", base="p"), PredictorSpec(name="a=z"))
+        dm = encode_columns(columns, specs, 3)
+        assert dm.labels == ("intercept", "a=q", "a=r", "a=z")
+        assert dm.predictors == (None, "a", "a", "a=z")
+        assert encode(make_dataset(), FULL_CONFIG, "hurdle").predictors == (
+            None, "oa", "oa", "oa", "oa", "year")
 
     def test_levels_default_to_appearance_order(self):
         config = EncodingConfig(

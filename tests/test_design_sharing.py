@@ -142,9 +142,9 @@ def test_restricted_designs_are_the_re_encoded_ones(hurdle_csv, tmp_path, monkey
     narrowed = []
     fitted = []
 
-    def recording_narrowed(design, labels, specs):
-        result = cli_narrowed(design, labels, specs)
-        narrowed.append((labels, specs, result))
+    def recording_narrowed(design, kept):
+        result = cli_narrowed(design, kept)
+        narrowed.append((design, kept, result))
         return result
 
     def recording_fit(family, X, y, X_h, options, labels, hurdle_labels):
@@ -159,9 +159,12 @@ def test_restricted_designs_are_the_re_encoded_ones(hurdle_csv, tmp_path, monkey
                  "--level", "0.01", "--out", str(out)]) == 0
     report = json.loads((out / "restricted_report.json").read_text())
 
-    dataset = read_csv(hurdle_csv, EncodingConfig.from_dict(run))
-    for labels, specs, design in narrowed:
-        oracle = encode_columns(dataset.columns, cli._kept_specs(labels, specs), dataset.n)
+    config = EncodingConfig.from_dict(run)
+    dataset = read_csv(hurdle_csv, config)
+    for full, kept, design in narrowed:
+        surviving = {full.predictors[j] for j in kept}
+        specs = [spec for spec in config.predictors if spec.name in surviving]
+        oracle = encode_columns(dataset.columns, specs, dataset.n)
         assert_same_design(design, oracle)
     restricted_X, restricted_X_h = fitted[-1]
     assert restricted_X is narrowed[0][2].X

@@ -152,6 +152,30 @@ class TestValidation:
         fit_hnb(X, X, y)
         assert shapes == [X.shape, (int(np.sum(y > 0)), 3)]
 
+    def test_a_parameter_name_given_twice_is_refused_before_fitting(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X = design(rng, 300, 3)
+        y = simulate_hnb(rng, X, np.array([1.0, 0.3, -0.2]), 0.6, X, np.array([-0.5, 0.4, 0.1]))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a Newton step ran")
+
+        monkeypatch.setattr(fit_module, "_newton_maximize", fail)
+        with pytest.raises(ValueError, match=r"^parameter names \['r'\] are given twice$"):
+            fit_nb(X[:, :2], y, labels=("intercept", "r"))
+        with pytest.raises(ValueError, match=r"^parameter names \['zero:x'\] are given twice$"):
+            fit_family("HNB", X, y, labels=("intercept", "zero:x", "x"))
+        with pytest.raises(ValueError, match=r"^parameter names \['r', 'zero:x'\] are given twice$"):
+            fit_family("HNB", X, y, labels=("intercept", "r", "zero:x"), hurdle_labels=("intercept", "x", "z"))
+
+    def test_a_poisson_predictor_may_be_named_r(self):
+        rng = np.random.default_rng(9)
+        X = design(rng, 300, 2)
+        y = rng.poisson(np.exp(X @ np.array([1.0, 0.3])))
+        m = fit_poisson(X, y, labels=("intercept", "r"))
+        assert m.names == ("intercept", "r")
+        assert m.natural_summary() == {}
+
     def test_positive_rows_must_identify_the_truncated_part(self):
         X = np.column_stack([np.ones(12), np.repeat([1.0, 0.0], 6)])
         y = np.array([0, 0, 0, 0, 0, 0, 1, 2, 1, 3, 2, 1])
