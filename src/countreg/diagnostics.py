@@ -10,21 +10,23 @@ conventional sum of squares are reported, each divided by the degrees of
 freedom, because both conventions circulate.
 
 All three evaluate the model through one step, ``_rows``: it checks the
-designs and the response counts against the fitted model and evaluates the
-links.  Hurdle means and variances come from the closed-form moments in
-:mod:`countreg.distributions` for all rows at once, tested against truncated
-summation of the pmf; the printed bracket form of the variance is never used.
+designs and the response against the fitted model through
+``likelihood._check_rows`` and evaluates each link once.  Hurdle means and
+variances come from the closed-form moments in :mod:`countreg.distributions`
+for all rows at once, tested against truncated summation of the pmf; the
+printed bracket form of the variance is never used.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _hnb_moments, _validate_counts
+from .distributions import _hnb_moments
 from .fit import FittedModel
-from .likelihood import link_hurdle, link_mean
+from .likelihood import _check_rows, _phi, _theta
 
 __all__ = ["ResidualSet", "pearson", "deviance_residuals", "frequency_table"]
 
@@ -44,35 +46,26 @@ class ResidualSet:
 def _rows(model: FittedModel, X, y, X_h, omitted, ones=False):
     """(y, theta, r, phi) of ``model`` on the given rows; phi is None unless HNB.
 
-    The one check, in order: ``X`` against (n, k_mean), ``y``'s length, its
-    counts, then, for HNB only, ``X_h`` against (n, k_hurdle).  A None design
-    named in ``omitted`` is refused with its message, or, if ``ones`` is set
-    and its equation has one column, is a column of ones."""
+    A None design named in ``omitted`` is refused with its message, or, if
+    ``ones`` is set and its equation has one column, is a column of ones.
+    Then ``_check_rows`` checks X, y and, for HNB only, X_h against the model."""
 
     def design(given, name, k):
         if given is None and name in omitted:
             if not (ones and k == 1):
                 raise ValueError(omitted[name])
             return np.ones((model.n, k))
-        return np.asarray(given, dtype=float)
+        return given
 
+    hurdle = model.family == "HNB"
     X = design(X, "X", model.k_mean)
-    if X.ndim != 2 or X.shape != (model.n, model.k_mean):
-        raise ValueError(
-            f"design shape {X.shape} does not match the fitted model "
-            f"({model.n} x {model.k_mean})"
-        )
-    if np.shape(y) != (model.n,):
-        raise ValueError("response length does not match the fitted model")
-    y = _validate_counts(y)
-    theta = link_mean(X, model.params_unconstrained[: model.k_mean])
-    phi = None
-    if model.family == "HNB":
-        X_h = design(X_h, "X_h", model.k_hurdle)
-        if X_h.shape != (model.n, model.k_hurdle):
-            raise ValueError("hurdle design shape does not match the fitted model")
-        delta = np.array([model.estimates[name] for name in model.hurdle_names])
-        phi = link_hurdle(X_h, delta)
+    X_h = design(X_h, "X_h", model.k_hurdle) if hurdle else None
+    X, y, _, X_h, _ = _check_rows(
+        X, y, X_h, n=model.n, k=model.k_mean, k_h=model.k_hurdle,
+        labels=model.mean_names, hurdle_labels=model.hurdle_labels,
+    )
+    theta = _theta(X, model.params_unconstrained[: model.k_mean])
+    phi = _phi(X_h, model.params_unconstrained[-model.k_hurdle :]) if hurdle else None
     return y, theta, None if model.family == "P" else model.estimates["r"], phi
 
 
@@ -178,6 +171,8 @@ def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
     to n up to truncation error.  A model with only an intercept in its mean
     (hurdle) equation may omit ``X`` (``X_h``).
     """
+    if isinstance(y_max, bool) or not isinstance(y_max, numbers.Integral) or y_max < 0:
+        raise ValueError(f"y_max must be a nonnegative integer, not {y_max!r}")
     omitted = {
         "X": "frequency tables of a model with mean covariates need X",
         "X_h": "frequency tables of an HNB model with hurdle covariates need X_h",

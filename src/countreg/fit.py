@@ -8,7 +8,8 @@ maximized by one Newton routine on its exact Hessian with a step-halving
 values: beta from a Poisson Newton fit on the already validated rows, r from
 the method of moments r0 = max((s^2 - ybar)/ybar^2, 1e-3).  ``_model``
 assembles every FittedModel from its fitted blocks, and :func:`fit_family`
-dispatches on the family name.
+dispatches on the family name.  ``_validate_design`` checks a fit's rows
+through ``likelihood._check_rows``, then its rank, n > k and names.
 
 An objective maps a point u to (loglik, score, hessian), where ``hessian``
 is a zero-argument callable returning the exact Hessian at u; the optimizer
@@ -31,9 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _validate_counts
 from .exceptions import SeparationError
-from .likelihood import _logit_kernel, _nb_kernel, _poisson_kernel
+from .likelihood import _check_rows, _logit_kernel, _nb_kernel, _poisson_kernel
 from .special import ln_gamma
 
 __all__ = ["FitOptions", "FittedModel", "fit_family", "fit_poisson", "fit_nb", "fit_hnb", "fit_homogeneous"]
@@ -89,6 +89,11 @@ class FittedModel:
     def std_errors(self) -> dict:
         se = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
         return dict(zip(self.names, se.tolist()))
+
+    @property
+    def hurdle_labels(self) -> tuple[str, ...]:
+        """The hurdle design's column labels, in ``hurdle_names`` order."""
+        return tuple(name[len("zero:") :] for name in self.hurdle_names)
 
     def natural_summary(self) -> dict:
         """theta/phi/r summary for intercept-only fits."""
@@ -223,15 +228,6 @@ def _poisson_maximize(X, y, options, lgy1) -> _OptState:
     return _newton_maximize(_objective(_poisson_kernel, X, y, float(np.sum(lgy1))), beta0, options)
 
 
-def _block_labels(k, labels, what, name="labels"):
-    """``labels``, or default names if None, of a block of ``k`` columns."""
-    if labels is None:
-        return ("intercept",) + tuple(f"x{j}" for j in range(1, k))
-    if len(labels) != k:
-        raise ValueError(f"{name} length does not match the {what} ({len(labels)} labels, {k} columns)")
-    return tuple(labels)
-
-
 def _parameter_names(family, labels, hurdle_labels=()) -> tuple[str, ...]:
     """The mean ``labels``, then "r" unless ``family`` is "P", then
     "zero:<label>" for each hurdle label; ValueError names any given twice."""
@@ -242,44 +238,26 @@ def _parameter_names(family, labels, hurdle_labels=()) -> tuple[str, ...]:
     return names
 
 
-def _check_block(M, labels, what, min_extra=None, name="labels"):
-    """Labels (default names if None) of a finite, full-column-rank design with,
-    unless ``min_extra`` is None, more than k + min_extra rows."""
+def _check_block(M, what, min_extra=None):
+    """Refuse a design of less than full column rank or, unless ``min_extra``
+    is None, with no more than k + min_extra rows."""
     n, k = M.shape
-    labels = _block_labels(k, labels, what, name)
-    finite = np.isfinite(M)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ValueError(f"{what} has non-finite value {M[i, j]} at row {i}, column {labels[j]!r}")
     if min_extra is not None and n <= k + min_extra:
         raise ValueError(f"need more observations than parameters (n={n}, k={k})")
     if np.linalg.matrix_rank(M) < k:
         raise ValueError(f"{what} is rank deficient")
-    return labels
 
 
 def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
-    """The one input check of a fit; returns (X, y, labels, X_h, hurdle_labels).
-    Non-finite cells are named by 0-based row and column label."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.ndim != 2:
-        raise ValueError("X must be a two-dimensional design matrix")
-    if y.shape != (X.shape[0],):
-        raise ValueError("y length does not match the design matrix")
-    y = _validate_counts(y)
-    labels = _check_block(X, labels, "design matrix", min_extra=int(family != "P"))
-    if X_h is not None:
-        X_h = np.asarray(X_h, dtype=float)
-        if X_h is X:
-            # The default hurdle design: X has just passed the same checks.
-            hurdle_labels = _block_labels(
-                X.shape[1], hurdle_labels, "hurdle design matrix", "hurdle_labels"
-            )
-        elif X_h.ndim != 2 or X_h.shape[0] != X.shape[0]:
-            raise ValueError("hurdle design must have the same number of rows as X")
-        else:
-            hurdle_labels = _check_block(X_h, hurdle_labels, "hurdle design matrix", name="hurdle_labels")
+    """(X, y, labels, X_h, hurdle_labels) of a fit, checked by ``_check_rows``.
+    For HNB, no hurdle design, or ``X`` itself, means the hurdle design is
+    ``X``, with its labels defaulting to ``labels``."""
+    if family == "HNB" and (X_h is None or X_h is X):
+        X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
+    X, y, labels, X_h, hurdle_labels = _check_rows(X, y, X_h, labels=labels, hurdle_labels=hurdle_labels)
+    _check_block(X, "design matrix", min_extra=int(family != "P"))
+    if X_h is not None and X_h is not X:
+        _check_block(X_h, "hurdle design matrix")
     _parameter_names(family, labels, hurdle_labels or ())
     return X, y, labels, X_h, hurdle_labels
 
@@ -409,7 +387,7 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
 
     # Zero-truncated part on the positive rows only; they must identify beta.
     Xp = X[~zero]
-    _check_block(Xp, labels, "design matrix", min_extra=0)
+    _check_block(Xp, "design matrix", min_extra=0)
     truncated = _nb_block(Xp, y[~zero], True, options)
     return _model("HNB", X.shape[0], labels, [truncated, binary], hurdle_labels)
 
@@ -422,15 +400,12 @@ def _require_family(family: str) -> None:
 def fit_family(
     family: str, X, y, X_h=None, options: FitOptions | None = None, labels=None, hurdle_labels=None
 ) -> FittedModel:
-    """Fit the family "P", "NB" or "HNB"; the hurdle design defaults to ``X``
-    and then its labels to ``labels``."""
+    """Fit the family "P", "NB" or "HNB"."""
     _require_family(family)
     if family == "P":
         return fit_poisson(X, y, options=options, labels=labels)
     if family == "NB":
         return fit_nb(X, y, options=options, labels=labels)
-    if X_h is None:
-        X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
     return fit_hnb(X, X_h, y, options=options, labels=labels, hurdle_labels=hurdle_labels)
 
 

@@ -20,9 +20,10 @@ terms, score and a zero-argument Hessian callable from one linear predictor:
 ``_poisson_kernel`` (y log theta - theta), ``_logit_kernel`` (the hurdle's
 binary part, z eta - log(1 + e^eta)) and ``_nb_kernel`` (NB or
 zero-truncated NB, one grid per call).  The fitter and the public
-likelihoods, which check their inputs once, call the same kernels, so a
-fit's log-likelihood is the public one at its estimates, bit for bit.  The
-hurdle log-likelihood separates into the binary part in delta and the
+likelihoods call the same kernels, so a fit's log-likelihood is the public
+one at its estimates, bit for bit.  Likelihoods, links, fits and diagnostics
+share one check of designs and responses, ``_check_rows``.  The hurdle
+log-likelihood separates into the binary part in delta and the
 zero-truncated part in (beta, log r); the two blocks maximize independently.
 
 Observation sums run in natural (row) order, so repeated evaluation of the
@@ -83,11 +84,41 @@ class HnbRegParams:
             raise ValueError("parameters must be finite")
 
 
-def _check_dims(X, coef, name):
-    if X.ndim != 2 or X.shape[1] != np.shape(coef)[0]:
-        raise ValueError(
-            f"dimension mismatch: {name} design is {X.shape}, coefficients {np.shape(coef)}"
-        )
+def _check_rows(X, y, X_h=None, *, n=None, k=None, k_h=None, labels=None, hurdle_labels=None, dtype=np.int64):
+    """(X, y, labels, X_h, hurdle_labels) as float designs, ``dtype`` counts and
+    label tuples (default names if None), checked in order: X is 2-D with ``n``
+    rows and ``k`` columns where given, a label per column and finite cells;
+    y has shape (rows of X,) and holds counts; X_h as X, with X's rows and
+    ``k_h`` columns.  None parts are skipped; an X_h that is X is not scanned."""
+
+    def design(M, rows, cols, labels, hurdle=False, scan=True):
+        what, name = ("hurdle design matrix", "hurdle_labels") if hurdle else ("design matrix", "labels")
+        M = np.asarray(M, dtype=float)
+        shape = M.shape if M.ndim == 2 else ("n", "k")
+        expected = (shape[0] if rows is None else rows, shape[1] if cols is None else cols)
+        if M.shape != expected:
+            raise ValueError(f"{what} has shape {M.shape}, not ({expected[0]}, {expected[1]})")
+        cols = M.shape[1]
+        if labels is None:
+            labels = ("intercept",) + tuple(f"x{j}" for j in range(1, cols))
+        elif len(labels) != cols:
+            raise ValueError(f"{name} length does not match the {what} ({len(labels)} labels, {cols} columns)")
+        if scan and not np.isfinite(M).all():
+            i, j = np.argwhere(~np.isfinite(M))[0]
+            raise ValueError(f"{what} has non-finite value {M[i, j]} at row {i}, column {labels[j]!r}")
+        return M, tuple(labels)
+
+    hurdle_is_X = X_h is X
+    if X is not None:
+        X, labels = design(X, n, k, labels)
+        n = X.shape[0]
+    if y is not None:
+        if np.shape(y) != (n,):
+            raise ValueError(f"response has shape {np.shape(y)}, not ({n},)")
+        y = _validate_counts(y, dtype)
+    if X_h is not None:
+        X_h, hurdle_labels = design(X if hurdle_is_X else X_h, n, k_h, hurdle_labels, True, not hurdle_is_X)
+    return X, y, labels, X_h, hurdle_labels
 
 
 def _clamped_eta(X, beta):
@@ -98,22 +129,28 @@ def _logistic(eta):
     return np.exp(-np.logaddexp(0.0, -eta))
 
 
+def _theta(X, beta):
+    return np.exp(_clamped_eta(X, beta))
+
+
+def _phi(X_h, delta):
+    return _logistic(_clamped_eta(X_h, delta))
+
+
 def link_mean(X, beta) -> np.ndarray:
     """theta_i = exp(x_i' beta); linear predictor clamped to +-700."""
-    _check_dims(X, beta, "mean")
-    return np.exp(_clamped_eta(X, beta))
+    return _theta(_check_rows(X, None, k=len(beta))[0], beta)
 
 
 def link_hurdle(X_h, delta) -> np.ndarray:
     """phi_i = logistic(x_i' delta), kept strictly inside (0, 1)."""
-    _check_dims(X_h, delta, "hurdle")
-    return _logistic(_clamped_eta(X_h, delta))
+    return _phi(_check_rows(None, None, X_h, k_h=len(delta))[3], delta)
 
 
 def _poisson_kernel(beta, X, y):
     """(row terms y log theta - theta, score, Hessian callable) of the Poisson
     log-likelihood without its -lnG(y+1) constant.  Inputs are not checked."""
-    theta = np.exp(_clamped_eta(X, beta))
+    theta = _theta(X, beta)
     return y * np.log(theta) - theta, X.T @ (y - theta), lambda: -(X.T @ (X * theta[:, None]))
 
 
@@ -132,8 +169,7 @@ def _logit_kernel(delta, X_h, z):
 
 def poisson_loglik(beta, X, y, full: bool = True) -> float:
     """Poisson log-likelihood under the log link."""
-    _check_dims(X, beta, "mean")
-    y = _validate_counts(y, float)
+    X, y = _check_rows(X, y, k=len(beta), dtype=float)[:2]
     value = float(np.sum(_poisson_kernel(beta, X, y)[0]))
     if full:
         value -= float(np.sum(ln_gamma(y + 1.0)))
@@ -141,8 +177,8 @@ def poisson_loglik(beta, X, y, full: bool = True) -> float:
 
 
 def poisson_score(beta, X, y) -> np.ndarray:
-    _check_dims(X, beta, "mean")
-    return _poisson_kernel(beta, X, _validate_counts(y, float))[1]
+    X, y = _check_rows(X, y, k=len(beta), dtype=float)[:2]
+    return _poisson_kernel(beta, X, y)[1]
 
 
 # The dispersion grid is built in chunks of this many values of j, so that
@@ -245,16 +281,14 @@ def nb_loglik(params: NbRegParams, X, y, full: bool = True) -> float:
     comparable across model families (needed for AIC); ``full=False`` drops
     it.
     """
-    _check_dims(X, params.beta, "mean")
-    y = _validate_counts(y, float)
+    X, y = _check_rows(X, y, k=len(params.beta), dtype=float)[:2]
     lgy1 = ln_gamma(y + 1.0) if full else None
     return float(np.sum(_nb_kernel(params.beta, params.log_r, X, y, False, lgy1)[0]))
 
 
 def nb_score(params: NbRegParams, X, y) -> np.ndarray:
     """Analytic gradient of the NB log-likelihood in (beta, log r)."""
-    _check_dims(X, params.beta, "mean")
-    y = _validate_counts(y, float)
+    X, y = _check_rows(X, y, k=len(params.beta), dtype=float)[:2]
     return _nb_kernel(params.beta, params.log_r, X, y, False)[1]
 
 
@@ -270,9 +304,7 @@ def hnb_loglik_parts(params: HnbRegParams, X, X_h, y, full: bool = True):
     The binary part depends only on delta; the truncated part only on
     (beta, log r).  Their sum is the joint log-likelihood.
     """
-    _check_dims(X, params.nb.beta, "mean")
-    _check_dims(X_h, params.delta, "hurdle")
-    y = _validate_counts(y, float)
+    X, y, _, X_h, _ = _check_rows(X, y, X_h, k=len(params.nb.beta), k_h=len(params.delta), dtype=float)
     zero = y == 0
     truncated = 0.0
     if not zero.all():
@@ -296,9 +328,7 @@ def hnb_score(params: HnbRegParams, X, X_h, y) -> np.ndarray:
     The delta block depends only on the zero/positive pattern; the
     (beta, log r) block only on the positive-count rows.
     """
-    _check_dims(X, params.nb.beta, "mean")
-    _check_dims(X_h, params.delta, "hurdle")
-    y = _validate_counts(y, float)
+    X, y, _, X_h, _ = _check_rows(X, y, X_h, k=len(params.nb.beta), k_h=len(params.delta), dtype=float)
     zero = y == 0
     nb_block = np.zeros(params.nb.beta.shape[0] + 1)
     if not zero.all():

@@ -6,6 +6,7 @@ expected frequencies.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ class TestPearson:
 
     def test_dimension_mismatch(self):
         m = manual_nb_model(2.0, 0.5, 5)
-        with pytest.raises(ValueError, match="design shape"):
+        with pytest.raises(ValueError, match="design matrix has shape"):
             pearson(m, np.ones((4, 1)), np.full(4, 2))
 
 
@@ -238,7 +239,7 @@ class TestOneCheckOfTheRows:
     @pytest.mark.parametrize("rows", [1, 5])
     def test_hurdle_design_of_the_wrong_shape_is_refused(self, fits, rows):
         X, y, _, hnb = fits
-        message = "^hurdle design shape does not match the fitted model$"
+        message = rf"^hurdle design matrix has shape \({rows}, 3\), not \(3000, 3\)$"
         with pytest.raises(ValueError, match=message):
             pearson(hnb, X, y, X_h=X[:rows])
         with pytest.raises(ValueError, match=message):
@@ -264,13 +265,13 @@ class TestOneCheckOfTheRows:
     def test_checks_run_in_order(self, fits):
         X, y, _, hnb = fits
         negative = np.full(y.shape, -1)
-        with pytest.raises(ValueError, match="^design shape"):
+        with pytest.raises(ValueError, match="^design matrix has shape"):
             pearson(hnb, X[:5], negative[:4], X_h=X[:1])
-        with pytest.raises(ValueError, match="^response length"):
+        with pytest.raises(ValueError, match="^response has shape"):
             pearson(hnb, X, negative[:4], X_h=X[:1])
         with pytest.raises(ValueError, match="^counts must"):
             pearson(hnb, X, negative, X_h=X[:1])
-        with pytest.raises(ValueError, match="^hurdle design shape"):
+        with pytest.raises(ValueError, match="^hurdle design matrix has shape"):
             pearson(hnb, X, y, X_h=X[:1])
 
     def test_models_without_a_hurdle_ignore_X_h(self, fits):
@@ -284,8 +285,20 @@ class TestOneCheckOfTheRows:
     def test_omitted_design_with_a_short_response_names_the_response(self):
         y = np.array([0, 1, 1, 3, 5, 0, 2])
         m = fit_homogeneous("NB", y)
-        with pytest.raises(ValueError, match="^response length does not match the fitted model$"):
+        with pytest.raises(ValueError, match=r"^response has shape \(6,\), not \(7,\)$"):
             frequency_table(y[:-1], m, y_max=5)
+
+    @pytest.mark.parametrize("y_max", [-1, 2.5, True, "3", None])
+    def test_y_max_must_be_a_nonnegative_integer(self, y_max):
+        m = manual_nb_model(theta=2.0, r=0.5, n=3)
+        with pytest.raises(ValueError, match=f"^y_max must be a nonnegative integer, not {re.escape(repr(y_max))}$"):
+            frequency_table(np.array([0, 1, 4]), m, y_max=y_max)
+
+    def test_y_max_may_be_a_numpy_integer_or_zero(self):
+        m = manual_nb_model(theta=2.0, r=0.5, n=3)
+        y = np.array([0, 1, 4])
+        for y_max, empirical in ((np.int64(2), [1, 1, 0, 1]), (0, [1, 2])):
+            np.testing.assert_array_equal(frequency_table(y, m, y_max=y_max)[0], empirical)
 
     def test_overflow_cell_counts_everything_above_y_max(self):
         # A count of 10**12 lands in the overflow cell without a bin of its own.

@@ -498,6 +498,23 @@ class TestFitFamily:
         assert m.names == ("intercept", "age", "r", "zero:const")
         np.testing.assert_array_equal(m.params_unconstrained, expected.params_unconstrained)
 
+    def test_the_hurdle_design_defaults_to_X_and_its_labels_to_labels(self):
+        rng = np.random.default_rng(23)
+        X = design(rng, 400, 2)
+        y = simulate_hnb(rng, X, np.array([1.0, 0.3]), 0.6, X, np.array([-0.5, 0.4]))
+        labels = ("intercept", "age")
+        fits = [
+            fit_family("HNB", X, y, labels=labels),
+            fit_hnb(X, None, y, labels=labels),
+            fit_hnb(X, X, y, labels=labels),
+            fit_hnb(X, X.copy(), y, labels=labels, hurdle_labels=labels),
+        ]
+        for m in fits:
+            assert m.names == ("intercept", "age", "r", "zero:intercept", "zero:age")
+            assert m.hurdle_labels == labels
+            np.testing.assert_array_equal(m.params_unconstrained, fits[0].params_unconstrained)
+        assert fit_hnb(X, None, y, labels=labels, hurdle_labels=("one", "two")).hurdle_names == ("zero:one", "zero:two")
+
     def test_unknown_family_is_named(self):
         with pytest.raises(ValueError, match="unknown family 'ZIP'"):
             fit_family("ZIP", np.ones((5, 1)), np.arange(5))

@@ -88,7 +88,7 @@ class TestLinks:
         assert 1.0 - 1e-12 < hi <= 1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="has shape"):
             link_mean(np.ones((3, 2)), np.zeros(3))
 
 

@@ -1,0 +1,180 @@
+"""Every public entry point checks its designs and response through one step.
+
+A fit, a likelihood, a link or a diagnostic given a response of the wrong
+shape, a non-finite design cell or a hurdle design with other rows raises
+ValueError with that check's message, naming the cell where there is one,
+and never returns a number.  The reproductions use n = 500, X = [1, N(0,1)]
+from ``default_rng(0)``, y ~ Poisson(exp(0.5 + 0.3x)) and
+NbRegParams([0.5, 0.3], log 0.5); before the shared check, a column-vector
+response there gave nb_loglik -425,443.99 (against -812.33 for y),
+poisson_loglik -229,847.64 (against -779.20) and 501 score entries, each
+from a hidden n x n broadcast.
+"""
+
+import functools
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from countreg.diagnostics import deviance_residuals, frequency_table, pearson
+from countreg.fit import fit_family, fit_hnb, fit_nb
+from countreg.inference import marginal_effect_hurdle
+from countreg.likelihood import (
+    HnbRegParams,
+    NbRegParams,
+    hnb_loglik,
+    hnb_loglik_parts,
+    hnb_score,
+    link_hurdle,
+    link_mean,
+    nb_loglik,
+    nb_score,
+    poisson_loglik,
+    poisson_score,
+)
+
+
+@pytest.fixture(scope="module")
+def citation_like():
+    rng = np.random.default_rng(0)
+    n = 500
+    X = np.column_stack([np.ones(n), rng.normal(size=n)])
+    y = rng.poisson(np.exp(0.5 + 0.3 * X[:, 1]))
+    return X, y, NbRegParams(np.array([0.5, 0.3]), math.log(0.5))
+
+
+def shape_message(what, shape, expected):
+    return f"^{re.escape(f'{what} has shape {shape}, not {expected}')}$"
+
+
+def cell_message(what, value, row, column):
+    return f"^{re.escape(f'{what} has non-finite value {value} at row {row}, column {column!r}')}$"
+
+
+class TestReproductions:
+    def test_a_column_vector_response_is_refused(self, citation_like):
+        X, y, p = citation_like
+        assert nb_loglik(p, X, y) == pytest.approx(-812.33, abs=0.005)
+        assert poisson_loglik(p.beta, X, y) == pytest.approx(-779.20, abs=0.005)
+        assert nb_score(p, X, y).shape == (3,)
+        message = shape_message("response", (500, 1), (500,))
+        for call in (
+            lambda: nb_loglik(p, X, y[:, None]),
+            lambda: poisson_loglik(p.beta, X, y[:, None]),
+            lambda: nb_score(p, X, y[:, None]),
+            lambda: fit_nb(X, y[:, None]),
+            lambda: pearson(fit_nb(X, y), X, y[:, None]),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_a_hurdle_design_with_other_rows_is_refused(self, citation_like):
+        X, y, p = citation_like
+        h = HnbRegParams(p, np.array([-1.0, 0.2]))
+        with pytest.raises(ValueError, match=shape_message("hurdle design matrix", (10, 2), (500, 2))):
+            hnb_score(h, X, X[:10], y)
+
+    def test_a_non_finite_design_cell_is_named(self, citation_like):
+        X, y, p = citation_like
+        nb, hnb = fit_nb(X, y), fit_hnb(X, X, y)
+        bad = X.copy()
+        bad[3, 1] = np.nan
+        message = cell_message("design matrix", np.nan, 3, "x1")
+        for call in (
+            lambda: pearson(nb, bad, y),
+            lambda: frequency_table(y, nb, y_max=10, X=bad),
+            lambda: link_mean(bad, p.beta),
+            lambda: fit_nb(bad, y),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(ValueError, match=cell_message("hurdle design matrix", np.nan, 0, "x1")):
+            marginal_effect_hurdle(hnb, "x1", [1.0, np.nan])
+
+
+N = 200
+BETA = np.array([0.8, 0.3, -0.2])
+DELTA = np.array([-0.5, 0.6])
+
+
+@functools.cache
+def fitted():
+    """(X, X_h, y, NB fit, HNB fit): k = 3 mean and 2 hurdle columns."""
+    rng = np.random.default_rng(19)
+    X = np.column_stack([np.ones(N), rng.normal(size=(N, 2))])
+    X_h = X[:, :2].copy()
+    y = np.where(rng.random(N) < link_hurdle(X_h, DELTA), 0, 1 + rng.poisson(link_mean(X, BETA)))
+    return X, X_h, y, fit_nb(X, y), fit_hnb(X, X_h, y)
+
+
+@functools.cache
+def entry_points():
+    """Name -> (call(X, X_h, y, row), the faults that apply to it).  Only
+    ``marginal_effect_hurdle`` reads ``row``: its one-row design is that row
+    of X_h."""
+    _, _, _, nb, hnb = fitted()
+    p = NbRegParams(BETA, math.log(0.5))
+    h = HnbRegParams(p, DELTA)
+    mean = ("column response", "short response", "X cell")
+    hurdle = mean + ("X_h cell", "X_h rows")
+    return {
+        "fit_family P": (lambda X, X_h, y, row: fit_family("P", X, y), mean),
+        "fit_family NB": (lambda X, X_h, y, row: fit_family("NB", X, y), mean),
+        "fit_family HNB": (lambda X, X_h, y, row: fit_family("HNB", X, y, X_h=X_h), hurdle),
+        "poisson_loglik": (lambda X, X_h, y, row: poisson_loglik(BETA, X, y), mean),
+        "poisson_score": (lambda X, X_h, y, row: poisson_score(BETA, X, y), mean),
+        "nb_loglik": (lambda X, X_h, y, row: nb_loglik(p, X, y), mean),
+        "nb_score": (lambda X, X_h, y, row: nb_score(p, X, y), mean),
+        "hnb_loglik": (lambda X, X_h, y, row: hnb_loglik(h, X, X_h, y), hurdle),
+        "hnb_loglik_parts": (lambda X, X_h, y, row: hnb_loglik_parts(h, X, X_h, y), hurdle),
+        "hnb_score": (lambda X, X_h, y, row: hnb_score(h, X, X_h, y), hurdle),
+        "link_mean": (lambda X, X_h, y, row: link_mean(X, BETA), ("X cell",)),
+        "link_hurdle": (lambda X, X_h, y, row: link_hurdle(X_h, DELTA), ("X_h cell",)),
+        "pearson NB": (lambda X, X_h, y, row: pearson(nb, X, y), mean),
+        "pearson HNB": (lambda X, X_h, y, row: pearson(hnb, X, y, X_h=X_h), hurdle),
+        "deviance_residuals": (lambda X, X_h, y, row: deviance_residuals(nb, X, y), mean),
+        "frequency_table NB": (lambda X, X_h, y, row: frequency_table(y, nb, 10, X=X), mean),
+        "frequency_table HNB": (lambda X, X_h, y, row: frequency_table(y, hnb, 10, X=X, X_h=X_h), hurdle),
+        "marginal_effect_hurdle": (lambda X, X_h, y, row: marginal_effect_hurdle(hnb, "x1", X_h[row]), ("X_h cell",)),
+    }
+
+
+@st.composite
+def faults(draw):
+    """(entry point name, X, X_h, y, row, expected message) with one fault."""
+    X, X_h, y, _, _ = fitted()
+    X, X_h = X.copy(), X_h.copy()
+    name = draw(st.sampled_from(sorted(entry_points())))
+    kind = draw(st.sampled_from(entry_points()[name][1]))
+    row = draw(st.integers(0, N - 1))
+    if kind == "column response":
+        y = y[:, None]
+        message = shape_message("response", (N, 1), (N,))
+    elif kind == "short response":
+        y = y[:-1]
+        message = shape_message("response", (N - 1,), (N,))
+    elif kind == "X_h rows":
+        rows = draw(st.integers(1, 2 * N).filter(lambda m: m != N))
+        X_h = X_h[np.arange(rows) % N]
+        message = shape_message("hurdle design matrix", (rows, 2), (N, 2))
+    else:
+        design, what = (X, "design matrix") if kind == "X cell" else (X_h, "hurdle design matrix")
+        column = draw(st.integers(0, design.shape[1] - 1))
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        design[row, column] = value
+        named_row = 0 if name == "marginal_effect_hurdle" else row
+        message = cell_message(what, value, named_row, ("intercept", "x1", "x2")[column])
+    return name, X, X_h, y, row, message
+
+
+@settings(max_examples=300, deadline=None)
+@given(faults())
+def test_every_entry_point_refuses_each_fault_with_its_message(fault):
+    name, X, X_h, y, row, message = fault
+    call = entry_points()[name][0]
+    with pytest.raises(ValueError, match=message):
+        call(X, X_h, y, row)
