@@ -16,6 +16,13 @@ written in row order.  ``--threads N`` sets the count for both, and
 ``--threads 1`` keeps the whole command in the calling process.  The files
 are byte-identical whatever the count.
 
+Every command runs its BLAS on one thread: ``main`` sets the OpenBLAS that
+numpy loaded to one thread and restores the caller's count when the command
+returns, and forked workers inherit the one thread.  The worker processes are
+the one level of parallelism, products such as ``X @ beta`` round the same
+way on any host, and no idle BLAS thread spins between calls.  Where numpy's
+BLAS is not an OpenBLAS found in ``/proc/self/maps``, nothing is changed.
+
 The run configuration is a JSON document with the encoding fields
 (``response``, ``predictors``, optional ``hurdle_predictors``) plus optional
 ``family`` (fit/restrict, default NB), ``families`` (compare), ``level``
@@ -42,6 +49,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import functools
 import io
@@ -568,6 +576,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (get, set) symbol pairs by which OpenBLAS builds export their thread count.
+_OPENBLAS_THREADS = [
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("openblas", "scipy_openblas")
+    for suffix in ("", "64_")
+]
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS mapped into this
+    process, or None where none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes, set_.argtypes = ctypes.c_int, [], [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread; the caller's count after."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -577,7 +630,8 @@ def main(argv=None) -> int:
         # statistical non-convergence, so usage problems map to 1.
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except SeparationError as exc:
         print(f"countreg: {exc}", file=sys.stderr)
         return 2

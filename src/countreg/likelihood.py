@@ -22,8 +22,9 @@ binary part, z eta - log(1 + e^eta)) and ``_nb_kernel`` (NB or
 zero-truncated NB, one grid per call).  The fitter and the public
 likelihoods call the same kernels, so a fit's log-likelihood is the public
 one at its estimates, bit for bit.  Likelihoods, links, fits and diagnostics
-share one check of designs and responses, ``_check_rows``.  The hurdle
-log-likelihood separates into the binary part in delta and the
+share one check of designs and responses, ``_check_rows``; the likelihoods
+and links check that their coefficients are vectors through ``_length``.
+The hurdle log-likelihood separates into the binary part in delta and the
 zero-truncated part in (beta, log r); the two blocks maximize independently.
 
 Observation sums run in natural (row) order, so repeated evaluation of the
@@ -121,6 +122,16 @@ def _check_rows(X, y, X_h=None, *, n=None, k=None, k_h=None, labels=None, hurdle
     return X, y, labels, X_h, hurdle_labels
 
 
+def _length(coefficients, design, what="coefficients"):
+    """The length of a coefficient vector, or ValueError naming its shape when
+    it is not one; the expected length is the design's column count."""
+    shape = np.shape(coefficients)
+    if len(shape) != 1:
+        k = np.shape(design)[1] if np.ndim(design) == 2 else "k"
+        raise ValueError(f"{what} have shape {shape}, not ({k},)")
+    return shape[0]
+
+
 def _clamped_eta(X, beta):
     return np.clip(X @ np.asarray(beta, dtype=float), -LINEAR_PREDICTOR_BOUND, LINEAR_PREDICTOR_BOUND)
 
@@ -139,12 +150,12 @@ def _phi(X_h, delta):
 
 def link_mean(X, beta) -> np.ndarray:
     """theta_i = exp(x_i' beta); linear predictor clamped to +-700."""
-    return _theta(_check_rows(X, None, k=len(beta))[0], beta)
+    return _theta(_check_rows(X, None, k=_length(beta, X))[0], beta)
 
 
 def link_hurdle(X_h, delta) -> np.ndarray:
     """phi_i = logistic(x_i' delta), kept strictly inside (0, 1)."""
-    return _phi(_check_rows(None, None, X_h, k_h=len(delta))[3], delta)
+    return _phi(_check_rows(None, None, X_h, k_h=_length(delta, X_h, "hurdle coefficients"))[3], delta)
 
 
 def _poisson_kernel(beta, X, y):
@@ -169,7 +180,7 @@ def _logit_kernel(delta, X_h, z):
 
 def poisson_loglik(beta, X, y, full: bool = True) -> float:
     """Poisson log-likelihood under the log link."""
-    X, y = _check_rows(X, y, k=len(beta), dtype=float)[:2]
+    X, y = _check_rows(X, y, k=_length(beta, X), dtype=float)[:2]
     value = float(np.sum(_poisson_kernel(beta, X, y)[0]))
     if full:
         value -= float(np.sum(ln_gamma(y + 1.0)))
@@ -177,7 +188,7 @@ def poisson_loglik(beta, X, y, full: bool = True) -> float:
 
 
 def poisson_score(beta, X, y) -> np.ndarray:
-    X, y = _check_rows(X, y, k=len(beta), dtype=float)[:2]
+    X, y = _check_rows(X, y, k=_length(beta, X), dtype=float)[:2]
     return _poisson_kernel(beta, X, y)[1]
 
 
@@ -281,14 +292,14 @@ def nb_loglik(params: NbRegParams, X, y, full: bool = True) -> float:
     comparable across model families (needed for AIC); ``full=False`` drops
     it.
     """
-    X, y = _check_rows(X, y, k=len(params.beta), dtype=float)[:2]
+    X, y = _check_rows(X, y, k=_length(params.beta, X), dtype=float)[:2]
     lgy1 = ln_gamma(y + 1.0) if full else None
     return float(np.sum(_nb_kernel(params.beta, params.log_r, X, y, False, lgy1)[0]))
 
 
 def nb_score(params: NbRegParams, X, y) -> np.ndarray:
     """Analytic gradient of the NB log-likelihood in (beta, log r)."""
-    X, y = _check_rows(X, y, k=len(params.beta), dtype=float)[:2]
+    X, y = _check_rows(X, y, k=_length(params.beta, X), dtype=float)[:2]
     return _nb_kernel(params.beta, params.log_r, X, y, False)[1]
 
 
@@ -304,7 +315,9 @@ def hnb_loglik_parts(params: HnbRegParams, X, X_h, y, full: bool = True):
     The binary part depends only on delta; the truncated part only on
     (beta, log r).  Their sum is the joint log-likelihood.
     """
-    X, y, _, X_h, _ = _check_rows(X, y, X_h, k=len(params.nb.beta), k_h=len(params.delta), dtype=float)
+    X, y, _, X_h, _ = _check_rows(
+        X, y, X_h, k=_length(params.nb.beta, X), k_h=_length(params.delta, X_h, "hurdle coefficients"), dtype=float
+    )
     zero = y == 0
     truncated = 0.0
     if not zero.all():
@@ -328,7 +341,9 @@ def hnb_score(params: HnbRegParams, X, X_h, y) -> np.ndarray:
     The delta block depends only on the zero/positive pattern; the
     (beta, log r) block only on the positive-count rows.
     """
-    X, y, _, X_h, _ = _check_rows(X, y, X_h, k=len(params.nb.beta), k_h=len(params.delta), dtype=float)
+    X, y, _, X_h, _ = _check_rows(
+        X, y, X_h, k=_length(params.nb.beta, X), k_h=_length(params.delta, X_h, "hurdle coefficients"), dtype=float
+    )
     zero = y == 0
     nb_block = np.zeros(params.nb.beta.shape[0] + 1)
     if not zero.all():

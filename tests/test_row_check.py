@@ -178,3 +178,52 @@ def test_every_entry_point_refuses_each_fault_with_its_message(fault):
     call = entry_points()[name][0]
     with pytest.raises(ValueError, match=message):
         call(X, X_h, y, row)
+
+
+ONES = np.ones((3, 1))
+COUNTS = [1, 2, 3]
+
+
+def coefficient_entry_points(beta, delta):
+    """Name -> call of each public function that takes coefficient vectors,
+    on a 3 x 1 design and hurdle design; ``delta`` is the hurdle vector."""
+    p = NbRegParams(beta, 0.0)
+    h = HnbRegParams(NbRegParams(np.zeros(1), 0.0), delta)
+    return {
+        "link_mean": lambda: link_mean(ONES, beta),
+        "link_hurdle": lambda: link_hurdle(ONES, delta),
+        "poisson_loglik": lambda: poisson_loglik(beta, ONES, COUNTS),
+        "poisson_score": lambda: poisson_score(beta, ONES, COUNTS),
+        "nb_loglik": lambda: nb_loglik(p, ONES, COUNTS),
+        "nb_score": lambda: nb_score(p, ONES, COUNTS),
+        "hnb_loglik": lambda: hnb_loglik(HnbRegParams(p, np.zeros(1)), ONES, ONES, COUNTS),
+        "hnb_loglik_parts": lambda: hnb_loglik_parts(h, ONES, ONES, COUNTS),
+        "hnb_score": lambda: hnb_score(h, ONES, ONES, COUNTS),
+    }
+
+
+class TestCoefficientShapes:
+    """A coefficient vector that is 2-D or a scalar is refused by its shape.
+
+    Before this check a (1, 1) vector broadcast silently: poisson_loglik
+    gave -11.48 and nb_loglik -18.71 where a (1,) vector gives -5.48 and
+    -6.24, link_mean returned shape (3, 1), and a scalar raised TypeError.
+    """
+
+    def test_a_vector_gives_the_values_a_column_gave_wrongly(self):
+        assert poisson_loglik(np.zeros(1), ONES, COUNTS) == pytest.approx(-5.48, abs=0.005)
+        assert nb_loglik(NbRegParams(np.zeros(1), 0.0), ONES, COUNTS) == pytest.approx(-6.24, abs=0.005)
+        assert link_mean(ONES, np.zeros(1)).shape == (3,)
+
+    @pytest.mark.parametrize("shape", [(1, 1), ()])
+    @pytest.mark.parametrize("name", sorted(coefficient_entry_points(np.zeros(1), np.zeros(1))))
+    def test_each_entry_point_names_the_shape(self, name, shape):
+        bad = np.zeros(shape)
+        hurdle = name in ("link_hurdle", "hnb_loglik_parts", "hnb_score")
+        calls = coefficient_entry_points(np.zeros(1) if hurdle else bad, bad if hurdle else np.zeros(1))
+        what = "hurdle coefficients" if hurdle else "coefficients"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} have shape {shape}, not (1,)')}$"):
+            calls[name]()
+
+    def test_a_list_of_coefficients_is_still_a_vector(self):
+        assert poisson_loglik([0.0], ONES, COUNTS) == poisson_loglik(np.zeros(1), ONES, COUNTS)
