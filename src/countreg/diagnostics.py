@@ -15,6 +15,10 @@ designs and the response against the fitted model through
 variances come from the closed-form moments in :mod:`countreg.distributions`
 for all rows at once, tested against truncated summation of the pmf; the
 printed bracket form of the variance is never used.
+
+A frequency table reads the likelihood kernel's dispersion grid once, over
+0..y_max, so its NB pmf at v = y_i is exp of the fitter's row term at y_i;
+it costs O(n * y_max) time and O(n + y_max) memory.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 from .distributions import _hnb_moments
 from .fit import FittedModel
 from .likelihood import _check_rows, _phi, _theta
+from .special import _dispersion_sums, ln_gamma
 
 __all__ = ["ResidualSet", "pearson", "deviance_residuals", "frequency_table"]
 
@@ -130,37 +135,29 @@ def deviance_residuals(model: FittedModel, X, y) -> ResidualSet:
 def _pmf_columns(model, theta, phi, r, y_max):
     """P(Y = v | x_i) for every row, for v = 0..y_max in turn.
 
-    The per-row logarithms are computed once, not once per value.
+    lnG(v+1) and, for NB and HNB, the dispersion sum s0 come from one grid
+    over 0..y_max; the per-row logarithms are computed once, not once per
+    value.  The NB term is the likelihood kernel's row term at y = v.
     """
-    from .special import ln_gamma, ln_gamma_ratio
-
+    values = np.arange(y_max + 1)
+    log_fact = ln_gamma(values + 1.0)
+    log_theta = np.log(theta)
     if model.family == "P":
-        log_theta = np.log(theta)
-        for value in range(y_max + 1):
-            v = float(value)
-            yield np.exp(-theta + v * log_theta - ln_gamma(v + 1.0))
+        for value in values:
+            yield np.exp(-theta + value * log_theta - log_fact[value])
         return
+    s0 = _dispersion_sums(values, r)[0]
     a = 1.0 / r
     log1prt = np.log1p(r * theta)
-    log_rt = np.log(r * theta)
     if model.family == "HNB":
         positive = 1.0 - phi
         p_positive = -np.expm1(-a * log1prt)
-    for value in range(y_max + 1):
+    for value in values:
         if model.family == "HNB" and value == 0:
             yield phi
             continue
-        v = float(value)
-        log_nb = (
-            ln_gamma_ratio(a, value)
-            - ln_gamma_ratio(1.0, value)
-            - (a + v) * log1prt
-            + v * log_rt
-        )
-        if model.family == "NB":
-            yield np.exp(log_nb)
-        else:
-            yield positive * np.exp(log_nb) / p_positive
+        nb = np.exp(s0[value] - (a + value) * log1prt + value * log_theta - log_fact[value])
+        yield nb if model.family == "NB" else positive * nb / p_positive
 
 
 def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):

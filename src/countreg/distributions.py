@@ -6,10 +6,12 @@ Poisson and ``r = 1`` the geometric distribution.  The hurdle variant places
 probability ``phi`` on zero and renormalizes the positive negative-binomial
 mass over {1, 2, ...}.
 
-Log-pmfs are evaluated in log space throughout; the gamma-function terms are
-computed with the product identity (``ln_gamma_ratio``) rather than direct
-gamma evaluations.  Residuals take the hurdle mean and variance from the
-closed form ``E[Y^2] = (1-phi)(theta + (1+r)theta^2)/(1-p0)`` (Mullahy 1986),
+Log-pmfs are evaluated in log space by one private NB log-pmf
+(``_nb_log_pmf``), the likelihood kernel's row term: lnG(1/r + y) - lnG(1/r)
++ y log r comes from the fitter's dispersion grid (``special._dispersion_sums``,
+bounded memory for any count) and lnG(y+1) from ``ln_gamma``.  Residuals
+take the hurdle mean and variance from the closed form
+``E[Y^2] = (1-phi)(theta + (1+r)theta^2)/(1-p0)`` (Mullahy 1986),
 evaluated for all rows at once.  Truncated summation of the pmf stays as the
 oracle that the closed form is tested against (:func:`hnb_mean_var`); the
 printed bracket form of the variance disagrees with both and is evaluated only
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import ln_gamma_ratio_grid
+from .special import _dispersion_sums, ln_gamma
 
 __all__ = [
     "NbParams",
@@ -90,25 +92,24 @@ def _validate_counts(y, dtype=np.int64):
     return arr.astype(dtype)
 
 
-def _nb_log_pmf_grid(p: NbParams, y_max: int) -> np.ndarray:
-    """log pmf on the contiguous support 0..y_max."""
-    a = 1.0 / p.r
-    y = np.arange(y_max + 1, dtype=float)
-    ratio = ln_gamma_ratio_grid(a, y_max)
-    log_fact = ln_gamma_ratio_grid(1.0, y_max)
-    log1prt = np.log1p(p.r * p.theta)
-    return ratio - log_fact - (a + y) * log1prt + y * np.log(p.r * p.theta)
+def _nb_log_pmf(counts, p: NbParams) -> np.ndarray:
+    """log pmf at the int64 ``counts`` (any shape), term for term the
+    likelihood kernel's row: s0 - (1/r + y) log1p(r theta) + y log theta -
+    lnG(y+1), with s0 from the dispersion grid."""
+    y = np.ravel(counts)
+    s0 = _dispersion_sums(y, p.r)[0]
+    y = y.astype(float)
+    out = s0 - (1.0 / p.r + y) * np.log1p(p.r * p.theta) + y * np.log(p.theta) - ln_gamma(y + 1.0)
+    return out.reshape(np.shape(counts))
 
 
 def nb_log_pmf(y, p: NbParams):
     """Negative binomial log pmf at count(s) ``y``.
 
-    Overflow-free: the Gamma(1/r + y)/Gamma(1/r) term uses the log-product
-    identity and the remaining factors stay in log space.
+    Overflow-free: the Gamma(1/r + y)/Gamma(1/r) term is a sum of
+    logarithms and the remaining factors stay in log space.
     """
-    arr = _validate_counts(y)
-    grid = _nb_log_pmf_grid(p, int(arr.max()) if arr.size else 0)
-    out = grid[arr]
+    out = _nb_log_pmf(_validate_counts(y), p)
     if np.isscalar(y) or np.asarray(y).ndim == 0:
         return float(out)
     return out
@@ -131,14 +132,12 @@ def hnb_log_pmf(y, h: HurdleParams):
     error.
     """
     arr = _validate_counts(y)
-    grid_max = int(arr.max()) if arr.size else 0
-    nb_grid = _nb_log_pmf_grid(h.nb, grid_max)
     log_p0 = -np.log1p(h.nb.r * h.nb.theta) / h.nb.r
     with np.errstate(divide="ignore"):
         log_phi = np.log(h.phi)
         log_phibar = np.log1p(-h.phi)
-        log_positive = log_phibar - np.log1p(-np.exp(log_p0)) + nb_grid
-    out = np.where(arr == 0, log_phi, log_positive[arr])
+        log_positive = log_phibar - np.log1p(-np.exp(log_p0)) + _nb_log_pmf(arr, h.nb)
+    out = np.where(arr == 0, log_phi, log_positive)
     if np.isscalar(y) or np.asarray(y).ndim == 0:
         return float(out)
     return out
@@ -158,25 +157,12 @@ def support_bound(dist, tail: float = _TAIL_TOLERANCE) -> int:
     q = p.r * p.theta / (1.0 + p.r * p.theta)
     bound = max(int(mean + 10.0 * sd), 16)
     while bound < cap:
-        log_pmf_b = _nb_log_pmf_tail_point(p, bound)
+        log_pmf_b = _nb_log_pmf(np.array([bound]), p)[0]
         rho = (a + bound) / (bound + 1.0) * q
         if rho < 1.0 and np.exp(log_pmf_b) * rho / (1.0 - rho) < tail:
             return bound
         bound *= 2
     return cap
-
-
-def _nb_log_pmf_tail_point(p: NbParams, y: int) -> float:
-    # Single point via ln_gamma_ratio; avoids building the full grid twice.
-    from .special import ln_gamma_ratio
-
-    a = 1.0 / p.r
-    return (
-        ln_gamma_ratio(a, y)
-        - ln_gamma_ratio(1.0, y)
-        - (a + y) * np.log1p(p.r * p.theta)
-        + y * np.log(p.r * p.theta)
-    )
 
 
 def _truncated_moments(h: HurdleParams, tail: float = 1e-16):

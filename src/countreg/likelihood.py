@@ -12,8 +12,10 @@ plus the constant -lnG(y+1) when the full (cross-family comparable) value is
 requested.  The gamma terms are evaluated as the cancellation-free sum
 lnG(1/r + y) - lnG(1/r) + y log r = sum_{j<y} log1p(j r) (Lawless 1987);
 that sum and its first two log r derivatives share one cumulative-sum grid,
-so the NB and zero-truncated NB log-likelihood, score and exact Hessian in
-(beta, log r) need no special functions beyond the lnG(y+1) constant.
+``special._dispersion_sums``, the same grid the pmfs and the frequency
+table read, so the NB and zero-truncated NB log-likelihood, score and exact
+Hessian in (beta, log r) need no special functions beyond the lnG(y+1)
+constant.
 
 Each likelihood block has exactly one private kernel, which returns its row
 terms, score and a zero-argument Hessian callable from one linear predictor:
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _validate_counts
-from .special import ln_gamma
+from .special import _dispersion_sums, ln_gamma
 
 __all__ = [
     "NbRegParams",
@@ -190,50 +192,6 @@ def poisson_loglik(beta, X, y, full: bool = True) -> float:
 def poisson_score(beta, X, y) -> np.ndarray:
     X, y = _check_rows(X, y, k=_length(beta, X), dtype=float)[:2]
     return _poisson_kernel(beta, X, y)[1]
-
-
-# The dispersion grid is built in chunks of this many values of j, so that
-# its memory stays bounded whatever the largest count.
-_GRID_CHUNK = 2**20
-
-
-def _dispersion_grid(r, lo, hi, start):
-    """The three cumulative sums of ``_dispersion_sums`` at m = lo..hi,
-    continuing from their values ``start`` at m = lo."""
-    jr = r * np.arange(lo, hi, dtype=float)
-    grids = np.empty((3, hi - lo + 1))
-    grids[:, 0] = start
-    np.log1p(jr, out=grids[0, 1:])
-    np.divide(jr, 1.0 + jr, out=grids[1, 1:])
-    np.divide(grids[1, 1:], 1.0 + jr, out=grids[2, 1:])
-    return np.cumsum(grids, axis=1, out=grids)
-
-
-def _dispersion_sums(y, r):
-    """Per-row sums over j < y of log1p(j r), j r/(1 + j r) and j r/(1 + j r)^2.
-
-    The first equals lnG(1/r + y) - lnG(1/r) + y log r (Lawless 1987); the
-    other two are its first and second derivatives in log r.  Each is one
-    cumulative sum over j = 0..max(y) - 1 gathered at y, and no term cancels
-    at any r.  Counts above ``_GRID_CHUNK`` are summed chunk by chunk, each
-    chunk's sums continuing from the last of the chunk before; a cumulative
-    sum adds in order, so the sums are bit for bit those of one pass.
-    """
-    counts = y.astype(np.int64)
-    top = int(counts.max(initial=0))
-    if top <= _GRID_CHUNK:
-        return tuple(grid[counts] for grid in _dispersion_grid(r, 0, top, 0.0))
-    sums = tuple(np.empty(counts.size) for _ in range(3))
-    start = 0.0
-    for lo in range(0, top, _GRID_CHUNK):
-        hi = min(lo + _GRID_CHUNK, top)
-        grids = _dispersion_grid(r, lo, hi, start)
-        rows = (lo <= counts) & (counts <= hi)
-        at = counts[rows] - lo
-        for total, grid in zip(sums, grids):
-            total[rows] = grid[at]
-        start = grids[:, -1].copy()
-    return sums
 
 
 def _nb_kernel(beta, log_r, X, y, truncated, lgy1=None):

@@ -1,15 +1,20 @@
-"""Special functions used by the count-model likelihoods.
+"""Special functions used by the count-model likelihoods and pmfs.
 
 ``ln_gamma`` (Lanczos) and ``digamma`` (recurrence plus asymptotic series) are
-the exact routines; the likelihoods use only ``ln_gamma``, for the lnG(y+1)
-constant.  ``ln_gamma_approx`` evaluates a closed-form Stirling
+the exact routines; the likelihoods and pmfs use ``ln_gamma`` for the
+lnG(y+1) constant.  ``ln_gamma_approx`` evaluates a closed-form Stirling
 variant based on ``z*sinh(1/z)``; nothing in countreg calls it, and it is
 kept as a public cross-check utility with a documented error bound (see its
-docstring).  ``ln_gamma_ratio`` evaluates
-``log Gamma(a+b) - log Gamma(a)`` for integer ``b`` as a sum of logarithms,
-which avoids the gamma function entirely.
+docstring).
 
-All functions accept floats or numpy arrays and are pure.
+Every lnG(1/r + y) - lnG(1/r) in the package comes from one grid,
+``_dispersion_sums``: per-count sums over j < y of log1p(j r) (Lawless
+1987) and its first two log r derivatives, one cumulative sum over
+0..max(y) built in chunks of ``_GRID_CHUNK`` values.  The NB likelihood
+kernel, the NB and hurdle-NB pmfs, the frequency table and the public
+``ln_gamma_ratio`` all read it.
+
+All public functions accept floats or numpy arrays and are pure.
 """
 
 from __future__ import annotations
@@ -132,11 +137,56 @@ def digamma(z):
     return result.reshape(np.asarray(z).shape)
 
 
+# The dispersion grid is built in chunks of this many values of j, so that
+# its memory stays bounded whatever the largest count.
+_GRID_CHUNK = 2**20
+
+
+def _dispersion_grid(r, lo, hi, start):
+    """The three cumulative sums of ``_dispersion_sums`` at m = lo..hi,
+    continuing from their values ``start`` at m = lo."""
+    jr = r * np.arange(lo, hi, dtype=float)
+    grids = np.empty((3, hi - lo + 1))
+    grids[:, 0] = start
+    np.log1p(jr, out=grids[0, 1:])
+    np.divide(jr, 1.0 + jr, out=grids[1, 1:])
+    np.divide(grids[1, 1:], 1.0 + jr, out=grids[2, 1:])
+    return np.cumsum(grids, axis=1, out=grids)
+
+
+def _dispersion_sums(y, r):
+    """Per-row sums over j < y of log1p(j r), j r/(1 + j r) and j r/(1 + j r)^2.
+
+    The first equals lnG(1/r + y) - lnG(1/r) + y log r (Lawless 1987); the
+    other two are its first and second derivatives in log r.  Each is one
+    cumulative sum over j = 0..max(y) - 1 gathered at y, and no term cancels
+    at any r.  Counts above ``_GRID_CHUNK`` are summed chunk by chunk, each
+    chunk's sums continuing from the last of the chunk before; a cumulative
+    sum adds in order, so the sums are bit for bit those of one pass.
+    """
+    counts = y.astype(np.int64)
+    top = int(counts.max(initial=0))
+    if top <= _GRID_CHUNK:
+        return tuple(grid[counts] for grid in _dispersion_grid(r, 0, top, 0.0))
+    sums = tuple(np.empty(counts.size) for _ in range(3))
+    start = 0.0
+    for lo in range(0, top, _GRID_CHUNK):
+        hi = min(lo + _GRID_CHUNK, top)
+        grids = _dispersion_grid(r, lo, hi, start)
+        rows = (lo <= counts) & (counts <= hi)
+        at = counts[rows] - lo
+        for total, grid in zip(sums, grids):
+            total[rows] = grid[at]
+        start = grids[:, -1].copy()
+    return sums
+
+
 def ln_gamma_ratio(a, b):
     """log Gamma(a+b) - log Gamma(a) for a > 0 and integer b >= 0.
 
-    Uses the product identity Gamma(a+b)/Gamma(a) = prod_{j=1..b} (a+j-1),
-    so no gamma evaluation is needed.  b = 0 returns exactly 0.
+    Evaluated as b log a + s0, where s0 = sum_{j<b} log1p(j/a) is the
+    dispersion sum at r = 1/a, so no gamma evaluation is needed and memory
+    stays bounded for any b.  b = 0 returns exactly 0.
     """
     a = float(a)
     if not np.isfinite(a) or a <= 0.0:
@@ -144,22 +194,4 @@ def ln_gamma_ratio(a, b):
     if b != int(b) or b < 0:
         raise ValueError("ln_gamma_ratio requires a nonnegative integer b")
     b = int(b)
-    if b == 0:
-        return 0.0
-    return float(np.log(a + np.arange(b, dtype=float)).sum())
-
-
-def ln_gamma_ratio_grid(a, b_max):
-    """Vector of ln_gamma_ratio(a, b) for b = 0..b_max via one cumulative sum.
-
-    Shares the exact partial sums of :func:`ln_gamma_ratio`, so the two
-    agree to rounding; used for pmf evaluation over contiguous supports.
-    """
-    a = float(a)
-    if not np.isfinite(a) or a <= 0.0:
-        raise ValueError("ln_gamma_ratio_grid requires a finite, strictly positive a")
-    b_max = int(b_max)
-    out = np.zeros(b_max + 1)
-    if b_max > 0:
-        out[1:] = np.cumsum(np.log(a + np.arange(b_max, dtype=float)))
-    return out
+    return float(b * np.log(a) + _dispersion_sums(np.array([b]), 1.0 / a)[0][0])

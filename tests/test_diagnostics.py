@@ -11,10 +11,12 @@ import re
 import numpy as np
 import pytest
 
-from countreg.diagnostics import deviance_residuals, frequency_table, pearson
+from countreg import special
+from countreg.diagnostics import _pmf_columns, _rows, deviance_residuals, frequency_table, pearson
 from countreg.distributions import NbParams, nb_log_pmf
 from countreg.fit import FittedModel, fit_hnb, fit_homogeneous, fit_nb, fit_poisson
-from countreg.likelihood import link_hurdle, link_mean
+from countreg.likelihood import _nb_kernel, link_hurdle, link_mean
+from countreg.special import ln_gamma
 
 
 def manual_nb_model(theta, r, n):
@@ -306,3 +308,66 @@ class TestOneCheckOfTheRows:
         empirical, _ = frequency_table(np.array([0, 1, 1, 7, 50, 10**12]), m, y_max=5)
         assert empirical.dtype == np.int64
         np.testing.assert_array_equal(empirical, [1, 2, 0, 0, 0, 0, 3])
+
+
+class TestTableAgreesWithTheLikelihood:
+    """The table and the fitter read one dispersion grid, so the fitted pmf
+    the table sums at v = y_i is exp of the fitter's row term at y_i."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        rng = np.random.default_rng(16)
+        n = 1500
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        theta = link_mean(X, np.array([1.5, 0.4, -0.3]))
+        phi = link_hurdle(X, np.array([-1.0, 0.8, 0.5]))
+        positive = rng.poisson(rng.gamma(1 / 0.5, 0.5 * theta))
+        y = np.where(rng.random(n) < phi, 0, np.maximum(positive, 1))
+        return X, y, fit_nb(X, y), fit_hnb(X, X, y)
+
+    @staticmethod
+    def table_pmf_at_counts(model, X, y):
+        """Row i of the table's column v = y_i, for every row."""
+        y, theta, r, phi = _rows(model, X, y, X, {})
+        at = np.full(y.size, np.nan)
+        for value, pmf in enumerate(_pmf_columns(model, theta, phi, r, int(y.max()))):
+            at[y == value] = pmf[y == value]
+        return at
+
+    def test_nb_table_is_exp_of_the_row_term(self, fits):
+        X, y, nb, _ = fits
+        beta, log_r = nb.params_unconstrained[:-1], nb.params_unconstrained[-1]
+        counts = y.astype(float)
+        terms = _nb_kernel(beta, log_r, X, counts, False, ln_gamma(counts + 1.0))[0]
+        np.testing.assert_allclose(self.table_pmf_at_counts(nb, X, y), np.exp(terms), rtol=1e-13, atol=0)
+
+    def test_hnb_table_is_exp_of_the_truncated_row_term_plus_log_1_minus_phi(self, fits):
+        X, y, _, hnb = fits
+        k = hnb.k_mean
+        beta, log_r = hnb.params_unconstrained[:k], hnb.params_unconstrained[k]
+        phi = link_hurdle(X, hnb.params_unconstrained[k + 1 :])
+        pos = y > 0
+        counts = y[pos].astype(float)
+        terms = _nb_kernel(beta, log_r, X[pos], counts, True, ln_gamma(counts + 1.0))[0]
+        table = self.table_pmf_at_counts(hnb, X, y)
+        np.testing.assert_allclose(table[pos], np.exp(terms + np.log1p(-phi[pos])), rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(table[~pos], phi[~pos])
+
+    def test_one_grid_per_table(self, fits, monkeypatch):
+        # A grid per value would make the table's cost grow as y_max**2.
+        X, y, nb, hnb = fits
+        grids = []
+        real = special._dispersion_grid
+
+        def counting(*args):
+            grids.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(special, "_dispersion_grid", counting)
+        for model, X_h in ((nb, None), (hnb, X)):
+            grids.clear()
+            frequency_table(y, model, y_max=2000, X=X, X_h=X_h)
+            assert len(grids) == 1
+        grids.clear()
+        frequency_table(y, fit_poisson(X, y), y_max=2000, X=X)
+        assert grids == []

@@ -6,6 +6,7 @@ CLT bounds for the samplers.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ class TestNbLogPmf:
             NbParams(0.0, 1.0)
         with pytest.raises(ValueError):
             NbParams(1.0, -0.1)
+
+    def test_large_count_in_bounded_memory(self):
+        # A grid over 0..10**7 in one piece would hold 80 MB for each of its
+        # arrays; the chunked dispersion grid holds a few chunks of 2**20.
+        tracemalloc.start()
+        try:
+            value = nb_log_pmf([10**7], NbParams(theta=1e7, r=1.0))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        a, y, theta = 1.0, 1e7, 1e7
+        expected = (
+            sps.gammaln(a + y) - sps.gammaln(a) - sps.gammaln(y + 1.0)
+            - (a + y) * math.log1p(theta) + y * math.log(theta)
+        )
+        assert math.isfinite(value)
+        assert value == pytest.approx(expected, rel=1e-6)
 
 
 class TestNbZeroProb:

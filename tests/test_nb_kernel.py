@@ -15,9 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countreg import likelihood
-from countreg.likelihood import NbRegParams, _clamped_eta, _dispersion_sums, _nb_kernel
-from countreg.special import ln_gamma
+from countreg import special
+from countreg.likelihood import NbRegParams, _clamped_eta, _nb_kernel
+from countreg.special import _dispersion_sums, ln_gamma
 
 
 def _nb_loglik_terms(params: NbRegParams, X, y, full):
@@ -166,7 +166,7 @@ class TestChunkedDispersionGrid:
         y = np.concatenate([rng.integers(0, top + 1, 50), [0, top, chunk, chunk + 1]])
         y = np.minimum(y, top).astype(float)
         r = float(np.exp(log_r))
-        with mock.patch.object(likelihood, "_GRID_CHUNK", chunk):
+        with mock.patch.object(special, "_GRID_CHUNK", chunk):
             sums = _dispersion_sums(y, r)
         for got, want in zip(sums, one_pass_dispersion_sums(y, r)):
             assert_bitwise(got, want)
@@ -176,7 +176,7 @@ class TestChunkedDispersionGrid:
         X = np.column_stack([np.ones(40), rng.normal(size=40)])
         y = rng.integers(0, 500, 40).astype(float)
         want = _nb_kernel(np.array([0.3, 0.2]), -0.4, X, y, False)
-        monkeypatch.setattr(likelihood, "_GRID_CHUNK", 16)
+        monkeypatch.setattr(special, "_GRID_CHUNK", 16)
         got = _nb_kernel(np.array([0.3, 0.2]), -0.4, X, y, False)
         assert_bitwise(got[0], want[0])
         assert_bitwise(got[1], want[1])
@@ -185,7 +185,7 @@ class TestChunkedDispersionGrid:
     def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
         # One grid over 0..10**6 would take 8 MB a row; chunks of 1,024
         # values take about 25 kB each.
-        monkeypatch.setattr(likelihood, "_GRID_CHUNK", 1024)
+        monkeypatch.setattr(special, "_GRID_CHUNK", 1024)
         y = np.array([0.0, 5.0, 10.0**6, 123_456.0])
         tracemalloc.start()
         try:

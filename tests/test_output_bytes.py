@@ -53,14 +53,14 @@ PINNED = {
     },
     "fit-HNB": {
         "exit": 0,
-        "frequency.csv": "c89e25f67509d3a24c4a95edd8f09e7d99e3926b5a73374d15956bae53abcb68",
+        "frequency.csv": "50526f732f908ac57da2a11fa5b1535d5cece24a0bdd01f270a733ed87a4651d",
         "pearson_residuals.csv": "4a76b956a5b75ef8ec92269a3d1a2abfb29af3cb21a672f6e3c2d859eea30608",
         "report.json": "a1f3613d2c1ce3adf74f7e818474f621c382a3e40fa5fc6feacd6ba962598fdf",
     },
     "fit-NB": {
         "exit": 0,
         "deviance_residuals.csv": "16a62dc4d7c3adc1b36848e1ede08f8dc7ffcb6b4bd0308ad7b0ac9896d94773",
-        "frequency.csv": "8a62ee486e756922e31133b3e495998cb5107f63186f845ed5253c4d66909c2c",
+        "frequency.csv": "d89fa9029cb0065897e2d4b3907f301395bf79a829711acf5279e282606e6c0f",
         "pearson_residuals.csv": "cf3ace14e4f312b44180612ae8dc6b87779c845f0bcd9a3a9f87fe2f21182a80",
         "report.json": "be1b85b380a2c3aaf8cc8e5743c328e0cb0a5dd38b916b3575b1c605c3383533",
     },

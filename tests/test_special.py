@@ -5,6 +5,7 @@ differences of ln_gamma, and the recurrence identities of log-gamma/digamma.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from countreg.special import (
     ln_gamma,
     ln_gamma_approx,
     ln_gamma_ratio,
-    ln_gamma_ratio_grid,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -140,11 +140,23 @@ class TestLnGammaRatio:
             b = int(rng.integers(0, 201))
             expected = ln_gamma(a + b) - ln_gamma(a)
             assert ln_gamma_ratio(a, b) == pytest.approx(expected, rel=1e-10, abs=1e-11)
+        for a in (1e-3, 0.5, 7.3, 50.0):
+            for b in (10**3, 10**4, 10**5, 10**6):
+                expected = ln_gamma(a + b) - ln_gamma(a)
+                assert ln_gamma_ratio(a, b) == pytest.approx(expected, rel=1e-10)
 
-    def test_grid_matches_scalar(self):
-        grid = ln_gamma_ratio_grid(0.9, 64)
-        for b in (0, 1, 2, 17, 64):
-            assert grid[b] == pytest.approx(ln_gamma_ratio(0.9, b), rel=1e-14, abs=1e-14)
+    def test_large_b_in_bounded_memory(self):
+        # A sum over all 10**7 terms at once would hold 80 MB for each of
+        # its arrays; the chunked grid holds a few chunks of 2**20.
+        tracemalloc.start()
+        try:
+            value = ln_gamma_ratio(0.5, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert math.isfinite(value)
+        assert value == pytest.approx(sps.gammaln(0.5 + 10**7) - sps.gammaln(0.5), rel=1e-6)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
