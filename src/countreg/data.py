@@ -411,7 +411,10 @@ def _loadtxt_fields(path, lines, width, fields):
 
     ``lines`` yields the records after the header, split into lines as
     csv.reader splits them, so quoting and line ends tokenize alike.  Every
-    header column is parsed, which checks each row's field count.  Any doubt
+    header column is parsed into one table, which checks each row's field
+    count: read numbers are views of that table (counts are converted to
+    int64), read text columns hold ``str`` objects, and unread columns are
+    one-character fields, so an unread cell costs 4 bytes.  Any doubt
     declines: a separator byte, a column read both as text and as a number,
     no data line, any ValueError (undecodable bytes, a cell loadtxt cannot
     parse, a wrong field count, a blank line, even one inside quotes, a line
@@ -421,11 +424,12 @@ def _loadtxt_fields(path, lines, width, fields):
     decline may leave ``lines`` partly consumed.
     """
     numeric = {position for position, _, kind in fields if kind != "categorical"}
-    if _has_separators(path) or any(
-        position in numeric for position, _, kind in fields if kind == "categorical"
-    ):
+    text = {position for position, _, kind in fields if kind == "categorical"}
+    if _has_separators(path) or numeric & text:
         return None
-    dtype = [(f"f{i}", float if i in numeric else object) for i in range(width)]
+    # A column that is not read is still tokenized, so every row's field
+    # count is checked, but keeps one character of each cell.
+    dtype = [(f"f{i}", float if i in numeric else object if i in text else "U1") for i in range(width)]
     limit = csv.field_size_limit()
     read = [0]  # lines
 
@@ -450,13 +454,8 @@ def _loadtxt_fields(path, lines, width, fields):
     # Fewer records than lines: a quoted cell spans lines that each passed.
     if table.size < read[0] and not _csv_reads(path):
         return None
-    arrays = []
-    for position, _, kind in fields:
-        values = _accepted(table[f"f{position}"], kind)
-        if values is None:
-            return None
-        arrays.append(values if kind == "count" else values.copy())
-    return arrays
+    arrays = [_accepted(table[f"f{position}"], kind) for position, _, kind in fields]
+    return None if any(values is None for values in arrays) else arrays
 
 
 def _read_fields(fh, path, config, rescan):
@@ -495,10 +494,13 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
 
     The header is parsed by ``csv.reader``.  The data records are first
     tried in one ``np.loadtxt`` call (numpy's C tokenizer; ``quotechar``
-    needs numpy >= 1.23) over every header column, numbers as float and
-    text as ``str``.  That fast path only accepts: it returns the Dataset
-    the exact reader would return, or declines (see ``_loadtxt_fields``),
-    and the exact reader reads the file again.  loadtxt parses numbers as
+    needs numpy >= 1.23) over every header column: read numbers are views of
+    one parsed table, unread columns are one-character fields, and a read
+    categorical column holds ``str`` objects.  That fast path only accepts:
+    it returns the Dataset the exact reader would return, or declines (see
+    ``_loadtxt_fields``), and the exact reader reads the file again.  The
+    numeric columns of a Dataset it returns are therefore strided views that
+    keep the whole table alive.  loadtxt parses numbers as
     ``float()`` does wherever both accept a cell, and rejects ``1_000`` and
     non-ASCII digits, which ``float()`` accepts.
 

@@ -52,19 +52,20 @@ def _rows(model: FittedModel, X, y, X_h, omitted, ones=False):
     """(y, theta, r, phi) of ``model`` on the given rows; phi is None unless HNB.
 
     A None design named in ``omitted`` is refused with its message, or, if
-    ``ones`` is set and its equation has one column, is a column of ones.
-    Then ``_check_rows`` checks X, y and, for HNB only, X_h against the model."""
+    ``ones`` is set and the fit recorded that design as one column of ones
+    (``FittedModel.ones_designs``), is that column.  Then ``_check_rows``
+    checks X, y and, for HNB only, X_h against the model."""
 
-    def design(given, name, k):
+    def design(given, name):
         if given is None and name in omitted:
-            if not (ones and k == 1):
+            if not (ones and name in model.ones_designs):
                 raise ValueError(omitted[name])
-            return np.ones((model.n, k))
+            return np.ones((model.n, 1))
         return given
 
     hurdle = model.family == "HNB"
-    X = design(X, "X", model.k_mean)
-    X_h = design(X_h, "X_h", model.k_hurdle) if hurdle else None
+    X = design(X, "X")
+    X_h = design(X_h, "X_h") if hurdle else None
     X, y, _, X_h, _ = _check_rows(
         X, y, X_h, n=model.n, k=model.k_mean, k_h=model.k_hurdle,
         labels=model.mean_names, hurdle_labels=model.hurdle_labels,
@@ -165,8 +166,8 @@ def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
 
     The fitted entry for value v is the sum over rows of P(Y=v | x_i); the
     final entry collects everything above y_max, so the fitted column sums
-    to n up to truncation error.  A model with only an intercept in its mean
-    (hurdle) equation may omit ``X`` (``X_h``).
+    to n up to truncation error.  A model fitted on a mean (hurdle) design
+    that was one column of ones may omit ``X`` (``X_h``).
     """
     if isinstance(y_max, bool) or not isinstance(y_max, numbers.Integral) or y_max < 0:
         raise ValueError(f"y_max must be a nonnegative integer, not {y_max!r}")

@@ -85,6 +85,9 @@ class FittedModel:
     mean_names: tuple[str, ...]
     hurdle_names: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
+    # The designs, "X" and "X_h", that were one column of ones when fitted:
+    # a frequency table may omit them.  No report shows this.
+    ones_designs: frozenset[str] = frozenset()
 
     def std_errors(self) -> dict:
         se = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
@@ -249,9 +252,10 @@ def _check_block(M, what, min_extra=None):
 
 
 def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
-    """(X, y, labels, X_h, hurdle_labels) of a fit, checked by ``_check_rows``.
-    For HNB, no hurdle design, or ``X`` itself, means the hurdle design is
-    ``X``, with its labels defaulting to ``labels``."""
+    """(X, y, labels, X_h, hurdle_labels, ones) of a fit, checked by
+    ``_check_rows``; ``ones`` names the designs ("X", "X_h") that are one
+    column of ones.  For HNB, no hurdle design, or ``X`` itself, means the
+    hurdle design is ``X``, with its labels defaulting to ``labels``."""
     if family == "HNB" and (X_h is None or X_h is X):
         X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
     X, y, labels, X_h, hurdle_labels = _check_rows(X, y, X_h, labels=labels, hurdle_labels=hurdle_labels)
@@ -259,7 +263,11 @@ def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
     if X_h is not None and X_h is not X:
         _check_block(X_h, "hurdle design matrix")
     _parameter_names(family, labels, hurdle_labels or ())
-    return X, y, labels, X_h, hurdle_labels
+    ones = frozenset(
+        name for name, M in (("X", X), ("X_h", X_h))
+        if M is not None and M.shape[1] == 1 and np.all(M == 1.0)
+    )
+    return X, y, labels, X_h, hurdle_labels, ones
 
 
 def _require_positive_count(y):
@@ -290,9 +298,10 @@ def _nb_block(X, y, truncated, options) -> _OptState:
     return state
 
 
-def _model(family, n, labels, blocks, hurdle_labels=()) -> FittedModel:
+def _model(family, n, labels, blocks, hurdle_labels=(), ones=frozenset()) -> FittedModel:
     """The FittedModel of the fitted ``blocks`` in parameter order: beta (then
-    log r unless ``family`` is "P") and, for HNB, delta.  The covariance is
+    log r unless ``family`` is "P") and, for HNB, delta; ``ones`` names the
+    designs that were one column of ones.  The covariance is
     block diagonal, its r row and column mapped by the delta method.  The
     blocks were fitted last to first: their warnings come in that order, then
     those of their covariances in parameter order."""
@@ -329,24 +338,26 @@ def _model(family, n, labels, blocks, hurdle_labels=()) -> FittedModel:
         mean_names=labels,
         hurdle_names=names[len(names) - len(hurdle_labels) :],
         warnings=tuple(warnings),
+        ones_designs=ones,
     )
 
 
 def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Poisson regression under the log link."""
     options = options or FitOptions()
-    X, y, labels, _, _ = _validate_design("P", X, y, labels)
+    X, y, labels, _, _, ones = _validate_design("P", X, y, labels)
     _require_positive_count(y)
     yf = y.astype(float)
-    return _model("P", X.shape[0], labels, [_poisson_maximize(X, yf, options, ln_gamma(yf + 1.0))])
+    state = _poisson_maximize(X, yf, options, ln_gamma(yf + 1.0))
+    return _model("P", X.shape[0], labels, [state], ones=ones)
 
 
 def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Negative binomial regression; beta starts at the Poisson fit."""
     options = options or FitOptions()
-    X, y, labels, _, _ = _validate_design("NB", X, y, labels)
+    X, y, labels, _, _, ones = _validate_design("NB", X, y, labels)
     _require_positive_count(y)
-    return _model("NB", X.shape[0], labels, [_nb_block(X, y, False, options)])
+    return _model("NB", X.shape[0], labels, [_nb_block(X, y, False, options)], ones=ones)
 
 
 def _separation_guard(X_h, hurdle_labels):
@@ -370,7 +381,7 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     sum and the covariance is block diagonal.
     """
     options = options or FitOptions()
-    X, y, labels, X_h, hurdle_labels = _validate_design(
+    X, y, labels, X_h, hurdle_labels, ones = _validate_design(
         "HNB", X, y, labels, X_h=X_h, hurdle_labels=hurdle_labels
     )
     zero = y == 0
@@ -389,7 +400,7 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     Xp = X[~zero]
     _check_block(Xp, "design matrix", min_extra=0)
     truncated = _nb_block(Xp, y[~zero], True, options)
-    return _model("HNB", X.shape[0], labels, [truncated, binary], hurdle_labels)
+    return _model("HNB", X.shape[0], labels, [truncated, binary], hurdle_labels, ones)
 
 
 def _require_family(family: str) -> None:

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import math
 import multiprocessing
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -50,12 +51,16 @@ def _oracle_records(reader, path):
         except csv.Error as exc:
             problem = str(exc)
         else:
-            bad = [c for cell in record for c in cell if "\udc80" <= c <= "\udcff"]
-            if not bad:
+            # Decoding never yields a surrogate, so the first character that
+            # UTF-8 cannot encode is the first undecodable byte.
+            try:
+                "".join(record).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                problem = f"undecodable byte 0x{ord(exc.object[exc.start]) - 0xDC00:02x}"
+            else:
                 yield row, record
                 row += 1
                 continue
-            problem = f"undecodable byte 0x{ord(bad[0]) - 0xDC00:02x}"
         if row == 0:
             raise DataError(f"{problem} in the header of {path}")
         raise DataError(problem, row=row)
@@ -147,7 +152,13 @@ CLEAN = {
     "d": ["0", "1", "0.0", "1.0", "1e0", "-0"],
     "s": ["0.5", "2", "5e-324", "1e300", "3.25"],
     "oa": LEVELS,
-    "skip": ["", "junk", "1", "nan"],
+    # An unread column keeps one character of each cell on the fast path.
+    "skip": [
+        "", "junk", "1", "nan",
+        ("An abstract, with \"quotes\" and more words. " * 90)[:4000],
+        'say "hi", then\r\nbye\nand\rgo',
+        "\U0001F600 outside the BMP",
+    ],
 }
 # Defect kind -> (columns it may hit, cell values).
 DEFECTS = {
@@ -413,6 +424,8 @@ ACCEPTS = {
     "text after a closing quote": f'{HEAD}\n"0".5,j,"1"2,2,"a"b,1\n',
     "spaces around numbers": f"{HEAD}\n 0.5 ,j,\t3 ,2\xa0,plain,\u20031\n",
     "unread column holds anything": f'{HEAD}\n0.5,"1_000,\x00""",3,2,plain,1\n',
+    "long quoted unread cell": f'{HEAD}\n{ROW}\n0.5,"'
+    + 'a ""quoted"", comma-separated line\r\n' * 2000 + '",3,2,plain,1\n',
 }
 
 
@@ -431,6 +444,24 @@ def _read(tmp_path, monkeypatch, content, config=CONFIG):
     return bool(calls)
 
 
+def _fast_read(path, config, monkeypatch):
+    """read_csv's Dataset and its tracemalloc peak in bytes; the exact
+    reader must not run."""
+
+    def fail(*args):
+        raise AssertionError("the exact reader ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(data_module, "_read_block", fail)
+        tracemalloc.start()
+        try:
+            got = read_csv(path, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return got, peak
+
+
 class TestLoadtxtFastPath:
     @settings(max_examples=300, deadline=None)
     @given(odd_csv_texts())
@@ -442,15 +473,42 @@ class TestLoadtxtFastPath:
     def test_clean_citation_shaped_file_takes_the_fast_path(self, tmp_path, monkeypatch):
         path = tmp_path / "data.csv"
         config = citation_shaped_csv(path)
-
-        def fail(*args):
-            raise AssertionError("the exact reader ran")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(data_module, "_read_block", fail)
-            got = read_csv(path, config)
+        got, _ = _fast_read(path, config, monkeypatch)
         assert_same_dataset(got, oracle_read_csv(path, config))
         assert got.n == 2500
+
+    # tracemalloc counts numpy's buffers.  With numpy 2.4.6 the first file
+    # peaks at 1.16 n*31*8 bytes and the second at 2.0 MB.  A reader that
+    # copied each read column out of the parsed table would peak at 2.00
+    # n*31*8 bytes, and one that kept each unread cell as a str at 10.0 MB.
+    def test_read_numbers_are_views_of_one_parsed_table(self, tmp_path, monkeypatch):
+        n, k = 20_000, 30
+        rng = np.random.default_rng(21)
+        y = rng.poisson(3.0, n)
+        X = np.round(rng.normal(size=(n, k)), 3)
+        path = tmp_path / "data.csv"
+        lines = [",".join(["y", *(f"x{j}" for j in range(k))])]
+        lines += [f"{count},{','.join(map(repr, row))}" for count, row in zip(y.tolist(), X.tolist())]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = EncodingConfig("y", tuple(PredictorSpec(f"x{j}") for j in range(k)))
+        got, peak = _fast_read(path, config, monkeypatch)
+        np.testing.assert_array_equal(got.y, y)
+        np.testing.assert_array_equal(np.column_stack([c.values for c in got.columns]), X)
+        assert peak <= 1.3 * n * (k + 1) * 8
+
+    def test_unread_text_is_not_kept(self, tmp_path, monkeypatch):
+        n = 5_000
+        path = tmp_path / "data.csv"
+        abstract = ("An abstract, with \"\"quotes\"\" and words. " * 50)[:1_900]
+        lines = ["cites,x,abstract"]
+        lines += [f'{i % 7},{i / 2},"{abstract} {i}"' for i in range(n)]
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+        assert path.stat().st_size > 9_000_000
+        config = EncodingConfig("cites", (PredictorSpec("x"),))
+        got, peak = _fast_read(path, config, monkeypatch)
+        np.testing.assert_array_equal(got.y, np.arange(n) % 7)
+        np.testing.assert_array_equal(got.columns[0].values, np.arange(n) / 2)
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("content", DECLINES.values(), ids=DECLINES.keys())
     def test_declines(self, tmp_path, monkeypatch, content):

@@ -36,6 +36,7 @@ def manual_nb_model(theta, r, n):
         iterations=0,
         gradient_norm=0.0,
         mean_names=("intercept",),
+        ones_designs=frozenset({"X"}),
     )
 
 
@@ -222,6 +223,17 @@ class TestFrequencyTable:
         _, omitted = frequency_table(y, hnb, y_max=10, X=X)
         _, given = frequency_table(y, hnb, y_max=10, X=X, X_h=ones)
         np.testing.assert_array_equal(omitted, given)
+        # One column that is not all ones is a covariate, whatever its label.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 2.0, 500)
+        y = rng.poisson(np.exp(0.8 * x) * rng.gamma(2.0, 0.5, 500))
+        nb = fit_nb(x[:, None], y)
+        assert nb.mean_names == ("intercept",)
+        with pytest.raises(ValueError, match="need X$"):
+            frequency_table(y, nb, y_max=10)
+        hnb = fit_hnb(np.ones((500, 1)), x[:, None], y)
+        with pytest.raises(ValueError, match="need X_h$"):
+            frequency_table(y, hnb, y_max=10)
 
 
 class TestOneCheckOfTheRows:
