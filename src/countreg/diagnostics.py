@@ -11,10 +11,12 @@ freedom, because both conventions circulate.
 
 All three evaluate the model through one step, ``_rows``: it checks the
 designs and the response against the fitted model through
-``likelihood._check_rows`` and evaluates each link once.  Hurdle means and
-variances come from the closed-form moments in :mod:`countreg.distributions`
-for all rows at once, tested against truncated summation of the pmf; the
-printed bracket form of the variance is never used.
+``likelihood._check_design`` and ``_check_counts``, takes an omitted (None)
+design as the column of ones the fit recorded or refuses it, and evaluates
+each link once.  Hurdle means and variances come from the closed-form
+moments in :mod:`countreg.distributions` for all rows at once, tested
+against truncated summation of the pmf; the printed bracket form of the
+variance is never used.
 
 A frequency table reads the likelihood kernel's dispersion grid once, over
 0..y_max, so its NB pmf at v = y_i is exp of the fitter's row term at y_i;
@@ -30,7 +32,7 @@ import numpy as np
 
 from .distributions import _hnb_moments
 from .fit import FittedModel
-from .likelihood import _check_rows, _phi, _theta
+from .likelihood import _check_counts, _check_design, _phi, _theta
 from .special import _dispersion_sums, ln_gamma
 
 __all__ = ["ResidualSet", "pearson", "deviance_residuals", "frequency_table"]
@@ -48,28 +50,25 @@ class ResidualSet:
     df: int
 
 
-def _rows(model: FittedModel, X, y, X_h, omitted, ones=False):
+def _rows(model: FittedModel, X, y, X_h=None):
     """(y, theta, r, phi) of ``model`` on the given rows; phi is None unless HNB.
 
-    A None design named in ``omitted`` is refused with its message, or, if
-    ``ones`` is set and the fit recorded that design as one column of ones
-    (``FittedModel.ones_designs``), is that column.  Then ``_check_rows``
-    checks X, y and, for HNB only, X_h against the model."""
+    X, y and, for HNB only, X_h are checked against the model in that order.
+    A design given as None is the column of ones the fit recorded in
+    ``FittedModel.ones_designs``, and is refused if the fit recorded none."""
 
-    def design(given, name):
-        if given is None and name in omitted:
-            if not (ones and name in model.ones_designs):
-                raise ValueError(omitted[name])
-            return np.ones((model.n, 1))
-        return given
+    def design(M, name, cols, labels, hurdle=False):
+        if M is None:
+            if name not in model.ones_designs:
+                covariates = "an HNB model with hurdle" if hurdle else "a model with mean"
+                raise ValueError(f"residuals and frequency tables of {covariates} covariates need {name}")
+            M = np.ones((model.n, 1))
+        return _check_design(M, model.n, cols, labels, hurdle)[0]
 
     hurdle = model.family == "HNB"
-    X = design(X, "X")
-    X_h = design(X_h, "X_h") if hurdle else None
-    X, y, _, X_h, _ = _check_rows(
-        X, y, X_h, n=model.n, k=model.k_mean, k_h=model.k_hurdle,
-        labels=model.mean_names, hurdle_labels=model.hurdle_labels,
-    )
+    X = design(X, "X", model.k_mean, model.mean_names)
+    y = _check_counts(y, model.n)
+    X_h = design(X_h, "X_h", model.k_hurdle, model.hurdle_labels, True) if hurdle else None
     theta = _theta(X, model.params_unconstrained[: model.k_mean])
     phi = _phi(X_h, model.params_unconstrained[-model.k_hurdle :]) if hurdle else None
     return y, theta, None if model.family == "P" else model.estimates["r"], phi
@@ -77,7 +76,7 @@ def _rows(model: FittedModel, X, y, X_h, omitted, ones=False):
 
 def pearson(model: FittedModel, X, y, X_h=None) -> ResidualSet:
     """Pearson residuals and the PS statistic under the fitted model."""
-    y, theta, r, phi = _rows(model, X, y, X_h, {"X_h": "HNB residuals need the hurdle design matrix"})
+    y, theta, r, phi = _rows(model, X, y, X_h)
     if model.family == "P":
         mu, sigma2 = theta, theta.copy()
     elif model.family == "NB":
@@ -109,7 +108,7 @@ def deviance_residuals(model: FittedModel, X, y) -> ResidualSet:
     """
     if model.family != "NB":
         raise ValueError("deviance residuals are defined for the NB family only")
-    y, theta, r, _ = _rows(model, X, y, None, {})
+    y, theta, r, _ = _rows(model, X, y)
     a = 1.0 / r
     d2 = np.empty(model.n)
     zero = y == 0
@@ -166,16 +165,11 @@ def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
 
     The fitted entry for value v is the sum over rows of P(Y=v | x_i); the
     final entry collects everything above y_max, so the fitted column sums
-    to n up to truncation error.  A model fitted on a mean (hurdle) design
-    that was one column of ones may omit ``X`` (``X_h``).
+    to n up to truncation error.
     """
     if isinstance(y_max, bool) or not isinstance(y_max, numbers.Integral) or y_max < 0:
         raise ValueError(f"y_max must be a nonnegative integer, not {y_max!r}")
-    omitted = {
-        "X": "frequency tables of a model with mean covariates need X",
-        "X_h": "frequency tables of an HNB model with hurdle covariates need X_h",
-    }
-    y, theta, r, phi = _rows(model, X, y, X_h, omitted, ones=True)
+    y, theta, r, phi = _rows(model, X, y, X_h)
     empirical = np.bincount(np.minimum(y, y_max + 1), minlength=y_max + 2)
     fitted = np.zeros(y_max + 2)
     for value, pmf in enumerate(_pmf_columns(model, theta, phi, r, y_max)):

@@ -8,8 +8,9 @@ maximized by one Newton routine on its exact Hessian with a step-halving
 values: beta from a Poisson Newton fit on the already validated rows, r from
 the method of moments r0 = max((s^2 - ybar)/ybar^2, 1e-3).  ``_model``
 assembles every FittedModel from its fitted blocks, and :func:`fit_family`
-dispatches on the family name.  ``_validate_design`` checks a fit's rows
-through ``likelihood._check_rows``, then its rank, n > k and names.
+dispatches on the family name.  ``_validate_design`` checks a fit's designs
+and response through ``likelihood._check_design`` and ``_check_counts``,
+then their rank, n > k and names; a hurdle design equal to X is X.
 
 An objective maps a point u to (loglik, score, hessian), where ``hessian``
 is a zero-argument callable returning the exact Hessian at u; the optimizer
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SeparationError
-from .likelihood import _check_rows, _logit_kernel, _nb_kernel, _poisson_kernel
+from .likelihood import _check_counts, _check_design, _logit_kernel, _nb_kernel, _poisson_kernel
 from .special import ln_gamma
 
 __all__ = ["FitOptions", "FittedModel", "fit_family", "fit_poisson", "fit_nb", "fit_hnb", "fit_homogeneous"]
@@ -252,21 +253,23 @@ def _check_block(M, what, min_extra=None):
 
 
 def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
-    """(X, y, labels, X_h, hurdle_labels, ones) of a fit, checked by
-    ``_check_rows``; ``ones`` names the designs ("X", "X_h") that are one
-    column of ones.  For HNB, no hurdle design, or ``X`` itself, means the
-    hurdle design is ``X``, with its labels defaulting to ``labels``."""
-    if family == "HNB" and (X_h is None or X_h is X):
-        X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
-    X, y, labels, X_h, hurdle_labels = _check_rows(X, y, X_h, labels=labels, hurdle_labels=hurdle_labels)
+    """(X, y, labels, X_h, hurdle_labels, ones) of a fit: X, y and, for HNB,
+    X_h checked in turn, then each design's rank, n > k and the names; ``ones``
+    names the designs ("X", "X_h") that are one column of ones.  For HNB, no
+    hurdle design, or one equal to ``X``, is ``X``: its labels default to
+    ``labels`` and its rank is not checked again."""
+    X, labels = _check_design(X, labels=labels)
+    y = _check_counts(y, X.shape[0])
+    if family == "HNB":
+        if X_h is None or np.array_equal(X_h, X):
+            X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
+        X_h, hurdle_labels = _check_design(X_h, X.shape[0], labels=hurdle_labels, hurdle=True)
     _check_block(X, "design matrix", min_extra=int(family != "P"))
-    if X_h is not None and X_h is not X:
+    if family == "HNB" and X_h is not X:
         _check_block(X_h, "hurdle design matrix")
     _parameter_names(family, labels, hurdle_labels or ())
-    ones = frozenset(
-        name for name, M in (("X", X), ("X_h", X_h))
-        if M is not None and M.shape[1] == 1 and np.all(M == 1.0)
-    )
+    designs = {"X": X, "X_h": X_h} if family == "HNB" else {"X": X}
+    ones = frozenset(name for name, M in designs.items() if M.shape[1] == 1 and np.all(M == 1.0))
     return X, y, labels, X_h, hurdle_labels, ones
 
 

@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .fit import FittedModel
-from .likelihood import _check_rows, _phi
+from .likelihood import _check_design, _phi
 
 __all__ = [
     "CoefficientReport",
@@ -141,8 +141,7 @@ def marginal_effect_hurdle(model: FittedModel, covariate: str, at) -> float:
     if zero_name not in model.hurdle_names:
         raise KeyError(f"{covariate!r} is not in the hurdle equation")
     delta = np.array([model.estimates[name] for name in model.hurdle_names])
-    row = np.reshape(at, (1, -1))
-    row = _check_rows(None, None, row, k_h=model.k_hurdle, hurdle_labels=model.hurdle_labels)[3]
+    row = _check_design(np.reshape(at, (1, -1)), cols=model.k_hurdle, labels=model.hurdle_labels, hurdle=True)[0]
     phi = float(_phi(row, delta)[0])
     coefficient = model.estimates[zero_name]
     return coefficient * phi * (1.0 - phi)

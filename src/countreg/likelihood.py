@@ -24,8 +24,10 @@ binary part, z eta - log(1 + e^eta)) and ``_nb_kernel`` (NB or
 zero-truncated NB, one grid per call).  The fitter and the public
 likelihoods call the same kernels, so a fit's log-likelihood is the public
 one at its estimates, bit for bit.  Likelihoods, links, fits and diagnostics
-share one check of designs and responses, ``_check_rows``; the likelihoods
-and links check that their coefficients are vectors through ``_length``.
+share one check of a design, ``_check_design``, and one of a response,
+``_check_counts``, and call each for every part they read, None included;
+the likelihoods and links check that their coefficients are vectors
+through ``_length``.
 The hurdle log-likelihood separates into the binary part in delta and the
 zero-truncated part in (beta, log r); the two blocks maximize independently.
 
@@ -87,41 +89,47 @@ class HnbRegParams:
             raise ValueError("parameters must be finite")
 
 
-def _check_rows(X, y, X_h=None, *, n=None, k=None, k_h=None, labels=None, hurdle_labels=None, dtype=np.int64):
-    """(X, y, labels, X_h, hurdle_labels) as float designs, ``dtype`` counts and
-    label tuples (default names if None), checked in order: X is 2-D with ``n``
-    rows and ``k`` columns where given, a label per column and finite cells;
-    y has shape (rows of X,) and holds counts; X_h as X, with X's rows and
-    ``k_h`` columns.  None parts are skipped; an X_h that is X is not scanned."""
+def _check_design(M, rows=None, cols=None, labels=None, hurdle=False):
+    """(M as a float array, its labels as a tuple; default names if None) once
+    M is 2-D with ``rows`` rows and ``cols`` columns where given, has a label
+    per column and only finite cells; ``hurdle`` names it the hurdle design."""
+    what, name = ("hurdle design matrix", "hurdle_labels") if hurdle else ("design matrix", "labels")
+    M = np.asarray(M, dtype=float)
+    shape = M.shape if M.ndim == 2 else ("n", "k")
+    expected = (shape[0] if rows is None else rows, shape[1] if cols is None else cols)
+    if M.shape != expected:
+        raise ValueError(f"{what} has shape {M.shape}, not ({expected[0]}, {expected[1]})")
+    cols = M.shape[1]
+    if labels is None:
+        labels = ("intercept",) + tuple(f"x{j}" for j in range(1, cols))
+    elif len(labels) != cols:
+        raise ValueError(f"{name} length does not match the {what} ({len(labels)} labels, {cols} columns)")
+    if not np.isfinite(M).all():
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ValueError(f"{what} has non-finite value {M[i, j]} at row {i}, column {labels[j]!r}")
+    return M, tuple(labels)
 
-    def design(M, rows, cols, labels, hurdle=False, scan=True):
-        what, name = ("hurdle design matrix", "hurdle_labels") if hurdle else ("design matrix", "labels")
-        M = np.asarray(M, dtype=float)
-        shape = M.shape if M.ndim == 2 else ("n", "k")
-        expected = (shape[0] if rows is None else rows, shape[1] if cols is None else cols)
-        if M.shape != expected:
-            raise ValueError(f"{what} has shape {M.shape}, not ({expected[0]}, {expected[1]})")
-        cols = M.shape[1]
-        if labels is None:
-            labels = ("intercept",) + tuple(f"x{j}" for j in range(1, cols))
-        elif len(labels) != cols:
-            raise ValueError(f"{name} length does not match the {what} ({len(labels)} labels, {cols} columns)")
-        if scan and not np.isfinite(M).all():
-            i, j = np.argwhere(~np.isfinite(M))[0]
-            raise ValueError(f"{what} has non-finite value {M[i, j]} at row {i}, column {labels[j]!r}")
-        return M, tuple(labels)
 
-    hurdle_is_X = X_h is X
-    if X is not None:
-        X, labels = design(X, n, k, labels)
-        n = X.shape[0]
-    if y is not None:
-        if np.shape(y) != (n,):
-            raise ValueError(f"response has shape {np.shape(y)}, not ({n},)")
-        y = _validate_counts(y, dtype)
-    if X_h is not None:
-        X_h, hurdle_labels = design(X if hurdle_is_X else X_h, n, k_h, hurdle_labels, True, not hurdle_is_X)
-    return X, y, labels, X_h, hurdle_labels
+def _check_counts(y, n, dtype=np.int64):
+    """``y`` as ``dtype`` counts once it has shape (n,) and holds counts."""
+    if np.shape(y) != (n,):
+        raise ValueError(f"response has shape {np.shape(y)}, not ({n},)")
+    return _validate_counts(y, dtype)
+
+
+def _mean_rows(beta, X, y):
+    """(X, float y) of a mean-equation likelihood, checked against ``beta``."""
+    X = _check_design(X, cols=_length(beta, X))[0]
+    return X, _check_counts(y, X.shape[0], float)
+
+
+def _hurdle_rows(params, X, X_h, y):
+    """(X, X_h, float y) of a hurdle likelihood: both coefficient vectors,
+    then X, y and X_h, checked against ``params``."""
+    k, k_h = _length(params.nb.beta, X), _length(params.delta, X_h, "hurdle coefficients")
+    X = _check_design(X, cols=k)[0]
+    y = _check_counts(y, X.shape[0], float)
+    return X, _check_design(X_h, X.shape[0], k_h, hurdle=True)[0], y
 
 
 def _length(coefficients, design, what="coefficients"):
@@ -152,12 +160,12 @@ def _phi(X_h, delta):
 
 def link_mean(X, beta) -> np.ndarray:
     """theta_i = exp(x_i' beta); linear predictor clamped to +-700."""
-    return _theta(_check_rows(X, None, k=_length(beta, X))[0], beta)
+    return _theta(_check_design(X, cols=_length(beta, X))[0], beta)
 
 
 def link_hurdle(X_h, delta) -> np.ndarray:
     """phi_i = logistic(x_i' delta), kept strictly inside (0, 1)."""
-    return _phi(_check_rows(None, None, X_h, k_h=_length(delta, X_h, "hurdle coefficients"))[3], delta)
+    return _phi(_check_design(X_h, cols=_length(delta, X_h, "hurdle coefficients"), hurdle=True)[0], delta)
 
 
 def _poisson_kernel(beta, X, y):
@@ -182,7 +190,7 @@ def _logit_kernel(delta, X_h, z):
 
 def poisson_loglik(beta, X, y, full: bool = True) -> float:
     """Poisson log-likelihood under the log link."""
-    X, y = _check_rows(X, y, k=_length(beta, X), dtype=float)[:2]
+    X, y = _mean_rows(beta, X, y)
     value = float(np.sum(_poisson_kernel(beta, X, y)[0]))
     if full:
         value -= float(np.sum(ln_gamma(y + 1.0)))
@@ -190,7 +198,7 @@ def poisson_loglik(beta, X, y, full: bool = True) -> float:
 
 
 def poisson_score(beta, X, y) -> np.ndarray:
-    X, y = _check_rows(X, y, k=_length(beta, X), dtype=float)[:2]
+    X, y = _mean_rows(beta, X, y)
     return _poisson_kernel(beta, X, y)[1]
 
 
@@ -250,14 +258,14 @@ def nb_loglik(params: NbRegParams, X, y, full: bool = True) -> float:
     comparable across model families (needed for AIC); ``full=False`` drops
     it.
     """
-    X, y = _check_rows(X, y, k=_length(params.beta, X), dtype=float)[:2]
+    X, y = _mean_rows(params.beta, X, y)
     lgy1 = ln_gamma(y + 1.0) if full else None
     return float(np.sum(_nb_kernel(params.beta, params.log_r, X, y, False, lgy1)[0]))
 
 
 def nb_score(params: NbRegParams, X, y) -> np.ndarray:
     """Analytic gradient of the NB log-likelihood in (beta, log r)."""
-    X, y = _check_rows(X, y, k=_length(params.beta, X), dtype=float)[:2]
+    X, y = _mean_rows(params.beta, X, y)
     return _nb_kernel(params.beta, params.log_r, X, y, False)[1]
 
 
@@ -273,9 +281,7 @@ def hnb_loglik_parts(params: HnbRegParams, X, X_h, y, full: bool = True):
     The binary part depends only on delta; the truncated part only on
     (beta, log r).  Their sum is the joint log-likelihood.
     """
-    X, y, _, X_h, _ = _check_rows(
-        X, y, X_h, k=_length(params.nb.beta, X), k_h=_length(params.delta, X_h, "hurdle coefficients"), dtype=float
-    )
+    X, X_h, y = _hurdle_rows(params, X, X_h, y)
     zero = y == 0
     truncated = 0.0
     if not zero.all():
@@ -299,9 +305,7 @@ def hnb_score(params: HnbRegParams, X, X_h, y) -> np.ndarray:
     The delta block depends only on the zero/positive pattern; the
     (beta, log r) block only on the positive-count rows.
     """
-    X, y, _, X_h, _ = _check_rows(
-        X, y, X_h, k=_length(params.nb.beta, X), k_h=_length(params.delta, X_h, "hurdle coefficients"), dtype=float
-    )
+    X, X_h, y = _hurdle_rows(params, X, X_h, y)
     zero = y == 0
     nb_block = np.zeros(params.nb.beta.shape[0] + 1)
     if not zero.all():

@@ -105,11 +105,26 @@ class TestPearson:
         assert res.ps / res.df == pytest.approx(1.0, abs=0.15)
 
     def test_requires_hurdle_design_for_hnb(self):
+        """An omitted hurdle design with covariates is refused; an omitted
+        intercept-only design is the column of ones, in Pearson and deviance
+        residuals alike (before, pearson refused it and deviance_residuals
+        crashed inside numpy on an omitted X)."""
         rng = np.random.default_rng(10)
+        n = 200
         y = np.concatenate([np.zeros(50, dtype=int), rng.poisson(5.0, 150) + 1])
-        m = fit_homogeneous("HNB", y)
-        with pytest.raises(ValueError, match="hurdle design"):
-            pearson(m, np.ones((200, 1)), y)
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        with pytest.raises(ValueError, match="need X_h$"):
+            pearson(fit_hnb(X, X, y), X, y)
+        ones = np.ones((n, 1))
+        hnb = fit_homogeneous("HNB", y)
+        given = pearson(hnb, ones, y, X_h=ones).pearson
+        np.testing.assert_array_equal(pearson(hnb, ones, y).pearson, given)
+        np.testing.assert_array_equal(pearson(hnb, None, y).pearson, given)
+        nb = fit_homogeneous("NB", y)
+        np.testing.assert_array_equal(pearson(nb, None, y).pearson, pearson(nb, ones, y).pearson)
+        omitted, given = deviance_residuals(nb, None, y), deviance_residuals(nb, ones, y)
+        np.testing.assert_array_equal(omitted.deviance, given.deviance)
+        assert omitted.deviance_sum_squared == given.deviance_sum_squared
 
     def test_dimension_mismatch(self):
         m = manual_nb_model(2.0, 0.5, 5)
@@ -340,7 +355,7 @@ class TestTableAgreesWithTheLikelihood:
     @staticmethod
     def table_pmf_at_counts(model, X, y):
         """Row i of the table's column v = y_i, for every row."""
-        y, theta, r, phi = _rows(model, X, y, X, {})
+        y, theta, r, phi = _rows(model, X, y, X)
         at = np.full(y.size, np.nan)
         for value, pmf in enumerate(_pmf_columns(model, theta, phi, r, int(y.max()))):
             at[y == value] = pmf[y == value]

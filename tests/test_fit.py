@@ -147,10 +147,11 @@ class TestValidation:
         shapes.clear()
         fit_hnb(X, X_h, y)
         assert shapes == [X.shape, X_h.shape, (int(np.sum(y > 0)), 3)]
-        shapes.clear()
-        # A hurdle design that is X itself takes X's verdict.
-        fit_hnb(X, X, y)
-        assert shapes == [X.shape, (int(np.sum(y > 0)), 3)]
+        # A hurdle design that is X, or equals it, takes X's verdict.
+        for X_h in (X, X.copy()):
+            shapes.clear()
+            fit_hnb(X, X_h, y)
+            assert shapes == [X.shape, (int(np.sum(y > 0)), 3)]
 
     def test_a_parameter_name_given_twice_is_refused_before_fitting(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -514,6 +515,18 @@ class TestFitFamily:
             assert m.hurdle_labels == labels
             np.testing.assert_array_equal(m.params_unconstrained, fits[0].params_unconstrained)
         assert fit_hnb(X, None, y, labels=labels, hurdle_labels=("one", "two")).hurdle_names == ("zero:one", "zero:two")
+
+    def test_a_hurdle_design_equal_to_X_is_X(self):
+        # Chosen by identity, a copy of X was named zero:intercept, zero:x1.
+        rng = np.random.default_rng(23)
+        X = design(rng, 400, 2)
+        y = simulate_hnb(rng, X, np.array([1.0, 0.3]), 0.6, X, np.array([-0.5, 0.4]))
+        labels = ("intercept", "age")
+        same = fit_hnb(X, X, y, labels=labels)
+        for m in (fit_hnb(X, X.copy(), y, labels=labels), fit_family("HNB", X, y, X_h=X.copy(), labels=labels)):
+            assert m.names == same.names == ("intercept", "age", "r", "zero:intercept", "zero:age")
+            assert m.loglik == same.loglik
+            np.testing.assert_array_equal(m.params_unconstrained, same.params_unconstrained)
 
     def test_unknown_family_is_named(self):
         with pytest.raises(ValueError, match="unknown family 'ZIP'"):

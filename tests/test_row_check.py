@@ -1,9 +1,14 @@
 """Every public entry point checks its designs and response through one step.
 
 A fit, a likelihood, a link or a diagnostic given a response of the wrong
-shape, a non-finite design cell or a hurdle design with other rows raises
-ValueError with that check's message, naming the cell where there is one,
-and never returns a number.  The reproductions use n = 500, X = [1, N(0,1)]
+shape, a non-finite design cell, a hurdle design with other rows or no
+design (None) where it reads one raises ValueError with that check's
+message, naming the cell where there is one, and never returns a number.
+An omitted design is checked as one of shape (); a diagnostic refuses it
+as "need X" or "need X_h" unless the fit recorded it as one column of ones.
+Before, the links, the residuals and the hurdle likelihoods given no design
+raised numpy's matmul error, and the mean likelihoods and fits blamed the
+response.  The reproductions use n = 500, X = [1, N(0,1)]
 from ``default_rng(0)``, y ~ Poisson(exp(0.5 + 0.3x)) and
 NbRegParams([0.5, 0.3], log 0.5); before the shared check, a column-vector
 response there gave nb_loglik -425,443.99 (against -812.33 for y),
@@ -12,6 +17,7 @@ from a hidden n x n broadcast.
 """
 
 import functools
+import inspect
 import math
 import re
 
@@ -20,8 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import countreg.diagnostics
+import countreg.fit
+import countreg.likelihood
 from countreg.diagnostics import deviance_residuals, frequency_table, pearson
-from countreg.fit import fit_family, fit_hnb, fit_nb
+from countreg.fit import fit_family, fit_hnb, fit_nb, fit_poisson
 from countreg.inference import marginal_effect_hurdle
 from countreg.likelihood import (
     HnbRegParams,
@@ -119,12 +128,17 @@ def entry_points():
     _, _, _, nb, hnb = fitted()
     p = NbRegParams(BETA, math.log(0.5))
     h = HnbRegParams(p, DELTA)
-    mean = ("column response", "short response", "X cell")
-    hurdle = mean + ("X_h cell", "X_h rows")
+    mean = ("column response", "short response", "X cell", "X omitted")
+    # A fit given no hurdle design fits X's: omitting X_h is no fault there.
+    fit_hurdle = mean + ("X_h cell", "X_h rows")
+    hurdle = fit_hurdle + ("X_h omitted",)
     return {
         "fit_family P": (lambda X, X_h, y, row: fit_family("P", X, y), mean),
         "fit_family NB": (lambda X, X_h, y, row: fit_family("NB", X, y), mean),
-        "fit_family HNB": (lambda X, X_h, y, row: fit_family("HNB", X, y, X_h=X_h), hurdle),
+        "fit_family HNB": (lambda X, X_h, y, row: fit_family("HNB", X, y, X_h=X_h), fit_hurdle),
+        "fit_poisson": (lambda X, X_h, y, row: fit_poisson(X, y), mean),
+        "fit_nb": (lambda X, X_h, y, row: fit_nb(X, y), mean),
+        "fit_hnb": (lambda X, X_h, y, row: fit_hnb(X, X_h, y), fit_hurdle),
         "poisson_loglik": (lambda X, X_h, y, row: poisson_loglik(BETA, X, y), mean),
         "poisson_score": (lambda X, X_h, y, row: poisson_score(BETA, X, y), mean),
         "nb_loglik": (lambda X, X_h, y, row: nb_loglik(p, X, y), mean),
@@ -132,8 +146,8 @@ def entry_points():
         "hnb_loglik": (lambda X, X_h, y, row: hnb_loglik(h, X, X_h, y), hurdle),
         "hnb_loglik_parts": (lambda X, X_h, y, row: hnb_loglik_parts(h, X, X_h, y), hurdle),
         "hnb_score": (lambda X, X_h, y, row: hnb_score(h, X, X_h, y), hurdle),
-        "link_mean": (lambda X, X_h, y, row: link_mean(X, BETA), ("X cell",)),
-        "link_hurdle": (lambda X, X_h, y, row: link_hurdle(X_h, DELTA), ("X_h cell",)),
+        "link_mean": (lambda X, X_h, y, row: link_mean(X, BETA), ("X cell", "X omitted")),
+        "link_hurdle": (lambda X, X_h, y, row: link_hurdle(X_h, DELTA), ("X_h cell", "X_h omitted")),
         "pearson NB": (lambda X, X_h, y, row: pearson(nb, X, y), mean),
         "pearson HNB": (lambda X, X_h, y, row: pearson(hnb, X, y, X_h=X_h), hurdle),
         "deviance_residuals": (lambda X, X_h, y, row: deviance_residuals(nb, X, y), mean),
@@ -157,6 +171,17 @@ def faults(draw):
     elif kind == "short response":
         y = y[:-1]
         message = shape_message("response", (N - 1,), (N,))
+    elif kind in ("X omitted", "X_h omitted"):
+        # A diagnostic refuses an omitted design with covariates by name;
+        # everything else finds a design of shape ().
+        design = kind.split()[0]
+        if name.split()[0] in ("pearson", "deviance_residuals", "frequency_table"):
+            message = f"need {design}$"
+        elif design == "X":
+            message = shape_message("design matrix", (), "(n, k)" if name.startswith("fit") else "(n, 3)")
+        else:
+            message = shape_message("hurdle design matrix", (), f"({'n' if name == 'link_hurdle' else N}, 2)")
+        X, X_h = (None, X_h) if design == "X" else (X, None)
     elif kind == "X_h rows":
         rows = draw(st.integers(1, 2 * N).filter(lambda m: m != N))
         X_h = X_h[np.arange(rows) % N]
@@ -178,6 +203,19 @@ def test_every_entry_point_refuses_each_fault_with_its_message(fault):
     call = entry_points()[name][0]
     with pytest.raises(ValueError, match=message):
         call(X, X_h, y, row)
+
+
+@pytest.mark.parametrize("module", [countreg.fit, countreg.likelihood, countreg.diagnostics])
+def test_every_public_function_of_a_design_is_an_entry_point(module):
+    """A new public function that reads X or X_h cannot skip the faults."""
+    covered = {name.split()[0] for name in entry_points()}
+    reads_a_design = [
+        name for name in module.__all__
+        if inspect.isfunction(getattr(module, name))
+        and {"X", "X_h"} & set(inspect.signature(getattr(module, name)).parameters)
+    ]
+    assert reads_a_design
+    assert set(reads_a_design) <= covered, sorted(set(reads_a_design) - covered)
 
 
 ONES = np.ones((3, 1))
