@@ -63,7 +63,7 @@ import numpy as np
 from .data import _BLOCK_ROWS, NONNEGATIVE_INTEGER, OBJECT, PATH, POSITIVE, POSITIVE_INTEGER, PROBABILITY
 from .data import STRING, ConfigDoc, DesignMatrix, EncodingConfig, encode, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
-from .exceptions import ConfigError, CountregError, DataError, SeparationError
+from .exceptions import ConfigError, CountregError, SeparationError
 from .fit import FitOptions, _require_family, fit_family
 from .inference import aic, compare, irr, wald_table
 from .simulate import SimDesign, _pool_map, _usable_cpus, _workers, generate, recovery_study
@@ -290,17 +290,10 @@ def _write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
     columns = [("float", res.mu), ("float", res.pearson)]
     files = [(out_dir / "pearson_residuals.csv", ["predicted_mean", "pearson_residual"], (0, 1))]
     if dev is not None:
-        # An NB fit's two residual sets carry the same means: both CSVs are
-        # written in one pass, which formats each block of means once.
-        means = 0
-        if np.asarray(dev.mu, float).tobytes() != np.asarray(res.mu, float).tobytes():
-            means = len(columns)
-            columns.append(("float", dev.mu))
+        # Both residual sets take their means from diagnostics._rows: the two
+        # CSVs are written in one pass, which formats each block of means once.
         columns.append(("float", dev.deviance))
-        files.append(
-            (out_dir / "deviance_residuals.csv", ["predicted_mean", "deviance_residual"],
-             (means, len(columns) - 1))
-        )
+        files.append((out_dir / "deviance_residuals.csv", ["predicted_mean", "deviance_residual"], (0, 2)))
     _write_tables(files, columns)
 
 
@@ -632,12 +625,9 @@ def main(argv=None) -> int:
     try:
         with _one_blas_thread():
             return args.func(args)
-    except SeparationError as exc:
+    except (CountregError, ValueError, OSError) as exc:
         print(f"countreg: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, DataError, CountregError, ValueError, OSError) as exc:
-        print(f"countreg: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SeparationError) else 1
 
 
 if __name__ == "__main__":

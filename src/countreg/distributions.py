@@ -4,7 +4,9 @@ The negative binomial is parameterized by its mean ``theta`` and an index of
 dispersion ``r`` (variance ``theta + r*theta**2``); ``r -> 0`` recovers the
 Poisson and ``r = 1`` the geometric distribution.  The hurdle variant places
 probability ``phi`` on zero and renormalizes the positive negative-binomial
-mass over {1, 2, ...}.
+mass over {1, 2, ...}.  ``_check_params`` holds the one rule, and its three
+messages, for valid theta, r and phi; ``NbParams``, ``HurdleParams`` and
+``_hnb_moments`` call it.
 
 Log-pmfs are evaluated in log space by one private NB log-pmf
 (``_nb_log_pmf``), the likelihood kernel's row term: lnG(1/r + y) - lnG(1/r)
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _dispersion_sums, ln_gamma
+from .special import _as_input_shape, _dispersion_sums, ln_gamma
 
 __all__ = [
     "NbParams",
@@ -45,6 +47,17 @@ _R_MESSAGE = "r must be finite and strictly positive"
 _PHI_MESSAGE = "phi must lie in [0, 1]"
 
 
+def _check_params(theta, r, phi=0.0):
+    """Raise the message of the first of ``theta`` (each entry finite and > 0),
+    ``r`` (finite and > 0) and ``phi`` (each entry in [0, 1]) that is invalid."""
+    if not np.all(np.isfinite(theta) & (theta > 0.0)):
+        raise ValueError(_THETA_MESSAGE)
+    if not (np.isfinite(r) and r > 0.0):
+        raise ValueError(_R_MESSAGE)
+    if not np.all((phi >= 0.0) & (phi <= 1.0)):
+        raise ValueError(_PHI_MESSAGE)
+
+
 @dataclass(frozen=True)
 class NbParams:
     """Negative binomial with mean ``theta`` and index of dispersion ``r``."""
@@ -53,10 +66,7 @@ class NbParams:
     r: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError(_THETA_MESSAGE)
-        if not (np.isfinite(self.r) and self.r > 0.0):
-            raise ValueError(_R_MESSAGE)
+        _check_params(self.theta, self.r)
 
 
 @dataclass(frozen=True)
@@ -67,8 +77,7 @@ class HurdleParams:
     phi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.phi) and 0.0 <= self.phi <= 1.0):
-            raise ValueError(_PHI_MESSAGE)
+        _check_params(self.nb.theta, self.nb.r, self.phi)
 
 
 def _bad_counts(values):
@@ -109,10 +118,7 @@ def nb_log_pmf(y, p: NbParams):
     Overflow-free: the Gamma(1/r + y)/Gamma(1/r) term is a sum of
     logarithms and the remaining factors stay in log space.
     """
-    out = _nb_log_pmf(_validate_counts(y), p)
-    if np.isscalar(y) or np.asarray(y).ndim == 0:
-        return float(out)
-    return out
+    return _as_input_shape(_nb_log_pmf(_validate_counts(y), p), y)
 
 
 def nb_zero_prob(p: NbParams) -> float:
@@ -137,10 +143,7 @@ def hnb_log_pmf(y, h: HurdleParams):
         log_phi = np.log(h.phi)
         log_phibar = np.log1p(-h.phi)
         log_positive = log_phibar - np.log1p(-np.exp(log_p0)) + _nb_log_pmf(arr, h.nb)
-    out = np.where(arr == 0, log_phi, log_positive)
-    if np.isscalar(y) or np.asarray(y).ndim == 0:
-        return float(out)
-    return out
+    return _as_input_shape(np.where(arr == 0, log_phi, log_positive), y)
 
 
 def support_bound(dist, tail: float = _TAIL_TOLERANCE) -> int:
@@ -185,17 +188,12 @@ def _hnb_moments(theta, r, phi):
 
     ``mu = (1-phi)*theta/(1-p0)`` and, from the closed second moment,
     ``sigma2 = mu*(1 + r*theta + theta - mu)``; entries with ``phi = 1``
-    therefore give exactly (0, 0).  Invalid entries raise the
-    ``NbParams``/``HurdleParams`` messages.
+    therefore give exactly (0, 0).  Entries are checked by ``_check_params``,
+    as ``NbParams`` and ``HurdleParams`` are.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(theta) & (theta > 0.0)):
-        raise ValueError(_THETA_MESSAGE)
-    if not (np.isfinite(r) and r > 0.0):
-        raise ValueError(_R_MESSAGE)
-    if not np.all((phi >= 0.0) & (phi <= 1.0)):
-        raise ValueError(_PHI_MESSAGE)
+    _check_params(theta, r, phi)
     p0 = np.exp(-np.log1p(r * theta) / r)
     mu = (1.0 - phi) * theta / (1.0 - p0)
     return mu, mu * (1.0 + r * theta + theta - mu)

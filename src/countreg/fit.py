@@ -8,9 +8,10 @@ maximized by one Newton routine on its exact Hessian with a step-halving
 values: beta from a Poisson Newton fit on the already validated rows, r from
 the method of moments r0 = max((s^2 - ybar)/ybar^2, 1e-3).  ``_model``
 assembles every FittedModel from its fitted blocks, and :func:`fit_family`
-dispatches on the family name.  ``_validate_design`` checks a fit's designs
-and response through ``likelihood._check_design`` and ``_check_counts``,
-then their rank, n > k and names; a hurdle design equal to X is X.
+dispatches on the family name.  ``_validate_design`` makes every refusal a
+fit makes before Newton starts: the designs and response through
+``likelihood._check_design`` and ``_check_counts``, then their rank, n > k,
+names and counts; a hurdle design equal to X is X.
 
 An objective maps a point u to (loglik, score, hessian), where ``hessian``
 is a zero-argument callable returning the exact Hessian at u; the optimizer
@@ -100,13 +101,13 @@ class FittedModel:
         return tuple(name[len("zero:") :] for name in self.hurdle_names)
 
     def natural_summary(self) -> dict:
-        """theta/phi/r summary for intercept-only fits."""
+        """theta and phi of the designs fitted as ones (``ones_designs``); r unless P."""
         out = {}
-        if self.k_mean == 1:
+        if "X" in self.ones_designs:
             out["theta"] = math.exp(self.estimates[self.mean_names[0]])
         if self.family != "P":
             out["r"] = self.estimates["r"]
-        if self.k_hurdle == 1:
+        if "X_h" in self.ones_designs:
             eta = self.estimates[self.hurdle_names[0]]
             out["phi"] = 1.0 / (1.0 + math.exp(-eta))
         return out
@@ -253,11 +254,12 @@ def _check_block(M, what, min_extra=None):
 
 
 def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
-    """(X, y, labels, X_h, hurdle_labels, ones) of a fit: X, y and, for HNB,
-    X_h checked in turn, then each design's rank, n > k and the names; ``ones``
-    names the designs ("X", "X_h") that are one column of ones.  For HNB, no
-    hurdle design, or one equal to ``X``, is ``X``: its labels default to
-    ``labels`` and its rank is not checked again."""
+    """(X, y, labels, X_h, hurdle_labels, ones) once a fit's refusals before
+    Newton pass: X, y and, for HNB, X_h in turn, each design's rank, n > k,
+    the names, then the counts (only fit_hnb's separation guard and positive
+    rows' rank come later).  ``ones`` names each design ("X", "X_h") that is
+    one column of ones.  For HNB, no hurdle design, or one equal to ``X``, is
+    ``X``: its labels default to ``labels`` and its rank is not checked again."""
     X, labels = _check_design(X, labels=labels)
     y = _check_counts(y, X.shape[0])
     if family == "HNB":
@@ -268,16 +270,15 @@ def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
     if family == "HNB" and X_h is not X:
         _check_block(X_h, "hurdle design matrix")
     _parameter_names(family, labels, hurdle_labels or ())
+    if family == "HNB" and (y.all() or not y.any()):
+        raise ValueError("hurdle fit needs both zero and positive counts")
+    # An all-zero response drives the intercept to -inf; Newton would stop
+    # on a vanishing gradient and report a spurious convergence.
+    if not y.any():
+        raise ValueError("fit needs at least one positive count; the response is all zero")
     designs = {"X": X, "X_h": X_h} if family == "HNB" else {"X": X}
     ones = frozenset(name for name, M in designs.items() if M.shape[1] == 1 and np.all(M == 1.0))
     return X, y, labels, X_h, hurdle_labels, ones
-
-
-def _require_positive_count(y):
-    # An all-zero response drives the intercept to -inf; Newton would stop
-    # on a vanishing gradient and report a spurious convergence.
-    if not np.any(y > 0):
-        raise ValueError("fit needs at least one positive count; the response is all zero")
 
 
 def _moment_start_r(y) -> float:
@@ -349,7 +350,6 @@ def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedM
     """Poisson regression under the log link."""
     options = options or FitOptions()
     X, y, labels, _, _, ones = _validate_design("P", X, y, labels)
-    _require_positive_count(y)
     yf = y.astype(float)
     state = _poisson_maximize(X, yf, options, ln_gamma(yf + 1.0))
     return _model("P", X.shape[0], labels, [state], ones=ones)
@@ -359,7 +359,6 @@ def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Negative binomial regression; beta starts at the Poisson fit."""
     options = options or FitOptions()
     X, y, labels, _, _, ones = _validate_design("NB", X, y, labels)
-    _require_positive_count(y)
     return _model("NB", X.shape[0], labels, [_nb_block(X, y, False, options)], ones=ones)
 
 
@@ -388,8 +387,6 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
         "HNB", X, y, labels, X_h=X_h, hurdle_labels=hurdle_labels
     )
     zero = y == 0
-    if not zero.any() or zero.all():
-        raise ValueError("hurdle fit needs both zero and positive counts")
 
     # Binary part: logistic regression of I(y == 0) on X_h.
     z = zero.astype(float)

@@ -134,6 +134,7 @@ def marginal_effect_hurdle(model: FittedModel, covariate: str, at) -> float:
 
     Equals delta_j * phi * (1 - phi) with phi evaluated at the row.  The
     covariate is a hurdle parameter name, or else a hurdle column label.
+    The row ``at`` has shape (k_h,) or (1, k_h); another shape is refused.
     """
     if model.family != "HNB":
         raise ValueError("marginal hurdle effects require an HNB model")
@@ -141,7 +142,8 @@ def marginal_effect_hurdle(model: FittedModel, covariate: str, at) -> float:
     if zero_name not in model.hurdle_names:
         raise KeyError(f"{covariate!r} is not in the hurdle equation")
     delta = np.array([model.estimates[name] for name in model.hurdle_names])
-    row = _check_design(np.reshape(at, (1, -1)), cols=model.k_hurdle, labels=model.hurdle_labels, hurdle=True)[0]
+    row = np.reshape(at, (1, -1)) if np.shape(at) == (model.k_hurdle,) else at
+    row = _check_design(row, 1, model.k_hurdle, model.hurdle_labels, hurdle=True)[0]
     phi = float(_phi(row, delta)[0])
     coefficient = model.estimates[zero_name]
     return coefficient * phi * (1.0 - phi)

@@ -14,7 +14,8 @@ Every lnG(1/r + y) - lnG(1/r) in the package comes from one grid,
 kernel, the NB and hurdle-NB pmfs, the frequency table and the public
 ``ln_gamma_ratio`` all read it.
 
-All public functions accept floats or numpy arrays and are pure.
+All public functions accept floats or numpy arrays and are pure; like the
+pmfs, they give a float for a scalar by one rule, ``_as_input_shape``.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def digamma(z):
     Upward recurrence lifts the argument above 10, then the Bernoulli
     asymptotic series applies; absolute error below 1e-12 on [1e-3, 1e6].
     """
-    arr = np.atleast_1d(_validate_positive(z, "digamma")).copy()
+    arr = _validate_positive(z, "digamma").copy()
     acc = np.zeros_like(arr)
     # psi(x) = psi(x + 1) - 1/x, applied until every argument exceeds the
     # series threshold.
@@ -131,10 +132,7 @@ def digamma(z):
     tail = np.zeros_like(arr)
     for coef in _PSI_ASYMPTOTIC[::-1]:
         tail = (tail + coef) * inv2
-    result = acc + np.log(arr) - 0.5 / arr - tail
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return float(result[0])
-    return result.reshape(np.asarray(z).shape)
+    return _as_input_shape(acc + np.log(arr) - 0.5 / arr - tail, z)
 
 
 # The dispersion grid is built in chunks of this many values of j, so that
@@ -160,17 +158,15 @@ def _dispersion_sums(y, r):
     The first equals lnG(1/r + y) - lnG(1/r) + y log r (Lawless 1987); the
     other two are its first and second derivatives in log r.  Each is one
     cumulative sum over j = 0..max(y) - 1 gathered at y, and no term cancels
-    at any r.  Counts above ``_GRID_CHUNK`` are summed chunk by chunk, each
-    chunk's sums continuing from the last of the chunk before; a cumulative
-    sum adds in order, so the sums are bit for bit those of one pass.
+    at any r.  One loop sums the counts in chunks of ``_GRID_CHUNK`` (an
+    all-zero ``y`` in one), each from the last sums of the chunk before; a
+    cumulative sum adds in order, so the sums are bit for bit one pass's.
     """
     counts = y.astype(np.int64)
     top = int(counts.max(initial=0))
-    if top <= _GRID_CHUNK:
-        return tuple(grid[counts] for grid in _dispersion_grid(r, 0, top, 0.0))
     sums = tuple(np.empty(counts.size) for _ in range(3))
     start = 0.0
-    for lo in range(0, top, _GRID_CHUNK):
+    for lo in range(0, max(top, 1), _GRID_CHUNK):
         hi = min(lo + _GRID_CHUNK, top)
         grids = _dispersion_grid(r, lo, hi, start)
         rows = (lo <= counts) & (counts <= hi)

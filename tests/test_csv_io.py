@@ -734,7 +734,7 @@ class TestWritersMatchRowOracle:
         res, dev = cli._residuals(model, X, None, y)
         special = (
             SimpleNamespace(mu=FLOATS, pearson=FLOATS[::-1]),
-            SimpleNamespace(mu=-FLOATS, deviance=FLOATS * 3),
+            SimpleNamespace(mu=FLOATS, deviance=FLOATS * 3),
         )
         for case, (r, d) in enumerate([(res, dev), special, (res, None)]):
             new, old = tmp_path / f"new{case}", tmp_path / f"old{case}"

@@ -542,6 +542,16 @@ class TestFittedModel:
         with pytest.raises(AttributeError):
             m.loglik = 0.0
 
+    def test_natural_summary_reads_only_designs_of_ones(self):
+        # One design column that is not ones is a slope, not log theta or
+        # logit phi: exp of this one read 1.94 as theta.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 2.0, 500)
+        y = rng.poisson(np.exp(0.7 * x))
+        assert set(fit_nb(x[:, None], y).natural_summary()) == {"r"}
+        assert set(fit_hnb(np.ones((500, 1)), x[:, None], y).natural_summary()) == {"theta", "r"}
+        assert set(fit_hnb(x[:, None], np.ones((500, 1)), y).natural_summary()) == {"r", "phi"}
+
 
 class TestNewtonEvaluations:
     def test_hessian_evaluated_only_at_start_and_accepted_points(self, monkeypatch):

@@ -205,6 +205,20 @@ def test_every_entry_point_refuses_each_fault_with_its_message(fault):
         call(X, X_h, y, row)
 
 
+@pytest.mark.parametrize(
+    "at, shape",
+    [([[1.0, 0.2], [1.0, 0.3]], (2, 2)), (None, ()), ([1.0, 0.2, 0.3], (3,)), ([[1.0, 0.2, 0.3]], (1, 3))],
+    ids=["two rows", "None", "long vector", "long row"],
+)
+def test_a_marginal_effect_row_is_refused_by_its_own_shape(at, shape):
+    """Before, ``at`` was reshaped to one row first: two rows read (1, 4)
+    and None read (1, 1)."""
+    hnb = fitted()[4]
+    with pytest.raises(ValueError, match=shape_message("hurdle design matrix", shape, (1, 2))):
+        marginal_effect_hurdle(hnb, "x1", at)
+    assert marginal_effect_hurdle(hnb, "x1", [[1.0, 0.2]]) == marginal_effect_hurdle(hnb, "x1", [1.0, 0.2])
+
+
 @pytest.mark.parametrize("module", [countreg.fit, countreg.likelihood, countreg.diagnostics])
 def test_every_public_function_of_a_design_is_an_entry_point(module):
     """A new public function that reads X or X_h cannot skip the faults."""
