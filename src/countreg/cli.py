@@ -27,10 +27,10 @@ The run configuration is a JSON document with the encoding fields
 (``response``, ``predictors``, optional ``hurdle_predictors``) plus optional
 ``family`` (fit/restrict, default NB), ``families`` (compare), ``level``
 (restrict), ``fit_options``, ``y_max`` (frequency table) and ``data``.
-``_run_config`` reads them all through the typed getters of
-``data.ConfigDoc`` before the CSV is read, and ``SimDesign.from_dict`` reads a
-design the same way, so a malformed value exits 1 with ``'<key path>' must
-be <what>, not <value>``.  ``fit_options`` may still carry the schema-1 key
+``_run_config`` reads them all through ``data.ConfigDoc`` before the CSV is
+read, and ``SimDesign.from_dict`` reads a design the same way, so a malformed
+value exits 1 with ``'<key path>' must be <what>, not <value>`` and any other
+key with ``has unknown keys``.  ``fit_options`` may carry the schema-1 key
 ``hessian_step``, which is accepted and ignored.  An output directory is
 created only once there is something to write.  Reports are JSON with
 ``schema_version`` 1; tabulated estimates are fixed to 4 decimals while
@@ -318,7 +318,8 @@ def _run_config(args):
     the config's ``data``, ``families`` and ``level``."""
     raw = _load_json(args.config)
     config = EncodingConfig.from_dict(raw)
-    doc = ConfigDoc(raw)
+    run_keys = ("family", "families", "level", "fit_options", "y_max", "data")
+    doc = ConfigDoc(raw).only(("response", "predictors", "hurdle_predictors", *run_keys), "the configuration")
     family = doc.get("family", STRING, "NB")
     families = doc.each("families", STRING, ())
     if getattr(args, "families", None):
@@ -332,10 +333,7 @@ def _run_config(args):
         level = args.level
     options = doc.get("fit_options", OBJECT, None)
     if options is not None:
-        unknown = set(options.value) - set(_FIT_OPTIONS) - {"hessian_step"}
-        if unknown:
-            raise ConfigError(f"'fit_options' has unknown keys {sorted(unknown)}")
-        options = FitOptions(**options.entries(_FIT_OPTIONS))
+        options = FitOptions(**options.only((*_FIT_OPTIONS, "hessian_step")).entries(_FIT_OPTIONS))
     y_max = doc.get("y_max", NONNEGATIVE_INTEGER, None)
     data = doc.get("data", PATH, None)
     data = args.data or data
@@ -488,7 +486,6 @@ def _narrowed(design, kept):
         X=design.X if len(cols) == design.k else design.X.take(cols, axis=1),
         labels=tuple(design.labels[j] for j in cols),
         predictors=tuple(design.predictors[j] for j in cols),
-        base_levels={name: base for name, base in design.base_levels.items() if name in names},
     )
 
 

@@ -24,6 +24,8 @@ The encoding configuration is a declarative JSON document::
 
 ``hurdle_predictors`` lists which predictors enter the hurdle equation;
 omitted, the hurdle equation uses the same predictors as the mean equation.
+A key that no reader lists is refused.  A ``Column`` holds the raw name,
+kind and values; transform, origin and base live on the ``PredictorSpec``.
 
 ``read_csv`` skips a UTF-8 byte-order mark at the start of the file, as
 Excel's "CSV UTF-8" files carry one.  It refuses a header that lacks a
@@ -43,7 +45,7 @@ import math
 import re
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 
@@ -105,7 +107,8 @@ class ConfigDoc:
 
     A key that is missing, or null where the default is None, reads as the
     default, and as None without one.  A value that is not of its kind
-    raises ``ConfigError("'<key path>' must be <what>, not <repr>")``.
+    raises ``ConfigError("'<key path>' must be <what>, not <repr>")``, and
+    ``only`` refuses a key its reader does not list as ``has unknown keys``.
     """
 
     def __init__(self, value, path=""):
@@ -126,6 +129,14 @@ class ConfigDoc:
         if kind is STRING and _SURROGATE.search(value):
             raise ConfigError(f"'{path}' must be a string that UTF-8 can encode, not {value!r}")
         return ConfigDoc(value, path) if isinstance(value, (dict, list)) else value
+
+    def only(self, keys, name=None) -> "ConfigDoc":
+        """This object, once ``keys`` lists each of its keys; ``name`` names a whole document."""
+        unknown = sorted(set(self.value) - set(keys))
+        if unknown:
+            where = name or f"'{self.path}'"
+            raise ConfigError(f"{where} has unknown keys {unknown}")
+        return self
 
     def each(self, key, kind, default=_REQUIRED):
         """The entries of the list at ``key`` as a tuple, each checked as ``kind``."""
@@ -188,11 +199,12 @@ class EncodingConfig:
         response = doc.get("response", STRING)
         specs = []
         for entry in doc.each("predictors", OBJECT):
+            entry.only(("name", "kind", "transform", "base", "levels"))
             name = entry.get("name", STRING)
             transform = entry.get("transform", _TRANSFORM, "none")
             origin = 0.0
             if isinstance(transform, ConfigDoc):
-                transform.get("type", _OFFSET)
+                transform.only(("type", "origin")).get("type", _OFFSET)
                 origin = float(transform.get("origin", NUMBER))
                 transform = "offset"
             specs.append(
@@ -215,8 +227,6 @@ class Column:
     name: str
     kind: str
     values: np.ndarray
-    transform: str = "none"
-    origin: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -254,7 +264,6 @@ class DesignMatrix:
     X: np.ndarray
     labels: tuple[str, ...]
     predictors: tuple[str | None, ...]  # each column's predictor; None for the intercept
-    base_levels: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -528,10 +537,7 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
         with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             arrays = _read_fields(fh, path, config, rescan=True)
     y, *values = arrays
-    columns = tuple(
-        Column(spec.name, spec.kind, arr, spec.transform, spec.origin)
-        for spec, arr in zip(config.predictors, values)
-    )
+    columns = tuple(Column(spec.name, spec.kind, arr) for spec, arr in zip(config.predictors, values))
     return Dataset(y=y, columns=columns, response_name=config.response)
 
 
@@ -557,7 +563,6 @@ def encode_columns(columns, specs, n) -> DesignMatrix:
     blocks = [np.ones((n, 1))]
     labels = ["intercept"]
     owners = {"intercept": None}  # label -> the predictor that gave it
-    base_levels = {}
     for spec in specs:
         start = len(labels)
         if spec.name not in by_name:
@@ -574,7 +579,6 @@ def encode_columns(columns, specs, n) -> DesignMatrix:
             unseen = present - set(levels)
             if unseen:
                 raise ConfigError(f"values {sorted(unseen)} of {spec.name!r} are not declared levels")
-            base_levels[spec.name] = spec.base
             for level in levels:
                 if level == spec.base:
                     continue
@@ -595,7 +599,7 @@ def encode_columns(columns, specs, n) -> DesignMatrix:
                 raise ConfigError(f"design column {label!r} is given by both {first} and predictor {spec.name!r}")
             owners[label] = spec.name
     X = np.hstack(blocks)
-    return DesignMatrix(X=X, labels=tuple(labels), predictors=tuple(owners.values()), base_levels=base_levels)
+    return DesignMatrix(X=X, labels=tuple(labels), predictors=tuple(owners.values()))
 
 
 def encode(ds: Dataset, config: EncodingConfig, equation: str = "mean") -> DesignMatrix:

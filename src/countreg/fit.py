@@ -6,12 +6,13 @@ maximized by one Newton routine on its exact Hessian with a step-halving
 (Armijo) line search.  The dispersion parameter is optimized as log r.
 ``_nb_block`` fits an NB or zero-truncated NB block from its starting
 values: beta from a Poisson Newton fit on the already validated rows, r from
-the method of moments r0 = max((s^2 - ybar)/ybar^2, 1e-3).  ``_model``
-assembles every FittedModel from its fitted blocks, and :func:`fit_family`
-dispatches on the family name.  ``_validate_design`` makes every refusal a
-fit makes before Newton starts: the designs and response through
-``likelihood._check_design`` and ``_check_counts``, then their rank, n > k,
-names and counts; a hurdle design equal to X is X.
+the method of moments r0 = max((s^2 - ybar)/ybar^2, 1e-3), as each block has
+two rows or more and a positive count.  ``_model`` assembles every
+FittedModel from its fitted blocks, and :func:`fit_family` dispatches on the
+family name.  ``_validate_design`` makes every refusal a fit makes before
+Newton starts: the designs and response through ``likelihood._check_design``
+and ``_check_counts``, then their columns (one at least), rank, n > k, names
+and counts; a hurdle design equal to X is X.
 
 An objective maps a point u to (loglik, score, hessian), where ``hessian``
 is a zero-argument callable returning the exact Hessian at u; the optimizer
@@ -156,8 +157,9 @@ def _newton_maximize(objective, u0, options, guard=None) -> _OptState:
         # the Poisson boundary of a zero-truncated part.
         eigval, eigvec = np.linalg.eigh(-0.5 * (hess + hess.T))
         curvature = np.maximum(np.abs(eigval), max(1e-14 * np.max(np.abs(eigval)), 1e-300))
-        direction = eigvec @ ((eigvec.T @ grad) / curvature)
-        slope = float(grad @ direction)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite slope falls back below
+            direction = eigvec @ ((eigvec.T @ grad) / curvature)
+            slope = float(grad @ direction)
         if not np.isfinite(slope) or slope <= 0.0:
             direction = grad.copy()
             slope = float(grad @ grad)
@@ -244,9 +246,11 @@ def _parameter_names(family, labels, hurdle_labels=()) -> tuple[str, ...]:
 
 
 def _check_block(M, what, min_extra=None):
-    """Refuse a design of less than full column rank or, unless ``min_extra``
-    is None, with no more than k + min_extra rows."""
+    """Refuse a design with no columns, of less than full column rank or,
+    unless ``min_extra`` is None, with no more than k + min_extra rows."""
     n, k = M.shape
+    if k == 0:
+        raise ValueError(f"{what} has no columns")
     if min_extra is not None and n <= k + min_extra:
         raise ValueError(f"need more observations than parameters (n={n}, k={k})")
     if np.linalg.matrix_rank(M) < k:
@@ -283,10 +287,7 @@ def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
 
 def _moment_start_r(y) -> float:
     ybar = float(np.mean(y))
-    s2 = float(np.var(y, ddof=1)) if y.size > 1 else 0.0
-    if ybar <= 0.0:
-        return 1e-3
-    return max((s2 - ybar) / ybar**2, 1e-3)
+    return max((float(np.var(y, ddof=1)) - ybar) / ybar**2, 1e-3)
 
 
 def _nb_block(X, y, truncated, options) -> _OptState:
@@ -367,10 +368,7 @@ def _separation_guard(X_h, hurdle_labels):
 
     def guard(delta):
         if float(np.max(np.abs(delta))) > _SEPARATION_BOUND:
-            if varying:
-                worst = max(varying, key=lambda j: abs(delta[j]))
-            else:
-                worst = int(np.argmax(np.abs(delta)))
+            worst = max(varying or range(len(delta)), key=lambda j: abs(delta[j]))
             raise SeparationError(hurdle_labels[worst])
 
     return guard

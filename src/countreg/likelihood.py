@@ -90,9 +90,10 @@ class HnbRegParams:
 
 
 def _check_design(M, rows=None, cols=None, labels=None, hurdle=False):
-    """(M as a float array, its labels as a tuple; default names if None) once
-    M is 2-D with ``rows`` rows and ``cols`` columns where given, has a label
-    per column and only finite cells; ``hurdle`` names it the hurdle design."""
+    """(M as a float array, its labels as a tuple) once M is 2-D with ``rows``
+    rows and ``cols`` columns where given, has a label per column and only
+    finite cells; ``hurdle`` names it the hurdle design.  Labels None default
+    to x0, x1, ..., with x0 named intercept if it is 1 in every finite cell."""
     what, name = ("hurdle design matrix", "hurdle_labels") if hurdle else ("design matrix", "labels")
     M = np.asarray(M, dtype=float)
     shape = M.shape if M.ndim == 2 else ("n", "k")
@@ -101,7 +102,8 @@ def _check_design(M, rows=None, cols=None, labels=None, hurdle=False):
         raise ValueError(f"{what} has shape {M.shape}, not ({expected[0]}, {expected[1]})")
     cols = M.shape[1]
     if labels is None:
-        labels = ("intercept",) + tuple(f"x{j}" for j in range(1, cols))
+        ones = np.all(M[:, :1][np.isfinite(M[:, :1])] == 1.0)
+        labels = tuple("intercept" if j == 0 and ones else f"x{j}" for j in range(cols))
     elif len(labels) != cols:
         raise ValueError(f"{name} length does not match the {what} ({len(labels)} labels, {cols} columns)")
     if not np.isfinite(M).all():

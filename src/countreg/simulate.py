@@ -6,6 +6,8 @@ coefficients (keyed by design-matrix label), the family, and a seed.
 replications and summarizes bias, RMSE, and Wald coverage.  Replication
 streams come from spawned seed sequences, so results are independent of how
 the replications are scheduled and merge deterministically by index.
+``_KIND_FIELDS`` lists each covariate kind's fields once: the kind check, the
+keys a design's covariate may hold and ``SimDesign.to_dict`` all read it.
 
 Designs serialize to a declarative JSON document::
 
@@ -42,12 +44,20 @@ __all__ = ["CovariateSpec", "SimDesign", "generate", "recovery_study", "citation
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
+# The fields a design document gives each covariate kind, besides its name
+# and kind, in the order ``SimDesign.to_dict`` writes them.
+_KIND_FIELDS = {
+    "normal": ("mean", "sd"), "uniform": ("low", "high"), "integer": ("low", "high"),
+    "bernoulli": ("p",), "poisson": ("lam",), "categorical": ("levels", "probs", "base"),
+}
+
+
 @dataclass(frozen=True)
 class CovariateSpec:
     """One simulated covariate; ``kind`` selects the generator."""
 
     name: str
-    kind: str  # normal | uniform | integer | bernoulli | poisson | categorical
+    kind: str  # a key of _KIND_FIELDS
     mean: float = 0.0
     sd: float = 1.0
     low: float = 0.0
@@ -59,13 +69,13 @@ class CovariateSpec:
     base: str | None = None
 
     def __post_init__(self):
+        if self.kind not in _KIND_FIELDS:
+            raise ConfigError(f"unknown covariate kind {self.kind!r}")
         if self.kind == "categorical":
             if len(self.levels) < 2 or len(self.levels) != len(self.probs):
                 raise ConfigError(f"categorical covariate {self.name!r} needs levels and probs")
             if abs(sum(self.probs) - 1.0) > 1e-9:
                 raise ConfigError(f"probabilities of {self.name!r} must sum to 1")
-        elif self.kind not in ("normal", "uniform", "integer", "bernoulli", "poisson"):
-            raise ConfigError(f"unknown covariate kind {self.kind!r}")
         integral = float(self.low).is_integer() and float(self.high).is_integer()
         if self.kind == "integer" and not (integral and -(2**63) <= self.low <= self.high < 2**63 - 1):
             raise ConfigError(f"integer covariate {self.name!r} needs integral low <= high within int64")
@@ -100,6 +110,21 @@ class CovariateSpec:
 _COVARIATE_NUMBERS = {
     "mean": NUMBER, "sd": NONNEGATIVE, "low": NUMBER, "high": NUMBER, "p": PROBABILITY, "lam": NONNEGATIVE
 }
+_DESIGN_KEYS = ("family", "n", "seed", "response", "covariates", "beta", "r", "delta", "recovery")
+
+
+def _covariate(c: ConfigDoc) -> CovariateSpec:
+    """The covariate of design entry ``c``: its name, its kind and that kind's fields."""
+    spec = CovariateSpec(
+        name=c.get("name", STRING),
+        kind=c.get("kind", STRING),
+        levels=c.each("levels", STRING, ()),
+        probs=c.each("probs", PROBABILITY, ()),
+        base=c.get("base", STRING, None),
+        **{key: float(value) for key, value in c.entries(_COVARIATE_NUMBERS).items()},
+    )
+    c.only(("name", "kind", *_KIND_FIELDS[spec.kind]))
+    return spec
 
 
 @dataclass(frozen=True)
@@ -150,17 +175,8 @@ class SimDesign:
         }
         for cov in self.covariates:
             entry = {"name": cov.name, "kind": cov.kind}
-            if cov.kind == "normal":
-                entry.update(mean=cov.mean, sd=cov.sd)
-            elif cov.kind in ("uniform", "integer"):
-                entry.update(low=cov.low, high=cov.high)
-            elif cov.kind == "bernoulli":
-                entry.update(p=cov.p)
-            elif cov.kind == "poisson":
-                entry.update(lam=cov.lam)
-            else:
-                entry.update(levels=list(cov.levels), probs=list(cov.probs), base=cov.base)
-            doc["covariates"].append(entry)
+            entry.update((key, getattr(cov, key)) for key in _KIND_FIELDS[cov.kind])
+            doc["covariates"].append({key: list(v) if isinstance(v, tuple) else v for key, v in entry.items()})
         if self.r is not None:
             doc["r"] = self.r
         if self.delta is not None:
@@ -171,21 +187,13 @@ class SimDesign:
     def from_dict(cls, doc: dict) -> "SimDesign":
         if not isinstance(doc, dict):
             raise ConfigError(f"the simulation design must be a JSON object, not {type(doc).__name__}")
-        doc = ConfigDoc(doc)
-        covariates = tuple(
-            CovariateSpec(
-                name=c.get("name", STRING),
-                kind=c.get("kind", STRING),
-                levels=c.each("levels", STRING, ()),
-                probs=c.each("probs", PROBABILITY, ()),
-                base=c.get("base", STRING, None),
-                **{key: float(value) for key, value in c.entries(_COVARIATE_NUMBERS).items()},
-            )
-            for c in doc.each("covariates", OBJECT)
-        )
+        doc = ConfigDoc(doc).only(_DESIGN_KEYS, "the simulation design")
+        covariates = tuple(map(_covariate, doc.each("covariates", OBJECT)))
         r = doc.get("r", POSITIVE, None)
         delta = doc.get("delta", OBJECT, None)
         recovery = doc.get("recovery", OBJECT, None)
+        if recovery is not None:
+            recovery.only(("replications",))
         return cls(
             family=doc.get("family", STRING),
             n=doc.get("n", POSITIVE_INTEGER),
@@ -234,10 +242,8 @@ def _draw(design: SimDesign, seed_sequence):
     """(Dataset, its encoded design matrix) drawn from one seed sequence."""
     rng = np.random.default_rng(seed_sequence)
     predictors = design.encoding_config().predictors
-    columns = tuple(
-        Column(name=spec.name, kind=spec.kind, values=cov.draw(rng, design.n))
-        for cov, spec in zip(design.covariates, predictors)
-    )
+    draws = (cov.draw(rng, design.n) for cov in design.covariates)
+    columns = tuple(Column(spec.name, spec.kind, values) for spec, values in zip(predictors, draws))
     X = encode_columns(columns, predictors, design.n)
     y = _draw_response(design, rng, X)
     return Dataset(y=y, columns=columns, response_name=design.response_name), X

@@ -345,6 +345,54 @@ class TestFit:
         assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param({**RUN_CONFIG, "famly": "HNB"}, "the configuration has unknown keys ['famly']",
+                         id="top-level"),
+            pytest.param({**RUN_CONFIG, "hurdle_predictor": ["oa"]},
+                         "the configuration has unknown keys ['hurdle_predictor']", id="hurdle_predictor"),
+            pytest.param({**RUN_CONFIG, "predictors": [RUN_CONFIG["predictors"][0], {"name": "x1", "tranform": "log"}]},
+                         "'predictors[1]' has unknown keys ['tranform']", id="predictor"),
+            pytest.param({**RUN_CONFIG, "predictors": [
+                {"name": "x1", "transform": {"type": "offset", "origin": 1.0, "scale": 2.0}}]},
+                         "'predictors[0].transform' has unknown keys ['scale']", id="transform"),
+            pytest.param({**RUN_CONFIG, "fit_options": {"hessian_step": 1e-5, "max_iteration": 5}},
+                         "'fit_options' has unknown keys ['max_iteration']", id="fit_options"),
+        ],
+    )
+    def test_an_unknown_key_exits_1_naming_it(self, tmp_path, capsys, doc, message):
+        data = make_csv(tmp_path / "d.csv", n=200)
+        config = write_json(tmp_path / "run.json", doc)
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
+        assert not out.exists()
+
+    def test_invalid_json_exits_1(self, tmp_path, capsys):
+        data = make_csv(tmp_path / "d.csv", n=200)
+        config = tmp_path / "run.json"
+        config.write_text('{"family": "NB",', encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"countreg: invalid JSON in {config}: Expecting")
+        assert not out.exists()
+
+    def test_a_stalled_line_search_exits_2_with_its_warnings(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = 3 * rng.normal(size=300)
+        y = rng.negative_binomial(0.5, 0.5 / (0.5 + np.exp(1 + 0.8 * x)))
+        data = tmp_path / "d.csv"
+        data.write_text("cites,x\n" + "".join(f"{y[i]},{float(x[i])!r}\n" for i in range(300)), encoding="utf-8")
+        run = {"response": "cites", "predictors": [{"name": "x"}], "fit_options": {"step_halving_limit": 1}}
+        config = write_json(tmp_path / "run.json", run)
+        out = tmp_path / "o"
+        assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["warnings"] == ["line_search_stalled", "hessian_not_negative_definite"]
+
     def test_usage_error_exits_1(self):
         assert main(["no-such-command"]) == 1
 
@@ -585,6 +633,26 @@ class TestSimulate:
         assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param({**SIM_DESIGN, "famly": "HNB"}, "the simulation design has unknown keys ['famly']",
+                         id="top-level"),
+            pytest.param({**SIM_DESIGN, "covariates": [{**SIM_DESIGN["covariates"][0], "sdd": 3}]},
+                         "'covariates[0]' has unknown keys ['sdd']", id="covariate"),
+            pytest.param({**SIM_DESIGN, "covariates": [{**SIM_DESIGN["covariates"][0], "low": -1, "high": 1}]},
+                         "'covariates[0]' has unknown keys ['high', 'low']", id="field-of-another-kind"),
+            pytest.param({**SIM_DESIGN, "recovery": {"replications": 2, "threads": 2}},
+                         "'recovery' has unknown keys ['threads']", id="recovery"),
+        ],
+    )
+    def test_an_unknown_key_exits_1_naming_it(self, tmp_path, capsys, doc, message):
+        config = write_json(tmp_path / "design.json", doc)
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
+        assert not out.exists()
+
     def test_missing_design_file_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
@@ -660,6 +728,21 @@ class TestRestrict:
         report = json.loads((out / "restricted_report.json").read_text())
         assert [row["name"] for row in report["coefficients"]] == ["intercept"]
         assert any("intercept-only" in w for w in report["restriction_warnings"])
+
+    def test_level_zero_on_an_hnb_run_drops_both_equations(self, tmp_path):
+        data = make_csv(tmp_path / "d.csv", n=800, seed=6, family="HNB")
+        config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "family": "HNB"})
+        out = tmp_path / "out"
+        code = main(["restrict", "--data", str(data), "--config", str(config),
+                     "--level", "0", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "restricted_report.json").read_text())
+        assert report["restriction_warnings"] == [
+            "all mean-equation covariates dropped; intercept-only",
+            "all hurdle-equation covariates dropped; intercept-only",
+        ]
+        assert [row["name"] for row in report["positives"]] == ["intercept"]
+        assert [row["name"] for row in report["zeros"]] == ["zero:intercept"]
 
     @pytest.mark.parametrize(
         "level, flags, message",

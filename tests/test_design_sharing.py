@@ -128,7 +128,7 @@ def test_the_data_is_encoded_once_per_distinct_design(
 
 def assert_same_design(got, want):
     assert got.labels == want.labels
-    assert got.base_levels == want.base_levels
+    assert got.predictors == want.predictors
     assert got.X.flags["C_CONTIGUOUS"]
     assert got.X.shape == want.X.shape
     assert got.X.tobytes() == want.X.tobytes()

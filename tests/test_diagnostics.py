@@ -242,7 +242,7 @@ class TestFrequencyTable:
         rng = np.random.default_rng(0)
         x = rng.uniform(0.5, 2.0, 500)
         y = rng.poisson(np.exp(0.8 * x) * rng.gamma(2.0, 0.5, 500))
-        nb = fit_nb(x[:, None], y)
+        nb = fit_nb(x[:, None], y, labels=("intercept",))
         assert nb.mean_names == ("intercept",)
         with pytest.raises(ValueError, match="need X$"):
             frequency_table(y, nb, y_max=10)

@@ -8,6 +8,7 @@ identities of the hurdle decomposition.
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,24 @@ class TestValidation:
             fit_hnb(X, np.ones((12, 1)), y)
         with pytest.raises(ValueError, match=r"more observations than parameters \(n=2, k=2\)"):
             fit_hnb(design(np.random.default_rng(7), 12, 2), np.ones((12, 1)), np.repeat([0, 1, 0, 2], [5, 1, 5, 1]))
+
+    def test_a_design_without_columns_is_refused(self):
+        y = np.tile([0, 1, 2], 4)
+        empty = np.empty((12, 0))
+        for fit in (fit_poisson, fit_nb, lambda X, y: fit_hnb(X, None, y)):
+            with pytest.raises(ValueError, match="^design matrix has no columns$"):
+                fit(empty, y)
+        with pytest.raises(ValueError, match="^hurdle design matrix has no columns$"):
+            fit_hnb(np.ones((12, 1)), empty, y)
+
+    def test_default_labels_name_column_0_intercept_only_when_it_is_ones(self):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.5, 2.0, 500)
+        y = rng.poisson(np.exp(0.8 * x))
+        assert fit_nb(x[:, None], y).mean_names == ("x0",)
+        assert fit_nb(np.column_stack([x, np.ones(500)]), y).mean_names == ("x0", "x1")
+        assert fit_nb(np.column_stack([np.ones(500), x]), y).mean_names == ("intercept", "x1")
+        assert fit_hnb(np.ones((500, 1)), x[:, None], y).hurdle_names == ("zero:x0",)
 
     def test_bad_options(self):
         with pytest.raises(ValueError):
@@ -586,6 +605,39 @@ class TestNewtonEvaluations:
             assert counts["hessian"] == state.iterations + 1
         truncated_state, truncated_counts = blocks[-1]
         assert truncated_counts["objective"] > truncated_state.iterations + 1
+
+
+class TestNewtonFailurePaths:
+    def test_a_stalled_line_search_is_reported(self):
+        # With one trial step, the first full Newton step of both the Poisson
+        # start and the NB block fails the Armijo test.
+        rng = np.random.default_rng(0)
+        n = 300
+        X = np.column_stack([np.ones(n), 3 * rng.normal(size=n)])
+        y = rng.negative_binomial(0.5, 0.5 / (0.5 + np.exp(1 + 0.8 * X[:, 1])))
+        m = fit_nb(X, y, FitOptions(step_halving_limit=1))
+        assert not m.converged
+        assert m.warnings == ("line_search_stalled", "hessian_not_negative_definite")
+
+    def test_a_non_finite_newton_step_falls_back_to_the_score(self):
+        # A zero Hessian makes the Newton step overflow; each iteration then
+        # takes the score step, silently.
+        def objective(u):
+            return 1e5 * u[0], np.array([1e5]), lambda: np.zeros((1, 1))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = fit_module._newton_maximize(objective, np.zeros(1), FitOptions(max_iterations=3))
+        assert state.u.tolist() == [3e5]
+        assert (state.iterations, state.converged, state.warnings) == (3, False, [])
+
+    @pytest.mark.parametrize("log_r", [-30.5, 30.5])
+    def test_log_r_outside_its_window_is_rejected(self, log_r):
+        X = np.ones((4, 1))
+        y = np.array([0.0, 1.0, 2.0, 5.0])
+        objective = fit_module._nb_objective(X, y, False, np.zeros(4))
+        assert objective(np.array([0.5, log_r])) == (-math.inf, None, None)
+        assert np.isfinite(objective(np.array([0.5, log_r / 2]))[0])
 
 
 class TestPinnedFits:

@@ -23,6 +23,7 @@ from countreg.likelihood import (
     nb_loglik,
     nb_score,
     poisson_loglik,
+    poisson_score,
 )
 from countreg.special import ln_gamma
 
@@ -150,6 +151,14 @@ class TestNbLoglik:
         rng = np.random.default_rng(6)
         X, y, params = random_instance(rng, n=80, k=4)
         assert nb_loglik(params, X, y) == nb_loglik(params, X, y)
+
+
+class TestPoissonScore:
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(8)
+        X, y, params = random_instance(rng, n=50, k=3)
+        fd = finite_difference(lambda beta: poisson_loglik(beta, X, y), params.beta)
+        np.testing.assert_allclose(poisson_score(params.beta, X, y), fd, rtol=1e-6, atol=1e-6)
 
 
 class TestNbScore:

@@ -160,6 +160,23 @@ class TestGenerate:
         rebuilt = SimDesign.from_dict(design.to_dict())
         assert rebuilt == design
 
+    def test_each_covariate_kind_writes_its_own_fields(self):
+        covariates = [
+            {"name": "a", "kind": "normal", "mean": 0.5, "sd": 2.0},
+            {"name": "b", "kind": "uniform", "low": -1.0, "high": 1.0},
+            {"name": "c", "kind": "integer", "low": 0.0, "high": 7.0},
+            {"name": "d", "kind": "bernoulli", "p": 0.25},
+            {"name": "e", "kind": "poisson", "lam": 0.6},
+            {"name": "f", "kind": "categorical", "levels": ["u", "v"], "probs": [0.7, 0.3], "base": "v"},
+        ]
+        beta = {"intercept": 1.0, "a": 0.1, "b": 0.1, "c": 0.1, "d": 0.1, "e": 0.1, "f=u": 0.1}
+        doc = {"family": "P", "n": 50, "seed": 3, "response": "y", "covariates": covariates, "beta": beta}
+        design = SimDesign.from_dict(doc)
+        assert json.dumps(design.to_dict()) == json.dumps(doc)
+        assert SimDesign.from_dict(design.to_dict()) == design
+        with pytest.raises(ConfigError, match="^unknown covariate kind 'gamma'$"):
+            CovariateSpec(name="g", kind="gamma")
+
 
 class TestRecoveryStudy:
     def test_summary_matches_pinned_digest(self):
