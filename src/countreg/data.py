@@ -180,10 +180,11 @@ class EncodingConfig:
         names = [p.name for p in self.predictors]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate predictor names in {names}")
-        if self.hurdle_predictors is not None:
-            unknown = set(self.hurdle_predictors) - set(names)
-            if unknown:
-                raise ConfigError(f"hurdle predictors not declared: {sorted(unknown)}")
+        if self.response in names:
+            raise ConfigError(f"response {self.response!r} is also a predictor")
+        unknown = set(self.hurdle_predictors or ()) - set(names)
+        if unknown:
+            raise ConfigError(f"hurdle predictors not declared: {sorted(unknown)}")
 
     def hurdle_specs(self):
         if self.hurdle_predictors is None:
@@ -423,18 +424,18 @@ def _loadtxt_fields(path, lines, width, fields):
     header column is parsed into one table, which checks each row's field
     count: read numbers are views of that table (counts are converted to
     int64), read text columns hold ``str`` objects, and unread columns are
-    one-character fields, so an unread cell costs 4 bytes.  Any doubt
-    declines: a separator byte, a column read both as text and as a number,
-    no data line, any ValueError (undecodable bytes, a cell loadtxt cannot
-    parse, a wrong field count, a blank line, even one inside quotes, a line
-    longer than csv's field limit), a quoted cell spread over lines that
-    csv.reader cannot read (it may pass the line check, yet be longer than
-    the limit), a failed value check or an empty categorical cell.  A
-    decline may leave ``lines`` partly consumed.
+    one-character fields, so an unread cell costs 4 bytes; no column is read
+    twice, as the configuration names each column once.  Any doubt declines:
+    a separator byte, no data line, any ValueError (undecodable bytes, a cell
+    loadtxt cannot parse, a wrong field count, a blank line, even one inside
+    quotes, a line longer than csv's field limit), a quoted cell spread over
+    lines that csv.reader cannot read (it may pass the line check, yet be
+    longer than the limit), a failed value check or an empty categorical
+    cell.  A decline may leave ``lines`` partly consumed.
     """
     numeric = {position for position, _, kind in fields if kind != "categorical"}
     text = {position for position, _, kind in fields if kind == "categorical"}
-    if _has_separators(path) or numeric & text:
+    if _has_separators(path):
         return None
     # A column that is not read is still tokenized, so every row's field
     # count is checked, but keeps one character of each cell.

@@ -77,14 +77,10 @@ def _rows(model: FittedModel, X, y, X_h=None):
 def pearson(model: FittedModel, X, y, X_h=None) -> ResidualSet:
     """Pearson residuals and the PS statistic under the fitted model."""
     y, theta, r, phi = _rows(model, X, y, X_h)
-    if model.family == "P":
-        mu, sigma2 = theta, theta.copy()
-    elif model.family == "NB":
-        mu, sigma2 = theta, theta + r * theta**2
-    elif model.family == "HNB":
+    if model.family == "HNB":
         mu, sigma2 = _hnb_moments(theta, r, phi)
-    else:
-        raise ValueError(f"unsupported family {model.family!r}")
+    else:  # r is None for P
+        mu, sigma2 = theta, theta.copy() if r is None else theta + r * theta**2
     residuals = (y - mu) / np.sqrt(sigma2)
     return ResidualSet(
         mu=mu,

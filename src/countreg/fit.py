@@ -92,6 +92,9 @@ class FittedModel:
     # a frequency table may omit them.  No report shows this.
     ones_designs: frozenset[str] = frozenset()
 
+    def __post_init__(self):
+        _require_family(self.family)
+
     def std_errors(self) -> dict:
         se = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
         return dict(zip(self.names, se.tolist()))

@@ -35,7 +35,7 @@ from .data import NONNEGATIVE, NONNEGATIVE_INTEGER, NUMBER, OBJECT, POSITIVE, PO
 from .data import STRING, Column, ConfigDoc, Dataset, DesignMatrix, EncodingConfig, PredictorSpec, encode_columns
 from .distributions import _sample_hurdle, _sample_nb
 from .exceptions import ConfigError
-from .fit import _FAMILIES, FitOptions, _parameter_names, fit_family
+from .fit import FitOptions, _parameter_names, _require_family, fit_family
 from .likelihood import link_hurdle, link_mean
 
 __all__ = ["CovariateSpec", "SimDesign", "generate", "recovery_study", "citation_scale_design"]
@@ -141,17 +141,17 @@ class SimDesign:
     replications: int | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
-        if self.family in ("NB", "HNB") and (self.r is None or self.r <= 0.0):
-            raise ConfigError("NB and HNB designs need r > 0")
-        if self.family == "HNB" and not self.delta:
-            raise ConfigError("HNB designs need hurdle coefficients delta")
         try:
+            _require_family(self.family)
+            if self.n < 1:
+                raise ConfigError("n must be at least 1")
+            if self.family in ("NB", "HNB") and (self.r is None or self.r <= 0.0):
+                raise ConfigError("NB and HNB designs need r > 0")
+            if self.family == "HNB" and not self.delta:
+                raise ConfigError("HNB designs need hurdle coefficients delta")
             _true_parameter_map(self)
-        except ValueError as exc:
+            self.encoding_config()
+        except ValueError as exc:  # fit's family and parameter-name rules
             raise ConfigError(str(exc)) from None
 
     def encoding_config(self) -> EncodingConfig:

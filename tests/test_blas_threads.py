@@ -6,11 +6,14 @@ writes the same bytes whatever ``OPENBLAS_NUM_THREADS`` the host starts it
 with, while a library caller keeps numpy's default.
 """
 
+import ctypes
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -128,3 +131,36 @@ def test_main_runs_as_before_where_no_openblas_is_found(tmp_path, monkeypatch, c
     assert (tmp_path / "data" / "dataset.csv").exists()
     assert cli.main(["fit", "--config", str(tmp_path / "missing.json")]) == 1
     assert "no such file" in capsys.readouterr().err
+
+
+# One line of /proc/self/maps that maps an OpenBLAS.
+MAPS = "7f1c2a000000-7f1c2c000000 r-xp 00000000 08:01 4242 /opt/lib/libopenblas.so.0\n"
+
+
+def _maps(monkeypatch, text):
+    """Let cli read ``text`` as /proc/self/maps."""
+    monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: io.StringIO(text), raising=False)
+
+
+def test_no_openblas_is_found_where_the_maps_cannot_be_read(monkeypatch):
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", unreadable, raising=False)
+    assert cli._openblas_threads() is None
+
+
+def test_a_mapped_openblas_that_cannot_be_loaded_is_skipped(monkeypatch):
+    def cannot_load(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    _maps(monkeypatch, MAPS)
+    monkeypatch.setattr(ctypes, "CDLL", cannot_load)
+    assert cli._openblas_threads() is None
+
+
+def test_a_mapped_openblas_without_both_thread_symbols_is_skipped(monkeypatch):
+    # A getter alone cannot restore the caller's count.
+    _maps(monkeypatch, MAPS)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace(openblas_get_num_threads=lambda: 4))
+    assert cli._openblas_threads() is None

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from countreg.cli import build_parser, main
+from countreg.cli import _sig6, build_parser, main
 from countreg.likelihood import link_hurdle, link_mean
 
 RUN_CONFIG = {
@@ -369,6 +370,16 @@ class TestFit:
         assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "compare", "restrict"])
+    def test_a_response_named_like_a_predictor_exits_1(self, tmp_path, capsys, command):
+        # Read as the count, x1 would also be its own regressor.
+        data = make_csv(tmp_path / "d.csv", n=200)
+        config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "response": "x1", "families": ["P", "NB"]})
+        out = tmp_path / "o"
+        code = main([command, "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, "countreg: response 'x1' is also a predictor\n")
+        assert not out.exists()
+
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         data = make_csv(tmp_path / "d.csv", n=200)
         config = tmp_path / "run.json"
@@ -624,6 +635,11 @@ class TestSimulate:
                           "beta": {"intercept": 1.0, "zero:x": 0.3, "x": 0.2},
                           "delta": {"intercept": -1.0, "zero:x": 0.0, "x": 0.5}}, [],
                          "parameter names ['zero:x'] are given twice", id="covariate-named-zero:x"),
+            # The rules fit applies to the run's truth.json and its family.
+            pytest.param({**SIM_DESIGN, "response": "x1"}, [], "response 'x1' is also a predictor",
+                         id="response-named-like-a-covariate"),
+            pytest.param({**SIM_DESIGN, "family": "ZIP"}, [], "unknown family 'ZIP'; expected one of P, NB, HNB",
+                         id="unknown-family"),
         ],
     )
     def test_malformed_design_exits_1_before_writing(self, tmp_path, capsys, doc, flags, message):
@@ -856,6 +872,35 @@ class TestRestrict:
         report = json.loads((out / "restricted_report.json").read_text())
         assert report["dropped"] == {"mean": [], "zeros": []}
         assert [row["name"] for row in report["coefficients"]] == ["intercept", "a=b"]
+
+
+class TestFormatting:
+    @pytest.mark.parametrize("value, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_a_non_finite_machine_field_is_written_as_its_name(self, value, text):
+        assert _sig6(value) == text
+
+
+class TestEntryPoints:
+    # The module entry points run in this process, so that their lines are
+    # traced as any other; tests/test_blas_threads.py runs `python -m
+    # countreg` in a subprocess.
+    def run(self, module, argv, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["countreg", *argv])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module(module, run_name="__main__")
+        return info.value.code
+
+    def test_python_dash_m_countreg_exits_with_mains_code(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "absent.json"
+        assert self.run("countreg", ["simulate", "--config", str(missing)], monkeypatch) == 1
+        assert capsys.readouterr().err == f"countreg: no such file: {missing}\n"
+
+    def test_the_cli_module_run_as_a_script_exits_with_mains_code(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "absent.json"
+        # runpy warns that the package imported countreg.cli before running it.
+        with pytest.warns(RuntimeWarning, match="'countreg.cli' found in sys.modules"):
+            code = self.run("countreg.cli", ["fit", "--config", str(missing)], monkeypatch)
+        assert (code, capsys.readouterr().err) == (1, f"countreg: no such file: {missing}\n")
 
 
 class TestStartup:

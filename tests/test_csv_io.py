@@ -427,7 +427,7 @@ ACCEPTS = {
 }
 
 
-def _read(tmp_path, monkeypatch, content, config=CONFIG):
+def _read(tmp_path, monkeypatch, content):
     """Compare with the oracle, warnings as errors; True if the file fell back."""
     path = tmp_path / "data.csv"
     path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
@@ -438,7 +438,7 @@ def _read(tmp_path, monkeypatch, content, config=CONFIG):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _same_as_oracle(path, config)
+        _same_as_oracle(path)
     return bool(calls)
 
 
@@ -511,13 +511,6 @@ class TestLoadtxtFastPath:
     @pytest.mark.parametrize("content", DECLINES.values(), ids=DECLINES.keys())
     def test_declines(self, tmp_path, monkeypatch, content):
         assert _read(tmp_path, monkeypatch, content)
-
-    def test_declines_a_column_read_as_text_and_as_a_count(self, tmp_path, monkeypatch):
-        config = EncodingConfig(
-            response="cites",
-            predictors=(PredictorSpec(name="cites", kind="categorical", base="3"),),
-        )
-        assert _read(tmp_path, monkeypatch, f"{HEAD}\n{ROW}\n{ROW}\n", config)
 
     @pytest.mark.parametrize(
         "case, message",

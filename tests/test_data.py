@@ -358,6 +358,75 @@ class TestEncodingConfig:
         with pytest.raises(ConfigError):
             PredictorSpec(name="d", kind="categorical")
 
+    @pytest.mark.parametrize(
+        "predictors, message",
+        [
+            pytest.param([{"name": "x", "transform": "sqrt"}], "unknown transform 'sqrt' for 'x'",
+                         id="unknown-transform"),
+            pytest.param([{"name": "f", "kind": "binary", "transform": "log"}],
+                         "transforms apply to numeric predictors only ('f')", id="transform-of-binary"),
+            pytest.param([{"name": "a"}, {"name": "a"}], "duplicate predictor names in ['a', 'a']",
+                         id="duplicate-predictor"),
+            # A column read both as a count and as a predictor.
+            pytest.param([{"name": "a"}, {"name": "cites", "kind": "categorical", "base": "3"}],
+                         "response 'cites' is also a predictor", id="predictor-named-like-the-response"),
+        ],
+    )
+    def test_a_bad_predictor_list_is_refused(self, predictors, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            EncodingConfig.from_dict({"response": "cites", "predictors": predictors})
+
+
+def with_column(column):
+    """make_dataset() with ``column`` in place of its column of that name."""
+    dataset = make_dataset()
+    columns = tuple(column if c.name == column.name else c for c in dataset.columns)
+    return Dataset(y=dataset.y, columns=columns, response_name="cites")
+
+
+class TestHandBuiltData:
+    """Each refusal of a Dataset built in code, not read by read_csv, and of
+    its encoding, by its exact message."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: Dataset(y=np.zeros((3, 1), dtype=np.int64), columns=()),
+                         "response must be one-dimensional", id="response-2d"),
+            pytest.param(lambda: Dataset(y=np.array([1, 2]), columns=(Column("a", "numeric", np.ones(3)),)),
+                         "column 'a' length differs from response", id="column-length"),
+            pytest.param(lambda: encode(with_column(Column("founded", "numeric", np.array([1985.0, 0.0, 1.0]))),
+                                        FULL_CONFIG),
+                         "log transform requires strictly positive values (row 2, column 'founded')",
+                         id="log-of-zero"),
+            pytest.param(lambda: encode(with_column(Column("year", "binary", np.array([0.0, 2.0, 1.0]))),
+                                        EncodingConfig("cites", (PredictorSpec("year", kind="binary"),))),
+                         "binary column 'year' has values outside {0, 1}", id="binary-value"),
+        ],
+    )
+    def test_bad_data_is_refused(self, build, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "config, equation, message",
+        [
+            pytest.param(EncodingConfig("cites", (PredictorSpec("title"),)), "mean",
+                         "predictor 'title' not present in the data", id="absent-predictor"),
+            pytest.param(FULL_CONFIG, "zeros", "unknown equation 'zeros'", id="unknown-equation"),
+            pytest.param(EncodingConfig("cites", (PredictorSpec("oa", "categorical", base="hybrid",
+                                                                levels=("closed", "green", "gold")),)),
+                         "mean", "base level 'hybrid' of 'oa' is not a declared level", id="undeclared-base"),
+        ],
+    )
+    def test_a_config_that_does_not_fit_the_data_is_refused(self, config, equation, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            encode(make_dataset(), config, equation)
+
+    def test_an_absent_column_is_a_key_error(self):
+        with pytest.raises(KeyError, match="^'title'$"):
+            make_dataset().column("title")
+
 
 class TestCountRule:
     @pytest.mark.parametrize(

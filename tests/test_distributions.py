@@ -296,6 +296,10 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(NbParams(1.0, 1.0), 0, seed=1)
 
+    def test_rejects_params_of_another_type(self):
+        with pytest.raises(TypeError, match="^params must be NbParams or HurdleParams$"):
+            sample((1.0, 1.0), 5, seed=1)
+
 
 class TestCountRule:
     """Counts are nonnegative integers below 2**63, the range int64 holds."""

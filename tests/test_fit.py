@@ -5,6 +5,7 @@ truth recovered within reported standard errors, and exact structural
 identities of the hurdle decomposition.
 """
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -571,6 +572,13 @@ class TestFittedModel:
         assert set(fit_hnb(np.ones((500, 1)), x[:, None], y).natural_summary()) == {"theta", "r"}
         assert set(fit_hnb(x[:, None], np.ones((500, 1)), y).natural_summary()) == {"r", "phi"}
 
+    def test_a_model_of_an_unknown_family_is_refused(self):
+        # The one family rule, so no diagnostic needs an arm for another family.
+        m = fit_poisson(np.ones((5, 1)), np.arange(5))
+        message = "unknown family 'ZIP'; expected one of P, NB, HNB"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(m, family="ZIP")
+
 
 class TestNewtonEvaluations:
     def test_hessian_evaluated_only_at_start_and_accepted_points(self, monkeypatch):
@@ -630,6 +638,17 @@ class TestNewtonFailurePaths:
             state = fit_module._newton_maximize(objective, np.zeros(1), FitOptions(max_iterations=3))
         assert state.u.tolist() == [3e5]
         assert (state.iterations, state.converged, state.warnings) == (3, False, [])
+
+    def test_a_score_step_of_zero_slope_stops_unconverged(self):
+        # The Newton slope g.g/1 of g = 1e-170 underflows to 0, and so does
+        # the score step's g.g: the search stops before its first iteration.
+        def objective(u):
+            return -0.5 * float(u @ u), np.array([1e-170]), lambda: -np.eye(1)
+
+        options = FitOptions(gradient_tolerance=1e-300)
+        state = fit_module._newton_maximize(objective, np.zeros(1), options)
+        assert state.u.tolist() == [0.0]
+        assert (state.iterations, state.converged, state.warnings) == (0, False, [])
 
     @pytest.mark.parametrize("log_r", [-30.5, 30.5])
     def test_log_r_outside_its_window_is_rejected(self, log_r):

@@ -105,6 +105,11 @@ class TestWaldTable:
         assert row.p_value == pytest.approx(1.0)
         assert row.stars == ""
 
+    def test_zero_estimate_with_zero_se_has_no_z_p_or_stars(self):
+        row = wald_table(self.make_model(0.0, 0.0))[0]
+        assert math.isnan(row.z) and math.isnan(row.p_value)
+        assert (row.stars, row.ci_low, row.ci_high) == ("", 0.0, 0.0)
+
     def test_zero_se_flagged_not_crashed(self):
         row = wald_table(self.make_model(0.5, 0.0))[0]
         assert math.isinf(row.z) and row.z > 0
@@ -253,6 +258,10 @@ class TestAicCompare:
         m = fit_nb(X, y)
         ranking = compare([m, m])
         assert ranking[0].model is m and ranking[1].model is m
+
+    def test_no_models(self):
+        with pytest.raises(ValueError, match="^no models to compare$"):
+            compare([])
 
     def test_mismatched_n(self):
         rng = np.random.default_rng(7)

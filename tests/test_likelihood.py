@@ -64,6 +64,21 @@ def random_instance(rng, n=50, k=3, hurdle=False):
     return X, y, params
 
 
+class TestParameters:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: NbRegParams(beta=np.array([1.0, math.nan]), log_r=0.0), id="beta"),
+            pytest.param(lambda: NbRegParams(beta=np.array([1.0]), log_r=math.inf), id="log_r"),
+            pytest.param(lambda: HnbRegParams(nb=NbRegParams(beta=np.array([1.0]), log_r=0.0),
+                                              delta=np.array([-math.inf])), id="delta"),
+        ],
+    )
+    def test_non_finite_parameters_are_refused(self, build):
+        with pytest.raises(ValueError, match="^parameters must be finite$"):
+            build()
+
+
 class TestLinks:
     def test_zero_coefficients(self):
         X = np.column_stack([np.ones(4), np.arange(4.0)])

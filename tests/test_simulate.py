@@ -4,9 +4,11 @@ Oracles: closed-form moments averaged over rows (CLT bounds), binomial zero
 fractions, and byte-level determinism of generated datasets.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +156,60 @@ class TestGenerate:
             SimDesign(family="HNB", n=10, covariates=(), beta={"intercept": 1.0}, seed=1, r=0.5)
         with pytest.raises(ConfigError):
             CovariateSpec(name="c", kind="categorical", levels=("a", "b"), probs=(0.5, 0.4))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param({"family": "ZIP"}, "unknown family 'ZIP'; expected one of P, NB, HNB",
+                         id="unknown-family"),
+            pytest.param({"n": 0}, "n must be at least 1", id="n-zero"),
+            pytest.param({"response_name": "x1"}, "response 'x1' is also a predictor",
+                         id="response-named-like-a-covariate"),
+            pytest.param({"covariates": (CovariateSpec(name="x1", kind="normal"),) * 2},
+                         "duplicate predictor names in ['x1', 'x1']", id="covariate-named-twice"),
+        ],
+    )
+    def test_a_design_is_checked_before_anything_is_drawn(self, changes, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(nb_design(), **changes)
+
+    def test_a_citation_scale_design_needs_rows(self):
+        with pytest.raises(ConfigError, match="^n must be at least 1$"):
+            citation_scale_design(n=0)
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(0.5, 3.0), (3.0, 0.0), (0.0, 2.0**63)],
+        ids=["fractional-low", "low-above-high", "high-beyond-int64"],
+    )
+    def test_integer_covariate_bounds(self, low, high):
+        message = "integer covariate 'age' needs integral low <= high within int64"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            CovariateSpec(name="age", kind="integer", low=low, high=high)
+
+    def test_positive_counts_too_rare_to_draw_are_refused(self):
+        # A hurdle row redraws its NB count until it is positive: about
+        # 1 / P(y > 0) = 1 / 2.06e-9 draws here.
+        design = SimDesign(family="HNB", n=5, covariates=(), beta={"intercept": -20.0}, seed=0, r=0.5,
+                           delta={"intercept": 0.0})
+        message = "beta and r give a row P(y > 0) = 2.06e-09, too rare to draw (below 1e-4)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate(design)
+
+    @pytest.mark.parametrize("levels, probs", [(("a",), (1.0,)), (("a", "b"), (1.0,))], ids=["one-level", "no-prob"])
+    def test_a_categorical_covariate_needs_levels_and_their_probabilities(self, levels, probs):
+        with pytest.raises(ConfigError, match="^categorical covariate 'g' needs levels and probs$"):
+            CovariateSpec(name="g", kind="categorical", levels=levels, probs=probs)
+
+    def test_beta_may_not_name_a_column_the_design_lacks(self):
+        with pytest.raises(ConfigError, match=r"^beta names unknown columns \['x2'\]$"):
+            generate(nb_design(beta={"intercept": 1.0, "x1": -0.5, "x2": 0.1}))
+
+    def test_counts_beyond_the_poisson_sampler_are_refused(self):
+        # exp(50) = 5.2e21 is above the largest mean numpy's sampler takes.
+        design = SimDesign(family="P", n=5, covariates=(), beta={"intercept": 50.0}, seed=0)
+        with pytest.raises(ConfigError, match="^beta and r give counts too large to draw$"):
+            generate(design)
 
     def test_json_round_trip(self):
         design = hnb_design()
