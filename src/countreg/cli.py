@@ -60,11 +60,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _BLOCK_ROWS, NONNEGATIVE_INTEGER, OBJECT, PATH, POSITIVE, POSITIVE_INTEGER, PROBABILITY
+from .data import _BLOCK_ROWS, NONNEGATIVE_INTEGER, OBJECT, PATH, PROBABILITY
 from .data import STRING, ConfigDoc, DesignMatrix, EncodingConfig, encode, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
 from .exceptions import ConfigError, CountregError, SeparationError
-from .fit import FitOptions, _require_family, fit_family
+from .fit import _OPTION_KINDS, FitOptions, _require_family, fit_family
 from .inference import aic, compare, irr, wald_table
 from .simulate import SimDesign, _pool_map, _usable_cpus, _workers, generate, recovery_study
 
@@ -76,7 +76,7 @@ def _fmt4(value: float) -> str:
 
 
 def _sig6(value: float):
-    if value is None or not math.isfinite(value):
+    if not math.isfinite(value):
         return str(value)
     return float(f"{value:.6g}")
 
@@ -303,12 +303,6 @@ def _write_report(path, report):
         fh.write("\n")
 
 
-# The kind of each fit option; a schema-1 "hessian_step" is accepted and ignored.
-_FIT_OPTIONS = {
-    "max_iterations": POSITIVE_INTEGER, "gradient_tolerance": POSITIVE, "step_halving_limit": POSITIVE_INTEGER
-}
-
-
 _Run = collections.namedtuple("_Run", "config data options family families level y_max")
 
 
@@ -333,7 +327,8 @@ def _run_config(args):
         level = args.level
     options = doc.get("fit_options", OBJECT, None)
     if options is not None:
-        options = FitOptions(**options.only((*_FIT_OPTIONS, "hessian_step")).entries(_FIT_OPTIONS))
+        # A schema-1 "hessian_step" is accepted and ignored.
+        options = FitOptions(**options.only((*_OPTION_KINDS, "hessian_step")).entries(_OPTION_KINDS))
     y_max = doc.get("y_max", NONNEGATIVE_INTEGER, None)
     data = doc.get("data", PATH, None)
     data = args.data or data

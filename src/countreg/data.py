@@ -27,11 +27,11 @@ omitted, the hurdle equation uses the same predictors as the mean equation.
 A key that no reader lists is refused.  A ``Column`` holds the raw name,
 kind and values; transform, origin and base live on the ``PredictorSpec``.
 
-``read_csv`` skips a UTF-8 byte-order mark at the start of the file, as
-Excel's "CSV UTF-8" files carry one.  It refuses a header that lacks a
-column the configuration reads or names such a column twice; a column it
-does not read may be named twice.  Its exact reader reads the data records
-in blocks: it accepts each block's columns (``_accepted``), else reports its
+``read_csv`` reads one handle, whose ``utf-8-sig`` codec skips a UTF-8
+byte-order mark, as Excel's "CSV UTF-8" files carry one.  It refuses a
+header that lacks a column the configuration reads or names such a column
+twice; a column it does not read may be named twice.  Its exact reader
+reads the data records in blocks: it accepts each block's columns (``_accepted``), else reports its
 first bad record (``_row_problem``).  Empty, unparsable and non-finite
 (``nan``, ``inf``) cells are rejected with their coordinates, and a record
 that ``csv`` cannot read or that holds bytes that are not UTF-8 with its
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import re
 import sys
 from collections import deque
@@ -81,9 +82,14 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _REQUIRED = object()
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer (not a bool), as numpy's are."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _finite(value) -> bool:
-    """Whether ``value`` is a JSON number (not a bool) that is finite as a float."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    """Whether ``value`` is a real number (not a bool) that is finite as a float."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 # (what, test) of each kind of value a JSON configuration document holds.
@@ -93,8 +99,8 @@ NUMBER = ("a finite number", _finite)
 POSITIVE = ("a positive finite number", lambda v: _finite(v) and v > 0)
 NONNEGATIVE = ("a nonnegative finite number", lambda v: _finite(v) and v >= 0)
 PROBABILITY = ("a number in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1)
-POSITIVE_INTEGER = ("a positive integer", lambda v: type(v) is int and v >= 1)
-NONNEGATIVE_INTEGER = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
+POSITIVE_INTEGER = ("a positive integer", lambda v: _integer(v) and v >= 1)
+NONNEGATIVE_INTEGER = ("a nonnegative integer", lambda v: _integer(v) and v >= 0)
 LIST = ("a list", lambda v: isinstance(v, list))
 OBJECT = ("an object", lambda v: isinstance(v, dict))
 _TRANSFORM = ("a string or an object", lambda v: isinstance(v, (str, dict)))
@@ -399,44 +405,43 @@ def _read_blocks(records, width, fields, path):
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
-def _has_separators(path):
-    """Whether the file holds any of ``_SEPARATORS``, read 1 MiB at a time."""
-    with open(path, "rb") as fh:
-        chunks = iter(partial(fh.read, 1 << 20), b"")
-        return any(byte in chunk for chunk in chunks for byte in _SEPARATORS)
+def _has_separators(fh):
+    """Whether ``fh``'s bytes, read 1 MiB at a time, hold any of ``_SEPARATORS``."""
+    chunks = iter(partial(fh.buffer.read, 1 << 20), b"")
+    found = any(byte in chunk for chunk in chunks for byte in _SEPARATORS)
+    fh.seek(0)
+    return found
 
 
-def _csv_reads(path):
-    """Whether csv.reader reads every record of the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            deque(csv.reader(fh), maxlen=0)
-        except csv.Error:
-            return False
+def _csv_reads(fh):
+    """Whether csv.reader reads every record of ``fh`` from its start."""
+    fh.seek(0)
+    try:
+        deque(csv.reader(fh), maxlen=0)
+    except csv.Error:
+        return False
     return True
 
 
-def _loadtxt_fields(path, lines, width, fields):
+def _loadtxt_fields(fh, width, fields):
     """Arrays of a clean file from numpy's C tokenizer, or None to decline.
 
-    ``lines`` yields the records after the header, split into lines as
+    ``fh``, just past the header, yields the records split into lines as
     csv.reader splits them, so quoting and line ends tokenize alike.  Every
     header column is parsed into one table, which checks each row's field
     count: read numbers are views of that table (counts are converted to
     int64), read text columns hold ``str`` objects, and unread columns are
     one-character fields, so an unread cell costs 4 bytes; no column is read
     twice, as the configuration names each column once.  Any doubt declines:
-    a separator byte, no data line, any ValueError (undecodable bytes, a cell
-    loadtxt cannot parse, a wrong field count, a blank line, even one inside
-    quotes, a line longer than csv's field limit), a quoted cell spread over
-    lines that csv.reader cannot read (it may pass the line check, yet be
-    longer than the limit), a failed value check or an empty categorical
-    cell.  A decline may leave ``lines`` partly consumed.
+    no data line, any ValueError (undecodable bytes, a cell loadtxt cannot
+    parse, a wrong field count, a blank line, even one inside quotes, a line
+    longer than csv's field limit), a quoted cell spread over lines that
+    csv.reader cannot read from ``fh``'s start (it may pass the line check,
+    yet be longer than the limit), a failed value check or an empty
+    categorical cell.  A decline may leave ``fh`` anywhere.
     """
     numeric = {position for position, _, kind in fields if kind != "categorical"}
     text = {position for position, _, kind in fields if kind == "categorical"}
-    if _has_separators(path):
-        return None
     # A column that is not read is still tokenized, so every row's field
     # count is checked, but keeps one character of each cell.
     dtype = [(f"f{i}", float if i in numeric else object if i in text else "U1") for i in range(width)]
@@ -452,28 +457,26 @@ def _loadtxt_fields(path, lines, width, fields):
         return line
 
     try:
-        first = next(lines, None)
+        first = next(fh, None)
         if first is None:
             return None
         table = np.loadtxt(
-            map(checked, chain([first], lines)),
+            map(checked, chain([first], fh)),
             dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
         )
     except ValueError:
         return None
     # Fewer records than lines: a quoted cell spans lines that each passed.
-    if table.size < read[0] and not _csv_reads(path):
+    if table.size < read[0] and not _csv_reads(fh):
         return None
     arrays = [_accepted(table[f"f{position}"], kind) for position, _, kind in fields]
     return None if any(values is None for values in arrays) else arrays
 
 
 def _read_fields(fh, path, config, rescan):
-    """The arrays of the response and the predictors read from ``fh``; the
-    fast path is tried unless ``rescan``."""
-    # Excel's "CSV UTF-8" files start with a byte-order mark.
-    if fh.read(1) != "\ufeff":
-        fh.seek(0)
+    """The arrays of the response and the predictors read from ``fh`` at 0;
+    the fast path is tried unless ``rescan`` or the file holds a separator."""
+    fast = not rescan and not _has_separators(fh)
     header = next(_records(csv.reader(fh), rescan), None)
     if header is None:
         raise DataError(f"empty file: {path}")
@@ -490,7 +493,7 @@ def _read_fields(fh, path, config, rescan):
         if header.count(name) > 1:
             raise DataError(f"column {name!r} appears more than once in the header of {path}")
     fields = [(index[name], name, kind) for name, kind in needed]
-    arrays = None if rescan else _loadtxt_fields(path, fh, len(header), fields)
+    arrays = _loadtxt_fields(fh, len(header), fields) if fast else None
     if arrays is None:
         fh.seek(0)
         records = _records(csv.reader(fh), rescan)
@@ -508,9 +511,9 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
     one parsed table, unread columns are one-character fields, and a read
     categorical column holds ``str`` objects.  That fast path only accepts:
     it returns the Dataset the exact reader would return, or declines (see
-    ``_loadtxt_fields``), and the exact reader reads the file again.  The
-    numeric columns of a Dataset it returns are therefore strided views that
-    keep the whole table alive.  loadtxt parses numbers as
+    ``_loadtxt_fields``), and the exact reader reads the handle again from
+    its start.  The numeric columns of a Dataset it returns are therefore
+    strided views that keep the whole table alive.  loadtxt parses numbers as
     ``float()`` does wherever both accept a cell, and rejects ``1_000`` and
     non-ASCII digits, which ``float()`` accepts.
 
@@ -520,22 +523,25 @@ def read_csv(path, config: EncodingConfig) -> Dataset:
     reports its first bad record (``_row_problem``); the blocks are
     concatenated.  Every error about a data record comes from it and names
     the first bad data row in file order (1-based).  Every declared column
-    must occur in the header exactly once; a leading byte-order mark is
-    skipped.  Within a record the checks run as: a record that csv.reader
-    cannot read (a field longer than ``csv.field_size_limit()``) or that
-    holds bytes that are not UTF-8; the field count; empty cells (response
-    first, then predictors in config order); the response count (unparsable,
-    non-finite, negative, non-integer, too large for int64); then each
-    predictor in config order (unparsable, non-finite, binary value outside
-    {0, 1}, log-transformed value <= 0).  Undecodable bytes are located by
-    reading the file once more with each such byte kept as a lone surrogate;
-    that rescan runs only after a decoding error.
+    must occur in the header exactly once.  Within a record the checks run
+    as: a record that csv.reader cannot read (a field longer than
+    ``csv.field_size_limit()``) or that holds bytes that are not UTF-8; the
+    field count; empty cells (response first, then predictors in config
+    order); the response count (unparsable, non-finite, negative,
+    non-integer, too large for int64); then each predictor in config order
+    (unparsable, non-finite, binary value outside {0, 1}, log-transformed
+    value <= 0).  The file is opened once: the byte scan for separators, the
+    parse, the csv check and the rescan all read one ``utf-8-sig`` handle,
+    whose codec skips a byte-order mark after each seek to 0.  A decoding
+    error alone starts the rescan, which locates the undecodable byte by
+    decoding the handle again with each such byte kept as a lone surrogate.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
             arrays = _read_fields(fh, path, config, rescan=False)
-    except UnicodeDecodeError:
-        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        except UnicodeDecodeError:
+            fh.seek(0)
+            fh.reconfigure(errors="surrogateescape")
             arrays = _read_fields(fh, path, config, rescan=True)
     y, *values = arrays
     columns = tuple(Column(spec.name, spec.kind, arr) for spec, arr in zip(config.predictors, values))

@@ -30,11 +30,11 @@ to the natural scale by the delta method.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import POSITIVE, POSITIVE_INTEGER
 from .exceptions import SeparationError
 from .likelihood import _check_counts, _check_design, _logit_kernel, _nb_kernel, _poisson_kernel
 from .special import ln_gamma
@@ -49,6 +49,8 @@ _POISSON_BOUNDARY_R = 1e-6
 # Trial points with log r outside this window are rejected by the line
 # search; any attainable optimum sits far inside it.
 _LOG_R_WINDOW = 30.0
+# Each FitOptions field's kind, in field order; the CLI reads fit_options by it.
+_OPTION_KINDS = {"max_iterations": POSITIVE_INTEGER, "gradient_tolerance": POSITIVE, "step_halving_limit": POSITIVE_INTEGER}
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,9 @@ class FitOptions:
     step_halving_limit: int = 30
 
     def __post_init__(self):
-        for key in ("max_iterations", "step_halving_limit"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{key} must be a positive integer, not {value!r}")
-        tol = self.gradient_tolerance
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-            raise ValueError(f"gradient_tolerance must be a positive finite number, not {tol!r}")
+        for key, (what, test) in _OPTION_KINDS.items():
+            if not test(value := getattr(self, key)):
+                raise ValueError(f"{key} must be {what}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -167,6 +165,7 @@ def _newton_maximize(objective, u0, options, guard=None) -> _OptState:
             direction = grad.copy()
             slope = float(grad @ grad)
             if slope == 0.0:
+                warnings.append("score_underflow")
                 break
         step = 1.0
         accepted = False

@@ -591,6 +591,47 @@ class TestByteOrderMark:
         assert_same_dataset(read_csv(marked, CONFIG), read_csv(plain, CONFIG))
 
 
+class TestOneOpenPerRead:
+    """read_csv opens its file once: the separator scan, the parse, the csv
+    check and the rescan for an undecodable byte all read that one handle."""
+
+    # name -> (file bytes, the DataError outcome, or None for a Dataset).
+    SHAPES = {
+        "clean": (ACCEPTS["LF"].encode(), None),
+        "byte-order mark": (BOM + ACCEPTS["LF"].encode(), None),
+        "separator byte in a number": (
+            DECLINES["separator byte in a number"].encode(),
+            ("unparsable numeric value '\\x1c0.5' (row 2, column 'x')", 2, "x"),
+        ),
+        "quoted cell across lines": (ACCEPTS["quoted line ends in text"].encode(), None),
+        "undecodable byte": (DECLINES["undecodable byte"], ("undecodable byte 0xff (row 601)", 601, None)),
+        "quoted field over csv's size limit": (
+            DECLINES["quoted text over csv's size limit across short lines"].encode(),
+            ("field larger than field limit (131072) (row 2)", 2, None),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_one_open_and_the_same_outcome(self, tmp_path, monkeypatch, name):
+        content, error = self.SHAPES[name]
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        opens = []
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                data_module, "open", lambda *args, **kwargs: opens.append(args) or open(*args, **kwargs), raising=False
+            )
+            got = _outcome(read_csv, path)
+        assert opens == [(path,)]
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(content.removeprefix(BOM))
+        want = _outcome(oracle_read_csv, plain)
+        if error:
+            assert got == want == error
+        else:
+            assert_same_dataset(got, want)
+
+
 def _exact_outcome(path, block_rows):
     """read_csv's exact reader (the fast path declines) in blocks of ``block_rows``."""
     with pytest.MonkeyPatch.context() as patched:

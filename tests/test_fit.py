@@ -641,14 +641,15 @@ class TestNewtonFailurePaths:
 
     def test_a_score_step_of_zero_slope_stops_unconverged(self):
         # The Newton slope g.g/1 of g = 1e-170 underflows to 0, and so does
-        # the score step's g.g: the search stops before its first iteration.
+        # the score step's g.g: the search stops before its first iteration
+        # and says why.
         def objective(u):
             return -0.5 * float(u @ u), np.array([1e-170]), lambda: -np.eye(1)
 
         options = FitOptions(gradient_tolerance=1e-300)
         state = fit_module._newton_maximize(objective, np.zeros(1), options)
         assert state.u.tolist() == [0.0]
-        assert (state.iterations, state.converged, state.warnings) == (0, False, [])
+        assert (state.iterations, state.converged, state.warnings) == (0, False, ["score_underflow"])
 
     @pytest.mark.parametrize("log_r", [-30.5, 30.5])
     def test_log_r_outside_its_window_is_rejected(self, log_r):

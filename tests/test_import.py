@@ -20,7 +20,7 @@ import numpy
 before = [atexit._ncallbacks(), threading.active_count()]
 import countreg, countreg.cli
 after = [atexit._ncallbacks(), threading.active_count()]
-with open(sys.argv[1], "w") as handle:
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
     json.dump({"before": before, "after": after}, handle)
 """
 
