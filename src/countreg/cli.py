@@ -16,12 +16,12 @@ written in row order.  ``--threads N`` sets the count for both, and
 ``--threads 1`` keeps the whole command in the calling process.  The files
 are byte-identical whatever the count.
 
-Every command runs its BLAS on one thread: ``main`` sets the OpenBLAS that
-numpy loaded to one thread and restores the caller's count when the command
-returns, and forked workers inherit the one thread.  The worker processes are
-the one level of parallelism, products such as ``X @ beta`` round the same
-way on any host, and no idle BLAS thread spins between calls.  Where numpy's
-BLAS is not an OpenBLAS found in ``/proc/self/maps``, nothing is changed.
+Every command runs its BLAS on one thread: ``main`` sets numpy's OpenBLAS to
+one thread and restores the caller's count on return, and as the countreg
+command ``import countreg`` sets ``OPENBLAS_NUM_THREADS=1`` unless set, so
+OpenBLAS starts on one thread and workers inherit it.  Workers are the one
+level of parallelism, ``X @ beta`` rounds alike on any host, and no idle BLAS
+thread spins.  With no OpenBLAS in ``/proc/self/maps``, ``main`` pins nothing.
 
 The run configuration is a JSON document with the encoding fields
 (``response``, ``predictors``, optional ``hurdle_predictors``) plus optional

@@ -48,19 +48,20 @@ def test_a_traced_fit_passes_the_checks_that_void_a_traced_run(tmp_path):
               "covariates": [{"name": "x1", "kind": "normal"}], "beta": {"intercept": 1.0, "x1": 0.4}}
     (tmp_path / "design.json").write_text(json.dumps(design), encoding="utf-8")
     assert main(["simulate", "--config", str(tmp_path / "design.json"), "--out", str(tmp_path)]) == 0
-    encoding = json.loads((tmp_path / "truth.json").read_text())["encoding_config"]
+    encoding = json.loads((tmp_path / "truth.json").read_text(encoding="utf-8"))["encoding_config"]
     (tmp_path / "run.json").write_text(json.dumps({**encoding, "family": "NB"}), encoding="utf-8")
     spans, out = tmp_path / "spans.json", tmp_path / "fit"
     result = subprocess.run(
         [sys.executable, str(SPANTRACE), str(spans), "--", "fit", "--data", str(tmp_path / "dataset.csv"),
          "--config", str(tmp_path / "run.json"), "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(SPANTRACE.parents[1] / "src")},
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, encoding="utf-8", timeout=120,
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
-    layers = spantrace.layer_metrics(json.loads(spans.read_text()))  # raises unless one cli.main root
+    # layer_metrics raises unless there is one cli.main root.
+    layers = spantrace.layer_metrics(json.loads(spans.read_text(encoding="utf-8")))
     total = sum(layers[f"{layer}.self_s"] for layer in spantrace.LAYERS)
     assert abs(total - layers["trace.main_s"]) <= 1e-6 * max(1.0, layers["trace.main_s"])
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert layers["fit.calls"] == 1
     assert layers["fit.iterations"] == report["iterations"] > 0

@@ -3,7 +3,9 @@
 ``cli.main`` sets the OpenBLAS that numpy loaded to one thread for the
 command and restores the caller's count afterwards.  So a ``countreg fit``
 writes the same bytes whatever ``OPENBLAS_NUM_THREADS`` the host starts it
-with, while a library caller keeps numpy's default.
+with, while a library caller keeps numpy's default.  Where the process is the
+countreg command, ``import countreg`` also sets ``OPENBLAS_NUM_THREADS=1``
+before numpy loads, unless the caller set it, so OpenBLAS starts on one thread.
 """
 
 import ctypes
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import countreg
 from countreg import cli, citation_scale_design
 from countreg.simulate import _pool_map
 
@@ -30,17 +33,27 @@ def _countreg(args, cwd, threads):
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(threads)}
     result = subprocess.run(
         [sys.executable, "-m", "countreg", *args], cwd=cwd, env=env,
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, encoding="utf-8", timeout=300,
     )
     assert result.returncode == 0, result.stderr
 
 
+def _run_python(args, env):
+    result = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, encoding="utf-8", timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 @needs_openblas
 def test_fit_writes_the_same_bytes_on_one_two_and_four_blas_threads(tmp_path):
-    (tmp_path / "design.json").write_text(json.dumps(citation_scale_design(n=2000).to_dict()))
+    design = json.dumps(citation_scale_design(n=2000).to_dict())
+    (tmp_path / "design.json").write_text(design, encoding="utf-8")
     _countreg(["simulate", "--config", "design.json", "--out", "data"], tmp_path, 1)
-    sidecar = json.loads((tmp_path / "data" / "truth.json").read_text())
-    (tmp_path / "run.json").write_text(json.dumps(dict(sidecar["encoding_config"], family="NB")))
+    sidecar = json.loads((tmp_path / "data" / "truth.json").read_text(encoding="utf-8"))
+    run = json.dumps(dict(sidecar["encoding_config"], family="NB"))
+    (tmp_path / "run.json").write_text(run, encoding="utf-8")
     outputs = {}
     for threads in (1, 2, 4):
         out = f"out{threads}"
@@ -74,11 +87,98 @@ print(json.dumps(seen))
 def test_importing_countreg_and_fitting_keep_numpys_blas_thread_count():
     # Two threads, so that keeping numpy's count is not keeping 1.
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "2"}
-    result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [2, 2]
+    assert json.loads(_run_python(["-c", IMPORT_PROBE], env)) == [2, 2]
+
+
+LIBRARY_PROBE = """
+import json, os
+import countreg
+from countreg.cli import _openblas_threads
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), _openblas_threads()[0]()]))
+"""
+NUMPY_PROBE = """
+import numpy
+from countreg.cli import _openblas_threads
+print(_openblas_threads()[0]())
+"""
+
+
+@needs_openblas
+def test_importing_countreg_with_the_variable_unset_leaves_it_unset():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    numpys = int(_run_python(["-c", NUMPY_PROBE], env))
+    assert json.loads(_run_python(["-c", LIBRARY_PROBE], env)) == [None, numpys]
+
+
+@pytest.mark.parametrize("argv, orig_argv", [
+    (["-m", "fit"], ["python", "-m", "countreg", "fit"]),
+    (["-m", "fit"], ["python", "-X", "importtime", "-m", "countreg", "fit"]),
+    (["-m", "fit"], ["python", "-m", "countreg.cli", "fit"]),
+    (["/usr/local/bin/countreg", "fit"], ["python3", "/usr/local/bin/countreg", "fit"]),
+])
+def test_the_countreg_command_starts_openblas_on_one_thread(argv, orig_argv):
+    environ = {"LANG": "C.UTF-8"}
+    countreg._one_blas_thread_for_the_command(argv, orig_argv, environ)
+    assert environ == {"LANG": "C.UTF-8", "OPENBLAS_NUM_THREADS": "1"}
+
+
+def test_the_countreg_command_keeps_the_callers_thread_count():
+    environ = {"OPENBLAS_NUM_THREADS": "4"}
+    countreg._one_blas_thread_for_the_command(["-m"], ["python", "-m", "countreg"], environ)
+    assert environ == {"OPENBLAS_NUM_THREADS": "4"}
+
+
+@pytest.mark.parametrize("argv, orig_argv", [
+    (["-m", "-q"], ["python", "-m", "pytest", "-q"]),
+    (["-m"], ["python", "-m", "countreg_tools"]),
+    (["-c"], ["python", "-c", "import countreg"]),
+    (["demos/01_distributions.py"], ["python", "demos/01_distributions.py"]),
+    ([], ["python"]),
+])
+def test_a_library_import_leaves_the_environment_alone(argv, orig_argv):
+    environ = {"LANG": "C.UTF-8"}
+    countreg._one_blas_thread_for_the_command(argv, orig_argv, environ)
+    assert environ == {"LANG": "C.UTF-8"}
+
+
+# pip's console-script wrapper for ``countreg = "countreg.cli:main"``.
+CONSOLE_SCRIPT = """\
+# -*- coding: utf-8 -*-
+import re
+import sys
+from countreg.cli import main
+if __name__ == '__main__':
+    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])
+    sys.exit(main())
+"""
+# Imported at start-up from PYTHONPATH: prints OpenBLAS's thread count at exit.
+# ``--help`` returns before ``main`` pins a thread, so that is the count
+# OpenBLAS started on.
+SITECUSTOMIZE = """\
+import atexit
+
+
+@atexit.register
+def print_blas_threads():
+    from countreg.cli import _openblas_threads
+    print(_openblas_threads()[0]())
+"""
+
+
+@needs_openblas
+@pytest.mark.skipif(os.cpu_count() == 1, reason="OpenBLAS starts on one thread anyway")
+@pytest.mark.parametrize("how", ["console-script", "-m"])
+@pytest.mark.parametrize("variable, threads", [(None, "1"), ("2", "2")])
+def test_the_command_starts_openblas_on_one_thread_unless_told(tmp_path, how, variable, threads):
+    (tmp_path / "countreg").write_text(CONSOLE_SCRIPT, encoding="utf-8")
+    (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(SRC)])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if variable is not None:
+        env["OPENBLAS_NUM_THREADS"] = variable
+    command = [str(tmp_path / "countreg")] if how == "console-script" else ["-m", "countreg"]
+    assert _run_python([*command, "--help"], env).splitlines()[-1] == threads
 
 
 @pytest.fixture
@@ -125,7 +225,8 @@ def test_forked_workers_inherit_the_one_thread(two_blas_threads):
 
 def test_main_runs_as_before_where_no_openblas_is_found(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
-    (tmp_path / "design.json").write_text(json.dumps(citation_scale_design(n=300).to_dict()))
+    design = json.dumps(citation_scale_design(n=300).to_dict())
+    (tmp_path / "design.json").write_text(design, encoding="utf-8")
     assert cli.main(["simulate", "--config", str(tmp_path / "design.json"),
                      "--out", str(tmp_path / "data")]) == 0
     assert (tmp_path / "data" / "dataset.csv").exists()

@@ -85,7 +85,7 @@ class TestFit:
         config = write_json(tmp_path / "run.json", RUN_CONFIG)
         out = tmp_path / "out"
         assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["schema_version"] == 1
         assert report["family"] == "NB"
         assert report["converged"] is True
@@ -101,7 +101,7 @@ class TestFit:
         assert (out / "frequency.csv").exists()
         assert (out / "pearson_residuals.csv").exists()
         assert (out / "deviance_residuals.csv").exists()
-        freq_lines = (out / "frequency.csv").read_text().strip().splitlines()
+        freq_lines = (out / "frequency.csv").read_text(encoding="utf-8").strip().splitlines()
         assert freq_lines[0] == "value,empirical,fitted"
 
     def test_nb_deviance_residuals_computed_once(self, tmp_path, monkeypatch):
@@ -120,8 +120,8 @@ class TestFit:
         out = tmp_path / "out"
         assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
         assert len(calls) == 1
-        report = json.loads((out / "report.json").read_text())
-        rows = (out / "deviance_residuals.csv").read_text().strip().splitlines()[1:]
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        rows = (out / "deviance_residuals.csv").read_text(encoding="utf-8").strip().splitlines()[1:]
         squared = sum(float(row.split(",")[1]) ** 2 for row in rows)
         assert squared == pytest.approx(report["residuals"]["deviance_sum_squared"], rel=1e-5)
 
@@ -130,7 +130,7 @@ class TestFit:
         config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "family": "HNB"})
         out = tmp_path / "out"
         assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert "positives" in report and "zeros" in report
         assert [r["name"] for r in report["zeros"]][0] == "zero:intercept"
         assert "irr" in report
@@ -224,7 +224,7 @@ class TestFit:
         config = write_json(tmp_path / "run.json", run)
         out = tmp_path / "o"
         assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [row["name"] for row in report["coefficients"]] == ["intercept", "r"]
         assert [row["name"] for row in report["irr"]] == ["r"]
         assert "dispersion" not in report
@@ -400,7 +400,7 @@ class TestFit:
         config = write_json(tmp_path / "run.json", run)
         out = tmp_path / "o"
         assert main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)]) == 2
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["converged"] is False
         assert report["warnings"] == ["line_search_stalled", "hessian_not_negative_definite"]
 
@@ -414,7 +414,7 @@ class TestFit:
         out = tmp_path / "out"
         code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
         assert code == 2
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["converged"] is False
         assert float(report["gradient_norm"]) > 0.0
 
@@ -446,7 +446,7 @@ class TestCompare:
             "--families", "P,NB,HNB", "--out", str(out),
         ])
         assert code == 0
-        report = json.loads((out / "comparison.json").read_text())
+        report = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
         assert report["best"] == "HNB"
         assert [row["family"] for row in report["ranking"]] == ["HNB", "NB", "P"]
         assert report["ranking"][0]["delta"] == 0.0
@@ -459,7 +459,7 @@ class TestCompare:
         out = tmp_path / "out"
         main(["compare", "--data", str(data), "--config", str(config),
               "--families", "P,NB", "--out", str(out)])
-        report = json.loads((out / "comparison.json").read_text())
+        report = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
         aics = [row["aic"] for row in report["ranking"]]
         assert report["ranking"][1]["delta"] == pytest.approx(aics[1] - aics[0], rel=1e-6)
 
@@ -519,10 +519,10 @@ class TestSimulate:
         config = write_json(tmp_path / "design.json", SIM_DESIGN)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        lines = (out / "dataset.csv").read_text().strip().splitlines()
+        lines = (out / "dataset.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "cites,x1"
         assert len(lines) == 11
-        truth = json.loads((out / "truth.json").read_text())
+        truth = json.loads((out / "truth.json").read_text(encoding="utf-8"))
         assert truth["truth"]["beta"] == {"intercept": 1.0, "x1": 0.3}
 
     def test_repeated_seed_identical_bytes(self, tmp_path):
@@ -544,7 +544,7 @@ class TestSimulate:
         config = write_json(tmp_path / "design.json", design)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        summary = json.loads((out / "recovery.json").read_text())
+        summary = json.loads((out / "recovery.json").read_text(encoding="utf-8"))
         assert summary["completed"] == 5
         assert set(summary["parameters"]) == {"intercept", "x1", "r"}
 
@@ -696,7 +696,7 @@ class TestSimulate:
         code = main(["fit", "--data", str(out / "dataset.csv"),
                      "--config", str(run_config), "--out", str(out2)])
         assert code == 0
-        report = json.loads((out2 / "report.json").read_text())
+        report = json.loads((out2 / "report.json").read_text(encoding="utf-8"))
         estimate = float(report["coefficients"][1]["estimate"])
         assert estimate == pytest.approx(0.3, abs=0.15)
 
@@ -714,7 +714,7 @@ class TestRestrict:
         code = main(["restrict", "--data", str(data), "--config", str(config),
                      "--level", "0.10", "--out", str(out)])
         assert code == 0
-        report = json.loads((out / "restricted_report.json").read_text())
+        report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
         assert "noise" in report["dropped"]["mean"]
         names = [row["name"] for row in report["coefficients"]]
         assert "noise" not in names
@@ -726,8 +726,8 @@ class TestRestrict:
         out = tmp_path / "out"
         main(["restrict", "--data", str(data), "--config", str(config),
               "--level", "0.10", "--out", str(out)])
-        report = json.loads((out / "restricted_report.json").read_text())
-        full = json.loads((out / "full_report.json").read_text())
+        report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
+        full = json.loads((out / "full_report.json").read_text(encoding="utf-8"))
         assert report["dropped"] == {"mean": [], "zeros": []}
         assert [r["name"] for r in report["coefficients"]] == [
             r["name"] for r in full["coefficients"]
@@ -741,7 +741,7 @@ class TestRestrict:
         code = main(["restrict", "--data", str(data), "--config", str(config),
                      "--level", "0", "--out", str(out)])
         assert code == 0
-        report = json.loads((out / "restricted_report.json").read_text())
+        report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
         assert [row["name"] for row in report["coefficients"]] == ["intercept"]
         assert any("intercept-only" in w for w in report["restriction_warnings"])
 
@@ -752,7 +752,7 @@ class TestRestrict:
         code = main(["restrict", "--data", str(data), "--config", str(config),
                      "--level", "0", "--out", str(out)])
         assert code == 0
-        report = json.loads((out / "restricted_report.json").read_text())
+        report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
         assert report["restriction_warnings"] == [
             "all mean-equation covariates dropped; intercept-only",
             "all hurdle-equation covariates dropped; intercept-only",
@@ -789,7 +789,7 @@ class TestRestrict:
             out = tmp_path / name
             assert main(["restrict", "--data", str(data), "--config", str(config),
                          "--out", str(out), *flags]) == 0
-            report = json.loads((out / "restricted_report.json").read_text())
+            report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
             levels[name] = (report["level"], len(report["dropped"]["mean"]))
         assert levels == {"config": (0.0, 3), "flag": (1.0, 0)}
 
@@ -805,7 +805,7 @@ class TestRestrict:
         code = main(["restrict", "--data", str(data), "--config", str(config),
                      "--level", "0.10", "--out", str(out)])
         assert code in (0, 2)
-        report = json.loads((out / "restricted_report.json").read_text())
+        report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
         assert "noise" in report["dropped"]["mean"]
         assert "noise" in report["dropped"]["zeros"]
         assert "positives" in report and "zeros" in report
@@ -831,7 +831,7 @@ class TestRestrict:
         code = main(["restrict", "--data", str(data), "--config", str(config),
                      "--level", "0.10", "--out", str(out)])
         assert code == 0
-        report = json.loads((out / "restricted_report.json").read_text())
+        report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
         assert report["dropped"] == {"mean": ["x2"], "zeros": ["x1"]}
         assert [row["name"] for row in report["positives"]] == ["intercept", "x1"]
         assert [row["name"] for row in report["zeros"]] == ["zero:intercept", "zero:x2"]
@@ -852,7 +852,7 @@ class TestRestrict:
         out = tmp_path / "out"
         assert main(["restrict", "--data", str(data), "--config", str(config),
                      "--level", "0.10", "--out", str(out)]) == 0
-        report = json.loads((out / "restricted_report.json").read_text())
+        report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
         assert report["dropped"] == {"mean": ["a=q", "a=r"], "zeros": []}
         assert [row["name"] for row in report["coefficients"]] == ["intercept", "a=z"]
 
@@ -869,7 +869,7 @@ class TestRestrict:
         out = tmp_path / "out"
         assert main(["restrict", "--data", str(data), "--config", str(config),
                      "--out", str(out)]) == 0
-        report = json.loads((out / "restricted_report.json").read_text())
+        report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
         assert report["dropped"] == {"mean": [], "zeros": []}
         assert [row["name"] for row in report["coefficients"]] == ["intercept", "a=b"]
 
@@ -913,6 +913,6 @@ class TestStartup:
         env = {**os.environ, "PYTHONPATH": str(src)}
         result = subprocess.run(
             [sys.executable, "-c", f"import countreg, sys; print({module!r} in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True,
+            env=env, capture_output=True, encoding="utf-8", check=True,
         )
         assert result.stdout.strip() == "False"

@@ -13,7 +13,7 @@ def test_csv_workflow_demo_runs(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / "05_csv_workflow.py")],
-        env=env, cwd=tmp_path, capture_output=True, text=True,
+        env=env, cwd=tmp_path, capture_output=True, encoding="utf-8",
     )
     assert result.returncode == 0, result.stderr
     assert "compare  -> 0" in result.stdout

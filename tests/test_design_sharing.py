@@ -32,7 +32,7 @@ def citation(tmp_path_factory):
     root = tmp_path_factory.mktemp("citation")
     design = write_json(root / "design.json", citation_scale_design(n=20_000).to_dict())
     assert main(["simulate", "--config", str(design), "--out", str(root), "--threads", "1"]) == 0
-    encoding = json.loads((root / "truth.json").read_text())["encoding_config"]
+    encoding = json.loads((root / "truth.json").read_text(encoding="utf-8"))["encoding_config"]
     configs = {family: write_json(root / f"{family}.json", {**encoding, "family": family})
                for family in ("NB", "HNB")}
     config = EncodingConfig.from_dict(encoding)
@@ -157,7 +157,7 @@ def test_restricted_designs_are_the_re_encoded_ones(hurdle_csv, tmp_path, monkey
     out = tmp_path / "o"
     assert main(["restrict", "--data", str(hurdle_csv), "--config", str(config),
                  "--level", "0.01", "--out", str(out)]) == 0
-    report = json.loads((out / "restricted_report.json").read_text())
+    report = json.loads((out / "restricted_report.json").read_text(encoding="utf-8"))
 
     config = EncodingConfig.from_dict(run)
     dataset = read_csv(hurdle_csv, config)
