@@ -39,8 +39,8 @@ Pearson residual scatter, NB deviance residuals) is written as RFC 4180 CSV;
 an NB fit's two residual CSVs share their means, so both are written in one
 pass that formats each block of means once.
 
-Exit codes: 0 success, 1 configuration or I/O errors, 2 statistical
-non-convergence (the report is still written, flagged).
+Exit codes: 0 success, 1 configuration or I/O errors or out of memory, 2
+statistical non-convergence (the report is still written, flagged).
 """
 
 from __future__ import annotations
@@ -620,6 +620,9 @@ def main(argv=None) -> int:
     except (CountregError, ValueError, OSError) as exc:
         print(f"countreg: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, SeparationError) else 1
+    except MemoryError as exc:
+        print("countreg: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

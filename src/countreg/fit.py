@@ -4,15 +4,16 @@ Every block (Poisson, NB, the logistic hurdle part and the zero-truncated NB
 part) is evaluated by its one kernel in :mod:`countreg.likelihood` and
 maximized by one Newton routine on its exact Hessian with a step-halving
 (Armijo) line search.  The dispersion parameter is optimized as log r.
-``_nb_block`` fits an NB or zero-truncated NB block from its starting
-values: beta from a Poisson Newton fit on the already validated rows, r from
-the method of moments r0 = max((s^2 - ybar)/ybar^2, 1e-3), as each block has
-two rows or more and a positive count.  ``_model`` assembles every
-FittedModel from its fitted blocks, and :func:`fit_family` dispatches on the
-family name.  ``_validate_design`` makes every refusal a fit makes before
-Newton starts: the designs and response through ``likelihood._check_design``
-and ``_check_counts``, then their columns (one at least), rank, n > k, names
-and counts; a hurdle design equal to X is X.
+``_glm_maximize``, the one start rule, starts a Poisson or logit block at the
+link of the mean on column 0 and zeros elsewhere.  ``_nb_block`` starts an NB
+or zero-truncated NB block at that Poisson fit's beta and the moment
+r0 = max((s^2 - ybar)/ybar^2, 1e-3), as each block has two rows or more and
+a positive count.  ``_model`` assembles every FittedModel from its fitted
+blocks, and :func:`fit_family` dispatches on the family name.
+``_validate_design`` makes every refusal a fit makes before Newton starts:
+the designs and response through ``likelihood._check_design`` and
+``_check_counts``, then their columns (one at least), rank, n > k, names and
+counts; a hurdle design equal to X is X.
 
 An objective maps a point u to (loglik, score, hessian), where ``hessian``
 is a zero-argument callable returning the exact Hessian at u; the optimizer
@@ -20,6 +21,8 @@ calls it only at the start point and at accepted points, never at a trial
 point the line search rejects.  A point outside the objective's domain
 returns (-inf, None, None), which the line search rejects.
 
+The optimizer has one exit, reached on convergence, on running out of
+iterations, or on a failed step (``line_search_stalled``, ``score_underflow``).
 Reported convergence means the max-norm of the score is below
 ``gradient_tolerance * (1 + |loglik|)``; ``iterations`` counts Newton steps.
 The coefficient covariance is the inverse observed information, the exact
@@ -149,9 +152,7 @@ def _newton_maximize(objective, u0, options, guard=None) -> _OptState:
     del hessian
     iterations = 0
     warnings = []
-    while iterations < options.max_iterations:
-        if _converged(value, grad, options):
-            return _OptState(u, value, grad, hess, True, iterations, warnings)
+    while iterations < options.max_iterations and not _converged(value, grad, options):
         # Each curvature of -hess enters by its magnitude: the exact Newton
         # step where -hess is positive definite, and still an ascent step
         # where the log-likelihood is locally convex, as it is in log r near
@@ -185,8 +186,7 @@ def _newton_maximize(objective, u0, options, guard=None) -> _OptState:
         del hessian
         if guard is not None:
             guard(u)
-    converged = _converged(value, grad, options)
-    return _OptState(u, value, grad, hess, converged, iterations, warnings)
+    return _OptState(u, value, grad, hess, _converged(value, grad, options), iterations, warnings)
 
 
 def _psd_inverse(A) -> np.ndarray:
@@ -219,22 +219,23 @@ def _nb_objective(X, y, truncated, lgy1):
     return objective
 
 
-def _objective(kernel, X, y, const=0.0):
-    """u -> objective of the Poisson or logit ``kernel`` on (X, y), less ``const``."""
+def _glm_maximize(kernel, X, y, first, options, const=0.0, guard=None) -> _OptState:
+    """Newton fit of the Poisson or logit ``kernel`` on (X, y), its objective
+    less ``const``, from ``first`` on column 0 and zeros elsewhere."""
 
     def objective(u):
         terms, score, hessian = kernel(u, X, y)
         return float(np.sum(terms)) - const, score, hessian
 
-    return objective
+    u0 = np.zeros(X.shape[1])
+    u0[0] = first
+    return _newton_maximize(objective, u0, options, guard)
 
 
 def _poisson_maximize(X, y, options, lgy1) -> _OptState:
     """Poisson Newton fit of float counts ``y`` (lnG(y+1) row ``lgy1``) from
     beta = (log ybar, 0, ...); also the NB start."""
-    beta0 = np.zeros(X.shape[1])
-    beta0[0] = math.log(max(float(np.mean(y)), 1e-8))
-    return _newton_maximize(_objective(_poisson_kernel, X, y, float(np.sum(lgy1))), beta0, options)
+    return _glm_maximize(_poisson_kernel, X, y, math.log(max(float(np.mean(y)), 1e-8)), options, float(np.sum(lgy1)))
 
 
 def _parameter_names(family, labels, hurdle_labels=()) -> tuple[str, ...]:
@@ -390,11 +391,9 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
 
     # Binary part: logistic regression of I(y == 0) on X_h.
     z = zero.astype(float)
-    delta0 = np.zeros(X_h.shape[1])
     zbar = float(np.mean(z))
-    delta0[0] = math.log(zbar / (1.0 - zbar))
     guard = _separation_guard(X_h, hurdle_labels)
-    binary = _newton_maximize(_objective(_logit_kernel, X_h, z), delta0, options, guard=guard)
+    binary = _glm_maximize(_logit_kernel, X_h, z, math.log(zbar / (1.0 - zbar)), options, guard=guard)
 
     # Zero-truncated part on the positive rows only; they must identify beta.
     Xp = X[~zero]

@@ -676,6 +676,26 @@ class TestSimulate:
         assert main(["fit", "--config", str(missing), "--out", str(tmp_path / "f")]) == 1
         assert simulate_err == capsys.readouterr().err == f"countreg: no such file: {missing}\n"
 
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            pytest.param(MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+                         "out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)",
+                         id="numpy-text"),
+            pytest.param(MemoryError(), "out of memory", id="bare"),
+        ],
+    )
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, error, message):
+        # A stand-in for generate at n = 10**12: a real allocation that large
+        # can succeed under overcommit and get the process killed.
+        def generate(design):
+            raise error
+
+        monkeypatch.setattr("countreg.cli.generate", generate)
+        config = write_json(tmp_path / "design.json", SIM_DESIGN)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
+
     def test_invalid_design_exits_1(self, tmp_path, capsys):
         config = write_json(tmp_path / "design.json", {**SIM_DESIGN, "family": "XXX"})
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1

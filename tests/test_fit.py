@@ -660,6 +660,46 @@ class TestNewtonFailurePaths:
         assert np.isfinite(objective(np.array([0.5, log_r / 2]))[0])
 
 
+class TestNewtonRules:
+    def test_armijo_bound_is_1e_4_of_the_slope(self):
+        # At 0 the Newton step is 1 with slope 1; the full step gains 5e-4,
+        # above the 1e-4 Armijo bound.  Every shorter step gains 5e-4 of its
+        # length too, so a bound of 1e-3 would stall the search.
+        def objective(u):
+            return 5e-4 * u[0], np.array([1.0 if u[0] == 0.0 else 0.0]), lambda: -np.eye(1)
+
+        state = fit_module._newton_maximize(objective, np.zeros(1), FitOptions())
+        assert state.u.tolist() == [1.0]
+        assert (state.iterations, state.converged, state.warnings) == (1, True, [])
+
+    def test_curvature_floor_is_a_1e_14_share_of_the_largest(self):
+        # -H has curvatures 1 and 1e-13, above the floor 1e-14 * 1, so the
+        # step is the exact Newton step (1, 1); a floor of 1e-12 would cut its
+        # second component to 0.1.
+        trials = []
+
+        def objective(u):
+            if not u.any():
+                return 0.0, np.array([1.0, 1e-13]), lambda: -np.diag([1.0, 1e-13])
+            trials.append(u.tolist())
+            return 1.0, np.zeros(2), lambda: -np.eye(2)
+
+        state = fit_module._newton_maximize(objective, np.zeros(2), FitOptions())
+        assert trials == [[1.0, 1.0]]
+        assert (state.iterations, state.converged, state.warnings) == (1, True, [])
+
+    def test_converging_on_the_last_allowed_iteration_is_converged(self):
+        # Newton lands on the maximum of a quadratic in one step, and one step
+        # is allowed: the loop ends on its count, and converged reads the
+        # point it reached.
+        def objective(u):
+            return -0.5 * float((u[0] - 3.0) ** 2), np.array([3.0 - u[0]]), lambda: -np.eye(1)
+
+        state = fit_module._newton_maximize(objective, np.zeros(1), FitOptions(max_iterations=1))
+        assert state.u.tolist() == [3.0]
+        assert (state.iterations, state.converged, state.warnings) == (1, True, [])
+
+
 class TestPinnedFits:
     # sha256 of the little-endian params_unconstrained, covariance and loglik
     # of seeded fits.  A change to the order of floating-point operations in
