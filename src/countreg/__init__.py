@@ -5,25 +5,13 @@ negative binomial models: distributions, maximum-likelihood fitting, Wald
 inference with incidence-rate ratios, residual diagnostics, and a simulation
 harness with known truth.  See the demos/ directory for worked examples and
 the ``countreg`` command line for file-based workflows.  Importing the package
-has no side effects, except where the process is that command (see below).
+has no side effects, except where the process is that command (see _parallel).
 """
 
 import os
 import sys
 
-
-def _one_blas_thread_for_the_command(argv, orig_argv, environ):
-    """Where the process is the countreg command, ``python -m countreg[.<sub>]``
-    (argv[0] is "-m" while the package loads) or the ``countreg`` script, set
-    ``OPENBLAS_NUM_THREADS=1`` unless set: OpenBLAS starts its threads as numpy
-    loads.  Goes once a lazy ``__init__`` lets ``__main__`` set it instead."""
-    if argv[:1] == ["-m"]:  # the arguments after the module name end both lists
-        command = orig_argv[-len(argv)].partition(".")[0] == "countreg"
-    else:
-        command = bool(argv) and os.path.basename(argv[0]) == "countreg"
-    if command:
-        environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
+from ._parallel import _one_blas_thread_for_the_command
 
 _one_blas_thread_for_the_command(sys.argv, sys.orig_argv, os.environ)
 

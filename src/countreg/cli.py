@@ -7,21 +7,7 @@ Subcommands::
     countreg simulate  --config design.json --out outdir [--seed N] [--threads N]
     countreg restrict  --data d.csv --config run.json --level 0.10 --out outdir
 
-``simulate`` runs a design's recovery study on one worker process per usable
-CPU (its affinity set, else ``os.cpu_count()``), at most one per replication.
-A CSV of at least twice ``_CELLS_PER_WORKER`` cells (a large ``dataset.csv``,
-or the residuals of a fit of 166,667 rows or more) is formatted in row blocks
-on one worker per ``_CELLS_PER_WORKER`` cells when workers start by fork, and
-written in row order.  ``--threads N`` sets the count for both, and
-``--threads 1`` keeps the whole command in the calling process.  The files
-are byte-identical whatever the count.
-
-Every command runs its BLAS on one thread: ``main`` sets numpy's OpenBLAS to
-one thread and restores the caller's count on return, and as the countreg
-command ``import countreg`` sets ``OPENBLAS_NUM_THREADS=1`` unless set, so
-OpenBLAS starts on one thread and workers inherit it.  Workers are the one
-level of parallelism, ``X @ beta`` rounds alike on any host, and no idle BLAS
-thread spins.  With no OpenBLAS in ``/proc/self/maps``, ``main`` pins nothing.
+Threads and worker processes follow the policy that ``_parallel`` describes.
 
 The run configuration is a JSON document with the encoding fields
 (``response``, ``predictors``, optional ``hurdle_predictors``) plus optional
@@ -49,7 +35,6 @@ import argparse
 import collections
 import contextlib
 import csv
-import ctypes
 import dataclasses
 import functools
 import io
@@ -60,13 +45,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ._parallel import _csv_workers, _one_blas_thread, _pool_map
 from .data import _BLOCK_ROWS, NONNEGATIVE_INTEGER, OBJECT, PATH, PROBABILITY
 from .data import STRING, ConfigDoc, DesignMatrix, EncodingConfig, encode, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
 from .exceptions import ConfigError, CountregError, SeparationError
 from .fit import _OPTION_KINDS, FitOptions, _require_family, fit_family
 from .inference import aic, compare, irr, wald_table
-from .simulate import SimDesign, _pool_map, _usable_cpus, _workers, generate, recovery_study
+from .simulate import SimDesign, generate, recovery_study
 
 SCHEMA_VERSION = 1
 
@@ -166,15 +152,6 @@ def _residual_section(res, dev):
     return section
 
 
-# A CSV is formatted on one worker process per this many cells, up to one
-# per usable CPU, so a table of fewer than twice as many stays in the calling
-# process.  On 2 CPUs a fresh `countreg simulate` of the citation-scale
-# design gains from 2 workers from about 500,000 cells on; below that the
-# pool's start-up (importing concurrent.futures, forking, moving the blocks:
-# 50-70 ms) costs more than it saves.
-_CELLS_PER_WORKER = 250_000
-
-
 def _float_cells(values):
     """Each value as ``repr(float)``, the shortest text that reads back exactly.
 
@@ -233,21 +210,11 @@ def _write_tables(files, columns, threads=None):
     already be CSV text (strings go through ``_quoted``), and numbers need no
     quoting.  Rows are formatted in blocks of ``_BLOCK_ROWS``, the reader's
     block, each column once per block, so the text of one block at a time is
-    held.  The blocks go to one worker process per ``_CELLS_PER_WORKER``
-    cells of ``columns``, at most ``threads`` (None: one per usable CPU),
-    when workers start by fork, and are written in row order, so the bytes do
-    not depend on the count.
+    held.  The blocks go to ``_csv_workers(threads, cells)`` worker processes
+    and are written in row order, so the bytes do not depend on the count.
     """
     n = len(columns[0][1])
-    workers = _workers(threads, n * len(columns) // _CELLS_PER_WORKER, _usable_cpus())
-    if workers > 1:
-        import multiprocessing
-
-        # A spawned or forkserver worker imports numpy and countreg afresh
-        # (about 0.3 s), which costs the citation-scale dataset.csv more than
-        # its pool saves; only forked workers start as a copy of this process.
-        if multiprocessing.get_start_method() != "fork":
-            workers = 1
+    workers = _csv_workers(threads, n * len(columns))
     blocks = [
         [(kind, values[start : start + _BLOCK_ROWS]) for kind, values in columns]
         for start in range(0, n, _BLOCK_ROWS)
@@ -559,51 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--level", type=float, help="significance level for pruning (default 0.10)")
     p_res.set_defaults(func=cmd_restrict)
     return parser
-
-
-# (get, set) symbol pairs by which OpenBLAS builds export their thread count.
-_OPENBLAS_THREADS = [
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix in ("openblas", "scipy_openblas")
-    for suffix in ("", "64_")
-]
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS mapped into this
-    process, or None where none is found."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREADS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes, set_.argtypes = ctypes.c_int, [], [ctypes.c_int]
-                return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with OpenBLAS on one thread; the caller's count after."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    threads = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(threads)
 
 
 def main(argv=None) -> int:

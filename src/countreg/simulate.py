@@ -26,11 +26,11 @@ Designs serialize to a declarative JSON document::
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import _pool_map, _usable_cpus, _workers
 from .data import NONNEGATIVE, NONNEGATIVE_INTEGER, NUMBER, OBJECT, POSITIVE, POSITIVE_INTEGER, PROBABILITY
 from .data import STRING, Column, ConfigDoc, Dataset, DesignMatrix, EncodingConfig, PredictorSpec, encode_columns
 from .distributions import _sample_hurdle, _sample_nb
@@ -274,41 +274,6 @@ def _run_replication(args):
     estimates = {name: model.estimates[name] for name in model.names}
     ses = model.std_errors()
     return rep, (estimates, ses, model.converged), None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _workers(threads: int | None, jobs: int, cpus: int) -> int:
-    """Worker processes for ``jobs`` jobs: ``threads``, or ``cpus`` when it is
-    None, at most one per job and at least one."""
-    return max(1, min(cpus if threads is None else threads, jobs))
-
-
-def _pool_map(fn, jobs, workers: int):
-    """``fn`` over ``jobs``, yielded in job order as the results arrive.
-
-    With one worker the jobs run in the calling process.  Otherwise they go
-    to one pool of ``workers`` processes under the platform's default start
-    method, in about four chunks per worker.  This is the one place countreg
-    starts worker processes.
-    """
-    if workers == 1:
-        yield from map(fn, jobs)
-        return
-    # Imported here: it costs every CLI process about 20 ms otherwise.
-    from concurrent.futures import ProcessPoolExecutor
-
-    # About four chunks per worker: one job per message costs each job a
-    # round trip, while a few chunks still balance the load.
-    chunksize = math.ceil(len(jobs) / (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, jobs, chunksize=chunksize)
 
 
 def recovery_study(

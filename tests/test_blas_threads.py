@@ -20,12 +20,11 @@ from pathlib import Path
 
 import pytest
 
-import countreg
-from countreg import cli, citation_scale_design
-from countreg.simulate import _pool_map
+from countreg import _parallel, cli, citation_scale_design
+from countreg._parallel import _pool_map
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-BLAS = cli._openblas_threads()
+BLAS = _parallel._openblas_threads()
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy's BLAS is not OpenBLAS")
 
 
@@ -71,7 +70,7 @@ def test_fit_writes_the_same_bytes_on_one_two_and_four_blas_threads(tmp_path):
 IMPORT_PROBE = """
 import json
 import numpy as np
-from countreg.cli import _openblas_threads
+from countreg._parallel import _openblas_threads
 get = _openblas_threads()[0]
 seen = [get()]
 import countreg
@@ -93,12 +92,12 @@ def test_importing_countreg_and_fitting_keep_numpys_blas_thread_count():
 LIBRARY_PROBE = """
 import json, os
 import countreg
-from countreg.cli import _openblas_threads
+from countreg._parallel import _openblas_threads
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), _openblas_threads()[0]()]))
 """
 NUMPY_PROBE = """
 import numpy
-from countreg.cli import _openblas_threads
+from countreg._parallel import _openblas_threads
 print(_openblas_threads()[0]())
 """
 
@@ -119,13 +118,13 @@ def test_importing_countreg_with_the_variable_unset_leaves_it_unset():
 ])
 def test_the_countreg_command_starts_openblas_on_one_thread(argv, orig_argv):
     environ = {"LANG": "C.UTF-8"}
-    countreg._one_blas_thread_for_the_command(argv, orig_argv, environ)
+    _parallel._one_blas_thread_for_the_command(argv, orig_argv, environ)
     assert environ == {"LANG": "C.UTF-8", "OPENBLAS_NUM_THREADS": "1"}
 
 
 def test_the_countreg_command_keeps_the_callers_thread_count():
     environ = {"OPENBLAS_NUM_THREADS": "4"}
-    countreg._one_blas_thread_for_the_command(["-m"], ["python", "-m", "countreg"], environ)
+    _parallel._one_blas_thread_for_the_command(["-m"], ["python", "-m", "countreg"], environ)
     assert environ == {"OPENBLAS_NUM_THREADS": "4"}
 
 
@@ -138,8 +137,27 @@ def test_the_countreg_command_keeps_the_callers_thread_count():
 ])
 def test_a_library_import_leaves_the_environment_alone(argv, orig_argv):
     environ = {"LANG": "C.UTF-8"}
-    countreg._one_blas_thread_for_the_command(argv, orig_argv, environ)
+    _parallel._one_blas_thread_for_the_command(argv, orig_argv, environ)
     assert environ == {"LANG": "C.UTF-8"}
+
+
+# ``__init__`` loads _parallel before numpy, so the command's rule can set the
+# variable before OpenBLAS starts; the module must load with numpy blocked.
+NO_NUMPY_PROBE = """
+import importlib.util, json, sys
+sys.modules["numpy"] = None
+spec = importlib.util.spec_from_file_location("_parallel", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+environ = {}
+module._one_blas_thread_for_the_command(["-m"], ["python", "-m", "countreg"], environ)
+print(json.dumps(environ))
+"""
+
+
+def test_the_policy_module_loads_without_numpy():
+    probe = ["-c", NO_NUMPY_PROBE, str(SRC / "countreg" / "_parallel.py")]
+    assert json.loads(_run_python(probe, dict(os.environ))) == {"OPENBLAS_NUM_THREADS": "1"}
 
 
 # pip's console-script wrapper for ``countreg = "countreg.cli:main"``.
@@ -161,7 +179,7 @@ import atexit
 
 @atexit.register
 def print_blas_threads():
-    from countreg.cli import _openblas_threads
+    from countreg._parallel import _openblas_threads
     print(_openblas_threads()[0]())
 """
 
@@ -219,12 +237,12 @@ def _worker_blas_threads(_):
 @needs_openblas
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers start afresh")
 def test_forked_workers_inherit_the_one_thread(two_blas_threads):
-    with cli._one_blas_thread():
+    with _parallel._one_blas_thread():
         assert list(_pool_map(_worker_blas_threads, range(4), 2)) == [1, 1, 1, 1]
 
 
 def test_main_runs_as_before_where_no_openblas_is_found(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(_parallel, "_openblas_threads", lambda: None)
     design = json.dumps(citation_scale_design(n=300).to_dict())
     (tmp_path / "design.json").write_text(design, encoding="utf-8")
     assert cli.main(["simulate", "--config", str(tmp_path / "design.json"),
@@ -239,16 +257,16 @@ MAPS = "7f1c2a000000-7f1c2c000000 r-xp 00000000 08:01 4242 /opt/lib/libopenblas.
 
 
 def _maps(monkeypatch, text):
-    """Let cli read ``text`` as /proc/self/maps."""
-    monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: io.StringIO(text), raising=False)
+    """Let _parallel read ``text`` as /proc/self/maps."""
+    monkeypatch.setattr(_parallel, "open", lambda path, *args, **kwargs: io.StringIO(text), raising=False)
 
 
 def test_no_openblas_is_found_where_the_maps_cannot_be_read(monkeypatch):
     def unreadable(path, *args, **kwargs):
         raise PermissionError(13, "Permission denied", path)
 
-    monkeypatch.setattr(cli, "open", unreadable, raising=False)
-    assert cli._openblas_threads() is None
+    monkeypatch.setattr(_parallel, "open", unreadable, raising=False)
+    assert _parallel._openblas_threads() is None
 
 
 def test_a_mapped_openblas_that_cannot_be_loaded_is_skipped(monkeypatch):
@@ -257,11 +275,11 @@ def test_a_mapped_openblas_that_cannot_be_loaded_is_skipped(monkeypatch):
 
     _maps(monkeypatch, MAPS)
     monkeypatch.setattr(ctypes, "CDLL", cannot_load)
-    assert cli._openblas_threads() is None
+    assert _parallel._openblas_threads() is None
 
 
 def test_a_mapped_openblas_without_both_thread_symbols_is_skipped(monkeypatch):
     # A getter alone cannot restore the caller's count.
     _maps(monkeypatch, MAPS)
     monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace(openblas_get_num_threads=lambda: 4))
-    assert cli._openblas_threads() is None
+    assert _parallel._openblas_threads() is None

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countreg import cli
+from countreg import _parallel, cli
 from countreg import data as data_module
 from countreg.data import _BLOCK_ROWS, Column, Dataset, EncodingConfig, PredictorSpec, read_csv
 from countreg.exceptions import DataError
@@ -807,7 +807,7 @@ class TestPoolPathMatchesRowOracle:
 
     @pytest.fixture(autouse=True)
     def every_table_goes_to_the_pool(self, monkeypatch):
-        monkeypatch.setattr(cli, "_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(_parallel, "_CELLS_PER_WORKER", 1)
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -830,7 +830,7 @@ class TestPoolPathMatchesRowOracle:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_residual_and_frequency_csvs(self, tmp_path, monkeypatch, workers):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: workers)
         rng = np.random.default_rng(12)
         n = 150
         X = np.column_stack([np.ones(n), rng.normal(size=n)])

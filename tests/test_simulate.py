@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+from countreg._parallel import _usable_cpus, _workers
 from countreg.data import encode_columns
 from countreg.exceptions import ConfigError
 from countreg.fit import fit_family
@@ -20,8 +21,6 @@ from countreg.likelihood import link_hurdle, link_mean
 from countreg.simulate import (
     CovariateSpec,
     SimDesign,
-    _usable_cpus,
-    _workers,
     citation_scale_design,
     generate,
     recovery_study,
