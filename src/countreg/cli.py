@@ -246,8 +246,10 @@ def _quoted(values):
     return list(map(text.__getitem__, values))
 
 
-def _write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
-    empirical, fitted = frequency_table(y, model, y_max=y_max, X=X, X_h=X_h)
+def _write_plot_data(out_dir, table, res, dev, y_max):
+    """Write a fit's frequency ``table`` and residual CSVs; after a non-NB fit,
+    remove the ``deviance_residuals.csv`` an earlier NB fit left."""
+    empirical, fitted = table
     values = [str(v) for v in range(y_max + 1)] + [f">{y_max}"]
     _write_columns(
         out_dir / "frequency.csv",
@@ -261,6 +263,8 @@ def _write_plot_data(out_dir, model, X, X_h, y, res, dev, y_max):
         # CSVs are written in one pass, which formats each block of means once.
         columns.append(("float", dev.deviance))
         files.append((out_dir / "deviance_residuals.csv", ["predicted_mean", "deviance_residual"], (0, 2)))
+    else:
+        (out_dir / "deviance_residuals.csv").unlink(missing_ok=True)
     _write_tables(files, columns)
 
 
@@ -323,10 +327,12 @@ def cmd_fit(args) -> int:
     report = _model_report(model, run.data)
     res, dev = _residuals(model, X.X, X_h.X, y)
     report["residuals"] = _residual_section(res, dev)
+    # Every output is computed before the first file is written.
+    table = frequency_table(y, model, y_max=y_max, X=X.X, X_h=X_h.X)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir / "report.json", report)
-    _write_plot_data(out_dir, model, X.X, X_h.X, y, res, dev, y_max)
+    _write_plot_data(out_dir, table, res, dev, y_max)
     return 0 if model.converged else 2
 
 
@@ -392,17 +398,7 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "design": design.to_dict(),
         "truth": truth,
-        "encoding_config": {
-            "response": design.response_name,
-            "predictors": [
-                {
-                    "name": spec.name,
-                    "kind": spec.kind,
-                    **({"base": spec.base, "levels": list(spec.levels)} if spec.kind == "categorical" else {}),
-                }
-                for spec in design.encoding_config().predictors
-            ],
-        },
+        "encoding_config": design.encoding_config().to_dict(),
     }
     _write_report(out_dir / "truth.json", sidecar)
     if design.replications is not None:

@@ -226,6 +226,27 @@ class EncodingConfig:
             )
         return cls(response, tuple(specs), doc.each("hurdle_predictors", STRING, None))
 
+    def to_dict(self) -> dict:
+        """The document ``from_dict`` reads back as this configuration; a
+        predictor's ``transform``, ``base`` and ``levels`` and the
+        ``hurdle_predictors`` are written only when set."""
+        predictors = []
+        for spec in self.predictors:
+            entry = {"name": spec.name, "kind": spec.kind}
+            if spec.transform == "offset":
+                entry["transform"] = {"type": "offset", "origin": spec.origin}
+            elif spec.transform != "none":
+                entry["transform"] = spec.transform
+            if spec.base is not None:
+                entry["base"] = spec.base
+            if spec.levels is not None:
+                entry["levels"] = list(spec.levels)
+            predictors.append(entry)
+        doc = {"response": self.response, "predictors": predictors}
+        if self.hurdle_predictors is not None:
+            doc["hurdle_predictors"] = list(self.hurdle_predictors)
+        return doc
+
 
 @dataclass(frozen=True)
 class Column:

@@ -136,6 +136,33 @@ class TestFit:
         assert "irr" in report
         assert not (out / "deviance_residuals.csv").exists()
 
+    def test_a_non_nb_fit_removes_an_earlier_nb_fits_deviance_residuals(self, tmp_path):
+        data = make_csv(tmp_path / "d.csv", n=600, family="HNB", seed=1)
+        out = tmp_path / "out"
+        args = ["fit", "--data", str(data), "--out", str(out), "--config"]
+        assert main([*args, str(write_json(tmp_path / "nb.json", RUN_CONFIG))]) == 0
+        assert main([*args, str(write_json(tmp_path / "hnb.json", {**RUN_CONFIG, "family": "HNB"}))]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "frequency.csv", "pearson_residuals.csv", "report.json"
+        ]
+
+    def test_a_fit_that_fails_before_writing_leaves_the_directory_as_it_was(self, tmp_path, monkeypatch, capsys):
+        import countreg.cli
+
+        data = make_csv(tmp_path / "d.csv", n=600, family="HNB", seed=1)
+        out = tmp_path / "out"
+        args = ["fit", "--data", str(data), "--out", str(out), "--config"]
+        assert main([*args, str(write_json(tmp_path / "hnb.json", {**RUN_CONFIG, "family": "HNB"}))]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(countreg.cli, "frequency_table", disk_full)
+        assert main([*args, str(write_json(tmp_path / "nb.json", RUN_CONFIG))]) == 1
+        assert capsys.readouterr().err == "countreg: [Errno 28] No space left on device\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_missing_column_exits_1(self, tmp_path, capsys):
         data = make_csv(tmp_path / "d.csv", n=200)
         bad = {**RUN_CONFIG, "predictors": RUN_CONFIG["predictors"] + [{"name": "absent"}]}

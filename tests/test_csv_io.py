@@ -772,7 +772,7 @@ class TestWritersMatchRowOracle:
             new, old = tmp_path / f"new{case}", tmp_path / f"old{case}"
             new.mkdir()
             old.mkdir()
-            cli._write_plot_data(new, model, X, None, y, r, d, int(y.max()))
+            cli._write_plot_data(new, cli.frequency_table(y, model, int(y.max()), X=X), r, d, int(y.max()))
             oracle_write_plot_data(old, model, X, None, y, r, d, int(y.max()))
             _same_bytes(new, old, PLOT_FILES if d is not None else PLOT_FILES[:2])
             assert (new / "deviance_residuals.csv").exists() == (d is not None)
@@ -840,7 +840,7 @@ class TestPoolPathMatchesRowOracle:
         new, old = tmp_path / "new", tmp_path / "old"
         new.mkdir()
         old.mkdir()
-        cli._write_plot_data(new, model, X, None, y, res, dev, int(y.max()))
+        cli._write_plot_data(new, cli.frequency_table(y, model, int(y.max()), X=X), res, dev, int(y.max()))
         oracle_write_plot_data(old, model, X, None, y, res, dev, int(y.max()))
         _same_bytes(new, old, PLOT_FILES)
 

@@ -1,5 +1,6 @@
 """CSV ingestion and design-matrix encoding."""
 
+import json
 import math
 import re
 
@@ -341,6 +342,25 @@ class TestEncodingConfig:
         assert config.predictors[1].transform == "offset"
         assert config.predictors[1].origin == 2014.0
         assert [p.name for p in config.hurdle_specs()] == ["oa"]
+
+    @pytest.mark.parametrize("hurdle_predictors", [None, ("oa", "year")])
+    @pytest.mark.parametrize("levels", [None, ("closed", "green", "bronze", "gold", "hybrid")])
+    def test_to_dict_is_read_back_as_the_same_configuration(self, levels, hurdle_predictors):
+        config = EncodingConfig(
+            response="cites",
+            predictors=(
+                PredictorSpec(name="oa", kind="categorical", base="closed", levels=levels),
+                PredictorSpec(name="year", kind="numeric", transform="offset", origin=2014.5),
+                PredictorSpec(name="founded", kind="numeric", transform="log"),
+                PredictorSpec(name="sjr"),
+                PredictorSpec(name="funded", kind="binary"),
+            ),
+            hurdle_predictors=hurdle_predictors,
+        )
+        doc = config.to_dict()
+        assert EncodingConfig.from_dict(json.loads(json.dumps(doc))) == config
+        assert ("hurdle_predictors" in doc) == (hurdle_predictors is not None)
+        assert doc["predictors"][3] == {"name": "sjr", "kind": "numeric"}
 
     def test_bad_configs(self):
         with pytest.raises(ConfigError):

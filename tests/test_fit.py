@@ -700,6 +700,42 @@ class TestNewtonRules:
         assert (state.iterations, state.converged, state.warnings) == (1, True, [])
 
 
+class TestBlockRules:
+    """The thresholds around Newton, each on an input just past the other side."""
+
+    def test_psd_inverse_keeps_an_eigenvalue_above_a_1e_14_share_of_the_largest(self):
+        # A floor of 1e-12 would zero the 1e-13 eigenvalue instead of inverting it.
+        np.testing.assert_allclose(fit_module._psd_inverse(np.diag([1.0, 1e-13])), np.diag([1.0, 1e13]))
+
+    def test_a_zero_eigenvalue_of_the_information_is_degenerate(self):
+        # Read as nondegenerate, the information diag(1, 0) would go to np.linalg.inv and fail.
+        cov, flags = fit_module._covariance(-np.diag([1.0, 0.0]))
+        assert flags == ["hessian_not_negative_definite"]
+        assert cov.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+    def test_the_separation_guard_names_the_largest_varying_column(self):
+        # The intercept's |delta| is larger, but a constant column separates nothing.
+        X_h = np.column_stack([np.ones(4), np.arange(4.0)])
+        guard = fit_module._separation_guard(X_h, ("intercept", "x"))
+        with pytest.raises(SeparationError) as caught:
+            guard(np.array([40.0, 35.0]))
+        assert caught.value.column == "x"
+
+    def test_the_moment_start_of_r_is_at_least_1e_3(self):
+        # Underdispersed counts: the moment estimate is negative.
+        assert fit_module._moment_start_r(np.array([1, 1, 1, 1, 2])) == 1e-3
+
+    @pytest.mark.parametrize("r, warned", [(5e-6, False), (5e-7, True)])
+    def test_poisson_boundary_is_an_r_below_1e_6(self, monkeypatch, r, warned):
+        def newton(objective, u0, options, guard=None):
+            u = np.append(np.zeros(len(u0) - 1), math.log(r))
+            return fit_module._OptState(u, 0.0, np.zeros(len(u0)), -np.eye(len(u0)), True, 1)
+
+        monkeypatch.setattr(fit_module, "_newton_maximize", newton)
+        state = fit_module._nb_block(np.ones((5, 1)), np.array([0, 1, 2, 3, 5]), False, FitOptions())
+        assert ("poisson_boundary" in state.warnings) == warned
+
+
 class TestPinnedFits:
     # sha256 of the little-endian params_unconstrained, covariance and loglik
     # of seeded fits.  A change to the order of floating-point operations in
