@@ -110,7 +110,7 @@ def _pool_map(fn, jobs, workers: int):
 
     With one worker the jobs run in the calling process.  Otherwise they go
     to one pool of ``workers`` processes under the platform's default start
-    method, in about four chunks per worker.
+    method, in about four chunks per worker: countreg's one process pool.
     """
     if workers == 1:
         yield from map(fn, jobs)
