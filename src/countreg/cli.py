@@ -21,9 +21,8 @@ key with ``has unknown keys``.  ``fit_options`` may carry the schema-1 key
 created only once there is something to write.  Reports are JSON with
 ``schema_version`` 1; tabulated estimates are fixed to 4 decimals while
 machine fields carry 6 significant digits.  Plot data (frequency table,
-Pearson residual scatter, NB deviance residuals) is written as RFC 4180 CSV;
-an NB fit's two residual CSVs share their means, so both are written in one
-pass that formats each block of means once.
+Pearson residual scatter, NB deviance residuals) and ``simulate``'s
+``dataset.csv`` are CSVs in the format that ``data`` describes and writes.
 
 Exit codes: 0 success, 1 configuration or I/O errors or out of memory, 2
 statistical non-convergence (the report is still written, flagged).
@@ -33,21 +32,15 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
-import csv
 import dataclasses
-import functools
-import io
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ._parallel import _csv_workers, _one_blas_thread, _pool_map
-from .data import _BLOCK_ROWS, NONNEGATIVE_INTEGER, OBJECT, PATH, PROBABILITY
-from .data import STRING, ConfigDoc, DesignMatrix, EncodingConfig, encode, read_csv
+from ._parallel import _one_blas_thread
+from .data import NONNEGATIVE_INTEGER, OBJECT, PATH, PROBABILITY, STRING, ConfigDoc, DesignMatrix
+from .data import EncodingConfig, _write_dataset_csv, _write_tables, encode, read_csv
 from .diagnostics import deviance_residuals, frequency_table, pearson
 from .exceptions import ConfigError, CountregError, SeparationError
 from .fit import _OPTION_KINDS, FitOptions, _require_family, fit_family
@@ -152,110 +145,13 @@ def _residual_section(res, dev):
     return section
 
 
-def _float_cells(values):
-    """Each value as ``repr(float)``, the shortest text that reads back exactly.
-
-    A column of integer-valued floats (finite, integral, |v| < 2**53, no
-    -0.0) whose range spans fewer values than it has rows takes its text from
-    a table of ``repr`` of each value in that range.
-    """
-    a = np.asarray(values, dtype=float)
-    if a.size:
-        lo, hi = float(a.min()), float(a.max())
-        # NaN fails every comparison; infinities fail the magnitude bound.
-        if (
-            -(2.0**53) < lo
-            and hi < 2.0**53
-            and hi - lo < a.size
-            and np.array_equal(a, np.trunc(a))
-            and not np.any(np.signbit(a) & (a == 0.0))
-        ):
-            table = np.array([repr(float(v)) for v in range(int(lo), int(hi) + 1)], dtype=object)
-            return table[(a - lo).astype(np.intp)].tolist()
-    return list(map(repr, a.tolist()))
-
-
-def _cells(kind, values):
-    """CSV cell text of one column: ``count`` (integers), ``float``, or
-    ``text`` (cells that are already CSV text, written as given)."""
-    if kind == "count":
-        return list(map(str, np.asarray(values).tolist()))
-    if kind == "float":
-        return _float_cells(values)
-    return values
-
-
-def _format_tables(tables, columns):
-    """The CSV records of each table of equal-length ``(kind, values)``
-    columns, UTF-8 encoded, one text per table.
-
-    A table is a tuple of column indices; each column is formatted once,
-    however many tables carry it.  Records end in ``\r\n``, as csv.writer ends
-    them.
-    """
-    cells = [_cells(kind, values) for kind, values in columns]
-    texts = []
-    for table in tables:
-        rows = list(map(",".join, zip(*(cells[i] for i in table))))
-        rows.append("")
-        texts.append("\r\n".join(rows).encode("utf-8"))
-    return texts
-
-
-def _write_tables(files, columns, threads=None):
-    """Write CSVs over shared equal-length ``(kind, values)`` columns; each
-    of ``files`` is a ``(path, header, column indices)``.
-
-    Only the headers are written by the csv module; ``text`` cells must
-    already be CSV text (strings go through ``_quoted``), and numbers need no
-    quoting.  Rows are formatted in blocks of ``_BLOCK_ROWS``, the reader's
-    block, each column once per block, so the text of one block at a time is
-    held.  The blocks go to ``_csv_workers(threads, cells)`` worker processes
-    and are written in row order, so the bytes do not depend on the count.
-    """
-    n = len(columns[0][1])
-    workers = _csv_workers(threads, n * len(columns))
-    blocks = [
-        [(kind, values[start : start + _BLOCK_ROWS]) for kind, values in columns]
-        for start in range(0, n, _BLOCK_ROWS)
-    ]
-    tables = tuple(tuple(indices) for _, _, indices in files)
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "wb")) for path, _, _ in files]
-        for fh, (_, header, _) in zip(handles, files):
-            head = io.StringIO()
-            csv.writer(head).writerow(header)
-            fh.write(head.getvalue().encode("utf-8"))
-        for texts in _pool_map(functools.partial(_format_tables, tables), blocks, workers):
-            for fh, text in zip(handles, texts):
-                fh.write(text)
-
-
-def _write_columns(path, header, columns, threads=None):
-    """Write equal-length ``(kind, values)`` columns as one CSV under ``header``."""
-    _write_tables([(path, header, range(len(columns)))], columns, threads)
-
-
-def _quoted(values):
-    """Each string as csv.writer writes it inside a record; each level once."""
-    text = {}
-    for value in set(values):
-        buf = io.StringIO()
-        csv.writer(buf).writerow([value, ""])
-        text[value] = buf.getvalue()[: -len(",\r\n")]
-    return list(map(text.__getitem__, values))
-
-
 def _write_plot_data(out_dir, table, res, dev, y_max):
     """Write a fit's frequency ``table`` and residual CSVs; after a non-NB fit,
     remove the ``deviance_residuals.csv`` an earlier NB fit left."""
     empirical, fitted = table
     values = [str(v) for v in range(y_max + 1)] + [f">{y_max}"]
-    _write_columns(
-        out_dir / "frequency.csv",
-        ["value", "empirical", "fitted"],
-        [("text", values), ("count", empirical), ("float", fitted)],
-    )
+    columns = [("text", values), ("count", empirical), ("float", fitted)]
+    _write_tables([(out_dir / "frequency.csv", ["value", "empirical", "fitted"], range(len(columns)))], columns)
     columns = [("float", res.mu), ("float", res.pearson)]
     files = [(out_dir / "pearson_residuals.csv", ["predicted_mean", "pearson_residual"], (0, 1))]
     if dev is not None:
@@ -371,16 +267,6 @@ def cmd_compare(args) -> int:
     return 0 if all(m.converged for m in models) else 2
 
 
-def _write_dataset_csv(path, dataset, threads=None):
-    header = [dataset.response_name] + [col.name for col in dataset.columns]
-    columns = [("count", dataset.y)] + [
-        ("text", _quoted(list(map(str, col.values.tolist())))) if col.kind == "categorical"
-        else ("float", col.values)
-        for col in dataset.columns
-    ]
-    _write_columns(path, header, columns, threads)
-
-
 def cmd_simulate(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"--threads must be a positive integer, not {args.threads}")
@@ -390,9 +276,6 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         design = dataclasses.replace(design, seed=args.seed)
     dataset, truth = generate(design)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_dataset_csv(out_dir / "dataset.csv", dataset, args.threads)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
@@ -400,7 +283,8 @@ def cmd_simulate(args) -> int:
         "truth": truth,
         "encoding_config": design.encoding_config().to_dict(),
     }
-    _write_report(out_dir / "truth.json", sidecar)
+    # The study runs before the first write: one that fails writes nothing.
+    summary_report = None
     if design.replications is not None:
         summary = recovery_study(design, design.replications, threads=args.threads)
         summary_report = {
@@ -415,6 +299,13 @@ def cmd_simulate(args) -> int:
                 for name, stats in summary["parameters"].items()
             },
         }
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_dataset_csv(out_dir / "dataset.csv", dataset, args.threads)
+    _write_report(out_dir / "truth.json", sidecar)
+    if summary_report is None:
+        (out_dir / "recovery.json").unlink(missing_ok=True)
+    else:
         _write_report(out_dir / "recovery.json", summary_report)
     return 0
 

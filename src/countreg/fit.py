@@ -5,11 +5,13 @@ part) is evaluated by its one kernel in :mod:`countreg.likelihood` and
 maximized by one Newton routine on its exact Hessian with a step-halving
 (Armijo) line search.  The dispersion parameter is optimized as log r.
 ``_glm_maximize``, the one start rule, starts a Poisson or logit block at the
-link of the mean on column 0 and zeros elsewhere.  ``_nb_block`` starts an NB
-or zero-truncated NB block at that Poisson fit's beta and the moment
-r0 = max((s^2 - ybar)/ybar^2, 1e-3), as each block has two rows or more and
-a positive count.  ``_model`` assembles every FittedModel from its fitted
-blocks, and :func:`fit_family` dispatches on the family name.
+link of the mean on its first column of ones and zeros elsewhere, or at
+zeros where no column is all ones, so the start does not depend on where the
+intercept sits.  ``_nb_block`` starts an NB or zero-truncated NB block at
+that Poisson fit's beta and the moment r0 = max((s^2 - ybar)/ybar^2, 1e-3),
+as each block has two rows or more and a positive count.  ``_model``
+assembles every FittedModel from its fitted blocks, and :func:`fit_family`
+dispatches on the family name.
 ``_validate_design`` makes every refusal a fit makes before Newton starts:
 the designs and response through ``likelihood._check_design`` and
 ``_check_counts``, then their columns (one at least), rank, n > k, names and
@@ -221,14 +223,18 @@ def _nb_objective(X, y, truncated, lgy1):
 
 def _glm_maximize(kernel, X, y, first, options, const=0.0, guard=None) -> _OptState:
     """Newton fit of the Poisson or logit ``kernel`` on (X, y), its objective
-    less ``const``, from ``first`` on column 0 and zeros elsewhere."""
+    less ``const``, from ``first`` on the first all-ones column of X and zeros
+    elsewhere, or from zeros where no column is all ones."""
 
     def objective(u):
         terms, score, hessian = kernel(u, X, y)
         return float(np.sum(terms)) - const, score, hessian
 
     u0 = np.zeros(X.shape[1])
-    u0[0] = first
+    # The scan stops at the column of ones, the first one in a CLI design.
+    ones = next((j for j in range(X.shape[1]) if np.all(X[:, j] == 1.0)), None)
+    if ones is not None:
+        u0[ones] = first
     return _newton_maximize(objective, u0, options, guard)
 
 

@@ -587,6 +587,33 @@ class TestSimulate:
             summaries.append((out / "recovery.json").read_bytes())
         assert summaries[0] == summaries[1] == summaries[2]
 
+    def test_a_failed_recovery_study_leaves_the_directory_as_it_was(self, tmp_path, monkeypatch, capsys):
+        import countreg.cli
+
+        design = {**SIM_DESIGN, "n": 600, "recovery": {"replications": 2}}
+        config = write_json(tmp_path / "design.json", design)
+        args = ["simulate", "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]
+        assert main(args) == 0
+        before = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(countreg.cli, "recovery_study", disk_full)
+        assert main([*args, "--seed", "123"]) == 1
+        assert capsys.readouterr().err == "countreg: [Errno 28] No space left on device\n"
+        assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == before
+
+    def test_a_run_without_recovery_removes_an_earlier_recovery_json(self, tmp_path):
+        out = tmp_path / "out"
+        design = {**SIM_DESIGN, "n": 600, "recovery": {"replications": 2}}
+        config = write_json(tmp_path / "recovery.json", design)
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--threads", "1"]) == 0
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+        config = write_json(tmp_path / "design.json", SIM_DESIGN)
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["dataset.csv", "notes.txt", "truth.json"]
+
     def test_threads_default_to_every_usable_cpu(self):
         args = build_parser().parse_args(["simulate", "--config", "design.json"])
         assert args.threads is None

@@ -729,7 +729,7 @@ class TestWritersMatchRowOracle:
             ),
             response_name="cites",
         )
-        cli._write_dataset_csv(tmp_path / "new.csv", dataset)
+        data_module._write_dataset_csv(tmp_path / "new.csv", dataset)
         oracle_write_dataset_csv(tmp_path / "old.csv", dataset)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         config = EncodingConfig(
@@ -753,7 +753,7 @@ class TestWritersMatchRowOracle:
             ),
             response_name="a,b",
         )
-        cli._write_dataset_csv(tmp_path / "new.csv", dataset)
+        data_module._write_dataset_csv(tmp_path / "new.csv", dataset)
         oracle_write_dataset_csv(tmp_path / "old.csv", dataset)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -778,7 +778,44 @@ class TestWritersMatchRowOracle:
             assert (new / "deviance_residuals.csv").exists() == (d is not None)
 
 
-SPECIAL_FLOATS = [-0.0, 0.0, 2.0**53, -(2.0**53), 1e15, 1e16, -7.0, 5e-324, math.nan, math.inf,
+class TestDatasetRoundTrip:
+    """read_csv reads back the Dataset that the dataset writer wrote, at the
+    shared block size and at blocks of 5 rows for both."""
+
+    @pytest.mark.parametrize("block_rows", [_BLOCK_ROWS, 5])
+    def test_read_csv_of_the_written_file_is_the_dataset(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(data_module, "_BLOCK_ROWS", block_rows)
+        n = 24
+        levels = ["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "plain", "é"]
+        dataset = Dataset(
+            y=np.arange(n, dtype=np.int64) * 3,
+            columns=(
+                Column(name="oa", kind="categorical", values=np.array(levels * 4, dtype=object)),
+                Column(name="funded", kind="binary", values=np.arange(n) % 2 * 1.0),
+                # -0.0, 5e-324, 0.1 and 1e16 among other floats.
+                Column(name="x", kind="numeric", values=np.resize(FLOATS, n)),
+                # Integer-valued: a range narrower than n takes the table of
+                # texts, a wider one repr of each value.
+                Column(name="narrow", kind="numeric", values=np.arange(n) % 5 - 2.0),
+                Column(name="wide", kind="numeric", values=np.arange(n) * 1000.0 - 7000.0),
+            ),
+            response_name="cites",
+        )
+        data_module._write_dataset_csv(tmp_path / "d.csv", dataset)
+        config = EncodingConfig(
+            response="cites",
+            predictors=(
+                PredictorSpec(name="oa", kind="categorical", base="plain"),
+                PredictorSpec(name="funded", kind="binary"),
+                PredictorSpec(name="x", kind="numeric"),
+                PredictorSpec(name="narrow", kind="numeric"),
+                PredictorSpec(name="wide", kind="numeric"),
+            ),
+        )
+        assert_same_dataset(read_csv(tmp_path / "d.csv", config), dataset)
+
+
+SPECIAL_FLOATS =[-0.0, 0.0, 2.0**53, -(2.0**53), 1e15, 1e16, -7.0, 5e-324, math.nan, math.inf,
                   -math.inf]
 
 
@@ -808,12 +845,12 @@ class TestPoolPathMatchesRowOracle:
     @pytest.fixture(autouse=True)
     def every_table_goes_to_the_pool(self, monkeypatch):
         monkeypatch.setattr(_parallel, "_CELLS_PER_WORKER", 1)
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+        monkeypatch.setattr(data_module, "_BLOCK_ROWS", 5)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_dataset_csv(self, tmp_path, workers):
         dataset = _odd_dataset()
-        cli._write_dataset_csv(tmp_path / "new.csv", dataset, threads=workers)
+        data_module._write_dataset_csv(tmp_path / "new.csv", dataset, threads=workers)
         oracle_write_dataset_csv(tmp_path / "old.csv", dataset)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -824,7 +861,7 @@ class TestPoolPathMatchesRowOracle:
         monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "spawn")
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         dataset = _odd_dataset()
-        cli._write_dataset_csv(tmp_path / "new.csv", dataset, threads=2)
+        data_module._write_dataset_csv(tmp_path / "new.csv", dataset, threads=2)
         oracle_write_dataset_csv(tmp_path / "old.csv", dataset)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -851,7 +888,7 @@ class TestFloatCells:
                     min_size=1, max_size=80))
     def test_text_is_repr(self, values):
         a = np.array(values)
-        assert cli._float_cells(a) == list(map(repr, a.tolist()))
+        assert data_module._float_cells(a) == list(map(repr, a.tolist()))
 
     def test_an_integer_valued_column_formats_each_distinct_value_once(self, monkeypatch):
         calls = []
@@ -860,7 +897,7 @@ class TestFloatCells:
             calls.append(value)
             return repr(value)
 
-        monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+        monkeypatch.setattr(data_module, "repr", counting_repr, raising=False)
         a = np.arange(1000) % 8 - 3.0
-        assert cli._float_cells(a) == list(map(repr, a.tolist()))
+        assert data_module._float_cells(a) == list(map(repr, a.tolist()))
         assert len(calls) == 8

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from countreg import fit as fit_module
 from countreg.exceptions import SeparationError
@@ -734,6 +736,63 @@ class TestBlockRules:
         monkeypatch.setattr(fit_module, "_newton_maximize", newton)
         state = fit_module._nb_block(np.ones((5, 1)), np.array([0, 1, 2, 3, 5]), False, FitOptions())
         assert ("poisson_boundary" in state.warnings) == warned
+
+
+@st.composite
+def permuted_designs(draw):
+    """(n, k, seed, column order): n <= 500 rows, k <= 4 columns, the first
+    of them ones."""
+    k = draw(st.integers(2, 4))
+    return draw(st.integers(100, 500)), k, draw(st.integers(0, 2**32 - 1)), draw(st.permutations(range(k)))
+
+
+def _permutation_fit(family, n, k, seed, rows=None, columns=None):
+    """(estimates, SEs) by parameter name of a fit to a seeded draw, its rows
+    and design columns taken in the given orders; the hurdle design is X."""
+    rng = np.random.default_rng(seed)
+    X = design(rng, n, k)
+    y = simulate_nb(rng, X, np.append(1.0, rng.uniform(-0.5, 0.5, k - 1)), 0.5)
+    if family == "HNB":
+        y[rng.random(n) < link_hurdle(X, np.append(-0.5, rng.uniform(-0.5, 0.5, k - 1)))] = 0
+    rows = np.arange(n) if rows is None else rows
+    columns = list(range(k)) if columns is None else list(columns)
+    labels = [f"c{j}" for j in columns]
+    m = fit_family(family, X[np.ix_(rows, columns)], y[rows], labels=labels)
+    assume(m.converged and not m.warnings)
+    return m.estimates, m.std_errors()
+
+
+def assert_same_by_name(got, want, rel):
+    """Every entry of ``got`` within ``rel`` of the largest magnitude in ``want``."""
+    names = sorted(want)
+    a, b = np.array([got[name] for name in names]), np.array([want[name] for name in names])
+    np.testing.assert_allclose(a, b, rtol=0, atol=rel * np.max(np.abs(b)))
+
+
+class TestPermutationInvariance:
+    """Where the intercept sits, and the order of the rows, change a fit by
+    rounding only."""
+
+    @pytest.mark.parametrize("family", ["P", "NB", "HNB"])
+    @settings(max_examples=40, deadline=None)
+    @given(permuted_designs())
+    def test_permuting_the_columns_permutes_the_estimates(self, family, drawn):
+        n, k, seed, order = drawn
+        estimates, se = _permutation_fit(family, n, k, seed)
+        permuted_estimates, permuted_se = _permutation_fit(family, n, k, seed, columns=order)
+        assert_same_by_name(permuted_estimates, estimates, 1e-10)
+        assert_same_by_name(permuted_se, se, 1e-10)
+
+    @pytest.mark.parametrize("family", ["P", "NB", "HNB"])
+    @settings(max_examples=40, deadline=None)
+    @given(permuted_designs())
+    def test_permuting_the_rows_moves_the_estimates_by_rounding_only(self, family, drawn):
+        n, k, seed, _ = drawn
+        estimates, se = _permutation_fit(family, n, k, seed)
+        rows = np.random.default_rng(seed + 1).permutation(n)
+        permuted_estimates, permuted_se = _permutation_fit(family, n, k, seed, rows=rows)
+        assert_same_by_name(permuted_estimates, estimates, 1e-8)
+        assert_same_by_name(permuted_se, se, 1e-8)
 
 
 class TestPinnedFits:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from countreg import _parallel, cli
+from countreg import _parallel, data
 from countreg.cli import main
 
 DESIGN = {
@@ -160,14 +160,14 @@ def test_threads_1_starts_no_process(tmp_path, monkeypatch):
         raise AssertionError("a worker process was started")
 
     monkeypatch.setattr(_parallel, "_CELLS_PER_WORKER", 1)
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 150)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 150)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     assert _simulate(tmp_path / "o", "1") == PINNED["simulate-threads1"]
 
 
 def test_dataset_csv_from_worker_processes_has_the_pinned_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(_parallel, "_CELLS_PER_WORKER", 1)
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 150)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 150)
     assert _simulate(tmp_path / "o", "2") == PINNED["simulate-threads2"]
 
 
