@@ -48,6 +48,11 @@ from .inference import aic, compare, irr, wald_table
 from .simulate import SimDesign, generate, recovery_study
 
 SCHEMA_VERSION = 1
+# A frequency table builds a grid of y_max + 1 values and takes time in
+# proportion to its n * (y_max + 1) cells: 10**9 cells take 5-9 s on a
+# 2-core host, and a grid of 10**9 values would take 7.5 GiB.
+_Y_MAX_LIMIT = 10**6
+_TABLE_CELLS = 10**9
 
 
 def _fmt4(value: float) -> str:
@@ -197,6 +202,8 @@ def _run_config(args):
         # A schema-1 "hessian_step" is accepted and ignored.
         options = FitOptions(**options.only((*_OPTION_KINDS, "hessian_step")).entries(_OPTION_KINDS))
     y_max = doc.get("y_max", NONNEGATIVE_INTEGER, None)
+    if y_max is not None and y_max > _Y_MAX_LIMIT:
+        raise ConfigError(f"'y_max' must be at most {_Y_MAX_LIMIT:,}, not {y_max}")
     data = doc.get("data", PATH, None)
     data = args.data or data
     if not data:
@@ -219,6 +226,11 @@ def _prepare(run):
 def cmd_fit(args) -> int:
     run = _run_config(args)
     y, X, X_h, y_max = _prepare(run)
+    if y.size * (y_max + 1) > _TABLE_CELLS:
+        raise ConfigError(
+            f"'y_max' = {y_max} asks for a frequency table of {y.size:,} rows x {y_max + 1:,} values,"
+            f" above the limit of {_TABLE_CELLS:,} cells; set a smaller 'y_max'"
+        )
     model = fit_family(run.family, X.X, y, X_h.X, run.options, X.labels, X_h.labels)
     report = _model_report(model, run.data)
     res, dev = _residuals(model, X.X, X_h.X, y)

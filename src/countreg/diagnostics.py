@@ -13,14 +13,12 @@ All three evaluate the model through one step, ``_rows``: it checks the
 designs and the response against the fitted model through
 ``likelihood._check_design`` and ``_check_counts``, takes an omitted (None)
 design as the column of ones the fit recorded or refuses it, and evaluates
-each link once.  Hurdle means and variances come from the closed-form
-moments in :mod:`countreg.distributions` for all rows at once, tested
-against truncated summation of the pmf; the printed bracket form of the
-variance is never used.
-
-A frequency table reads the likelihood kernel's dispersion grid once, over
-0..y_max, so its NB pmf at v = y_i is exp of the fitter's row term at y_i;
-it costs O(n * y_max) time and O(n + y_max) memory.
+each link once.  Every mean, variance and pmf comes from
+:mod:`countreg.distributions` for all rows at once: hurdle moments from the
+closed form, tested against truncated summation of the pmf (the printed
+bracket form of the variance is never used), and a frequency table's columns
+from ``_pmf_columns``, which reads the likelihood kernel's dispersion grid
+once over 0..y_max; a table costs O(n * y_max) time and O(n + y_max) memory.
 """
 
 from __future__ import annotations
@@ -30,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _hnb_moments
+from .distributions import _moments, _pmf_columns
 from .fit import FittedModel
 from .likelihood import _check_counts, _check_design, _phi, _theta
-from .special import _dispersion_sums, ln_gamma
 
 __all__ = ["ResidualSet", "pearson", "deviance_residuals", "frequency_table"]
 
@@ -77,10 +74,7 @@ def _rows(model: FittedModel, X, y, X_h=None):
 def pearson(model: FittedModel, X, y, X_h=None) -> ResidualSet:
     """Pearson residuals and the PS statistic under the fitted model."""
     y, theta, r, phi = _rows(model, X, y, X_h)
-    if model.family == "HNB":
-        mu, sigma2 = _hnb_moments(theta, r, phi)
-    else:  # r is None for P
-        mu, sigma2 = theta, theta.copy() if r is None else theta + r * theta**2
+    mu, sigma2 = _moments(model.family, theta, r, phi)
     residuals = (y - mu) / np.sqrt(sigma2)
     return ResidualSet(
         mu=mu,
@@ -128,34 +122,6 @@ def deviance_residuals(model: FittedModel, X, y) -> ResidualSet:
     )
 
 
-def _pmf_columns(model, theta, phi, r, y_max):
-    """P(Y = v | x_i) for every row, for v = 0..y_max in turn.
-
-    lnG(v+1) and, for NB and HNB, the dispersion sum s0 come from one grid
-    over 0..y_max; the per-row logarithms are computed once, not once per
-    value.  The NB term is the likelihood kernel's row term at y = v.
-    """
-    values = np.arange(y_max + 1)
-    log_fact = ln_gamma(values + 1.0)
-    log_theta = np.log(theta)
-    if model.family == "P":
-        for value in values:
-            yield np.exp(-theta + value * log_theta - log_fact[value])
-        return
-    s0 = _dispersion_sums(values, r)[0]
-    a = 1.0 / r
-    log1prt = np.log1p(r * theta)
-    if model.family == "HNB":
-        positive = 1.0 - phi
-        p_positive = -np.expm1(-a * log1prt)
-    for value in values:
-        if model.family == "HNB" and value == 0:
-            yield phi
-            continue
-        nb = np.exp(s0[value] - (a + value) * log1prt + value * log_theta - log_fact[value])
-        yield nb if model.family == "NB" else positive * nb / p_positive
-
-
 def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
     """Empirical and fitted frequencies for counts 0..y_max plus overflow.
 
@@ -168,7 +134,7 @@ def frequency_table(y, model: FittedModel, y_max: int, X=None, X_h=None):
     y, theta, r, phi = _rows(model, X, y, X_h)
     empirical = np.bincount(np.minimum(y, y_max + 1), minlength=y_max + 2)
     fitted = np.zeros(y_max + 2)
-    for value, pmf in enumerate(_pmf_columns(model, theta, phi, r, y_max)):
+    for value, pmf in enumerate(_pmf_columns(model.family, theta, phi, r, y_max)):
         fitted[value] = float(np.sum(pmf))
     fitted[y_max + 1] = model.n - float(np.sum(fitted[: y_max + 1]))
     return empirical, fitted

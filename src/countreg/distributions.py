@@ -6,7 +6,8 @@ Poisson and ``r = 1`` the geometric distribution.  The hurdle variant places
 probability ``phi`` on zero and renormalizes the positive negative-binomial
 mass over {1, 2, ...}.  ``_check_params`` holds the one rule, and its three
 messages, for valid theta, r and phi; ``NbParams``, ``HurdleParams`` and
-``_hnb_moments`` call it.
+``_hnb_moments`` call it.  Every pmf, moment, P(y > 0) and draw outside the
+likelihood kernels is here; ``simulate`` and ``sample`` draw by ``_draw_counts``.
 
 Log-pmfs are evaluated in log space by one private NB log-pmf
 (``_nb_log_pmf``), the likelihood kernel's row term: lnG(1/r + y) - lnG(1/r)
@@ -199,6 +200,46 @@ def _hnb_moments(theta, r, phi):
     return mu, mu * (1.0 + r * theta + theta - mu)
 
 
+def _moments(family, theta, r, phi):
+    """Per-row mean and variance of the family "P" (r None), "NB" or "HNB"."""
+    if family == "HNB":
+        return _hnb_moments(theta, r, phi)
+    return theta, theta.copy() if r is None else theta + r * theta**2
+
+
+def _positive_prob(theta, r):
+    """P(Y > 0) = 1 - (1 + r*theta)^(-1/r) of the NB at each ``theta``."""
+    return -np.expm1(-np.log1p(r * theta) / r)
+
+
+def _pmf_columns(family, theta, phi, r, y_max):
+    """P(Y = v | x_i) for every row, for v = 0..y_max in turn.
+
+    lnG(v+1) and, for NB and HNB, the dispersion sum s0 come from one grid
+    over 0..y_max; the per-row logarithms are computed once, not once per
+    value.  The NB term is the likelihood kernel's row term at y = v.
+    """
+    values = np.arange(y_max + 1)
+    log_fact = ln_gamma(values + 1.0)
+    log_theta = np.log(theta)
+    if family == "P":
+        for value in values:
+            yield np.exp(-theta + value * log_theta - log_fact[value])
+        return
+    s0 = _dispersion_sums(values, r)[0]
+    a = 1.0 / r
+    log1prt = np.log1p(r * theta)
+    if family == "HNB":
+        positive = 1.0 - phi
+        p_positive = -np.expm1(-a * log1prt)
+    for value in values:
+        if family == "HNB" and value == 0:
+            yield phi
+            continue
+        nb = np.exp(s0[value] - (a + value) * log1prt + value * log_theta - log_fact[value])
+        yield nb if family == "NB" else positive * nb / p_positive
+
+
 def hnb_mean_var(h: HurdleParams):
     """Mean and variance of the hurdle distribution, the variance by summation.
 
@@ -241,15 +282,20 @@ def sample(params, n: int, seed) -> np.ndarray:
         raise ValueError("n must be a positive integer")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if isinstance(params, NbParams):
-        return _sample_nb(rng, np.full(n, params.theta), params.r)
+        return _draw_counts("NB", rng, np.full(n, params.theta), params.r)
     if isinstance(params, HurdleParams):
-        return _sample_hurdle(
-            rng,
-            np.full(n, params.nb.theta),
-            params.nb.r,
-            np.full(n, params.phi),
-        )
+        return _draw_counts("HNB", rng, np.full(n, params.nb.theta), params.nb.r, np.full(n, params.phi))
     raise TypeError("params must be NbParams or HurdleParams")
+
+
+def _draw_counts(family, rng, theta, r, phi=None) -> np.ndarray:
+    """int64 counts of the family "P" (r None), "NB" or "HNB" (hurdle
+    probabilities ``phi``) at the row means ``theta``, drawn from ``rng``."""
+    if family == "P":
+        return rng.poisson(theta).astype(np.int64)
+    if family == "NB":
+        return _sample_nb(rng, theta, r)
+    return _sample_hurdle(rng, theta, r, phi)
 
 
 def _sample_nb(rng, theta, r) -> np.ndarray:

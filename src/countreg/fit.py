@@ -254,32 +254,41 @@ def _parameter_names(family, labels, hurdle_labels=()) -> tuple[str, ...]:
     return names
 
 
-def _check_block(M, what, min_extra=None):
+def _full_rank(M) -> bool:
+    return M.shape[0] >= M.shape[1] and np.linalg.matrix_rank(M) == M.shape[1]
+
+
+def _check_block(M, what, min_extra=None, full_rank=None):
     """Refuse a design with no columns, of less than full column rank or,
-    unless ``min_extra`` is None, with no more than k + min_extra rows."""
+    unless ``min_extra`` is None, with no more than k + min_extra rows;
+    ``full_rank`` is the rank verdict where it is known, else M's SVD gives it."""
     n, k = M.shape
     if k == 0:
         raise ValueError(f"{what} has no columns")
     if min_extra is not None and n <= k + min_extra:
         raise ValueError(f"need more observations than parameters (n={n}, k={k})")
-    if np.linalg.matrix_rank(M) < k:
+    if not (_full_rank(M) if full_rank is None else full_rank):
         raise ValueError(f"{what} is rank deficient")
 
 
 def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
-    """(X, y, labels, X_h, hurdle_labels, ones) once a fit's refusals before
-    Newton pass: X, y and, for HNB, X_h in turn, each design's rank, n > k,
-    the names, then the counts (only fit_hnb's separation guard and positive
-    rows' rank come later).  ``ones`` names each design ("X", "X_h") that is
-    one column of ones.  For HNB, no hurdle design, or one equal to ``X``, is
-    ``X``: its labels default to ``labels`` and its rank is not checked again."""
+    """(X, y, labels, X_h, hurdle_labels, ones, positives) once a fit's
+    refusals before Newton pass: X, y and, for HNB, X_h in turn, each design's
+    rank, n > k, the names, then the counts (only fit_hnb's separation guard
+    and positive rows' rank come later).  ``ones`` names each design ("X",
+    "X_h") that is one column of ones.  For HNB, no hurdle design, or one
+    equal to ``X``, is ``X``: its labels default to ``labels`` and its rank is
+    not checked again.  ``positives`` is whether X's rows with y > 0 have full
+    column rank (HNB only); as that implies X's, X's own SVD runs only when
+    they do not, to choose the message."""
     X, labels = _check_design(X, labels=labels)
     y = _check_counts(y, X.shape[0])
     if family == "HNB":
         if X_h is None or np.array_equal(X_h, X):
             X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
         X_h, hurdle_labels = _check_design(X_h, X.shape[0], labels=hurdle_labels, hurdle=True)
-    _check_block(X, "design matrix", min_extra=int(family != "P"))
+    positives = family == "HNB" and X.shape[1] > 0 and _full_rank(X[y > 0])
+    _check_block(X, "design matrix", min_extra=int(family != "P"), full_rank=positives or None)
     if family == "HNB" and X_h is not X:
         _check_block(X_h, "hurdle design matrix")
     _parameter_names(family, labels, hurdle_labels or ())
@@ -291,7 +300,7 @@ def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
         raise ValueError("fit needs at least one positive count; the response is all zero")
     designs = {"X": X, "X_h": X_h} if family == "HNB" else {"X": X}
     ones = frozenset(name for name, M in designs.items() if M.shape[1] == 1 and np.all(M == 1.0))
-    return X, y, labels, X_h, hurdle_labels, ones
+    return X, y, labels, X_h, hurdle_labels, ones, positives
 
 
 def _moment_start_r(y) -> float:
@@ -359,7 +368,7 @@ def _model(family, n, labels, blocks, hurdle_labels=(), ones=frozenset()) -> Fit
 def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Poisson regression under the log link."""
     options = options or FitOptions()
-    X, y, labels, _, _, ones = _validate_design("P", X, y, labels)
+    X, y, labels, _, _, ones, _ = _validate_design("P", X, y, labels)
     yf = y.astype(float)
     state = _poisson_maximize(X, yf, options, ln_gamma(yf + 1.0))
     return _model("P", X.shape[0], labels, [state], ones=ones)
@@ -368,7 +377,7 @@ def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedM
 def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
     """Negative binomial regression; beta starts at the Poisson fit."""
     options = options or FitOptions()
-    X, y, labels, _, _, ones = _validate_design("NB", X, y, labels)
+    X, y, labels, _, _, ones, _ = _validate_design("NB", X, y, labels)
     return _model("NB", X.shape[0], labels, [_nb_block(X, y, False, options)], ones=ones)
 
 
@@ -390,7 +399,7 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
     sum and the covariance is block diagonal.
     """
     options = options or FitOptions()
-    X, y, labels, X_h, hurdle_labels, ones = _validate_design(
+    X, y, labels, X_h, hurdle_labels, ones, positives = _validate_design(
         "HNB", X, y, labels, X_h=X_h, hurdle_labels=hurdle_labels
     )
     zero = y == 0
@@ -403,7 +412,7 @@ def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_la
 
     # Zero-truncated part on the positive rows only; they must identify beta.
     Xp = X[~zero]
-    _check_block(Xp, "design matrix", min_extra=0)
+    _check_block(Xp, "design matrix", min_extra=0, full_rank=positives)
     truncated = _nb_block(Xp, y[~zero], True, options)
     return _model("HNB", X.shape[0], labels, [truncated, binary], hurdle_labels, ones)
 

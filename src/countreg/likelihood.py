@@ -182,12 +182,21 @@ def _logit_kernel(delta, X_h, z):
     the 0/1 floats ``z`` with P(z = 1) = phi; the terms are z log phi +
     (1 - z) log(1 - phi) = z eta - log(1 + e^eta).  Inputs are not checked."""
     eta = _clamped_eta(X_h, delta)
-    phi = _logistic(eta)
+    # One logaddexp, t = log(1 + e^-|eta|), gives numpy's own values of both
+    # log(1 + e^eta) = max(eta, 0) + t and log(1 + e^-eta) = max(-eta, 0) + t,
+    # bit for bit, so phi = exp(min(eta, 0) - t) is _logistic(eta).
+    t = np.abs(eta)
+    np.logaddexp(0.0, np.negative(t, out=t), out=t)
+    phi = np.minimum(eta, 0.0)
+    np.exp(np.subtract(phi, t, out=phi), out=phi)
+    terms = np.maximum(eta, 0.0)
+    terms += t
+    np.subtract(np.multiply(z, eta, out=eta), terms, out=terms)
 
     def hessian():
         return -(X_h.T @ (X_h * (phi * (1.0 - phi))[:, None]))
 
-    return z * eta - np.logaddexp(0.0, eta), X_h.T @ (z - phi), hessian
+    return terms, X_h.T @ (z - phi), hessian
 
 
 def poisson_loglik(beta, X, y, full: bool = True) -> float:
@@ -219,38 +228,45 @@ def _nb_kernel(beta, log_r, X, y, truncated, lgy1=None):
     r = float(np.exp(log_r))
     eta = _clamped_eta(X, beta)
     theta = np.exp(eta)
-    denom = 1.0 + r * theta
-    log1prt = np.log1p(r * theta)
+    # Each row quantity is computed once, with the bits of writing it out.
+    rt = r * theta
+    denom = 1.0 + rt
+    log1prt = np.log1p(rt)
     s0, s1, s2 = _dispersion_sums(y, r)
     terms = s0 - (1.0 / r + y) * log1prt + y * eta
     if lgy1 is not None:
-        terms = terms - lgy1
+        terms -= lgy1
     rho = 0.0
     if truncated:
         log_p0 = -log1prt / r
-        terms = terms - np.log1p(-np.exp(log_p0))
-        rho = np.exp(log_p0) / -np.expm1(log_p0)
+        p0 = np.exp(log_p0)
+        terms -= np.log1p(-p0)
+        rho = p0 / -np.expm1(log_p0)
     lam_eta = -theta / denom
-    lam_logr = log1prt / r - theta / denom
+    lam_logr = log1prt / r + lam_eta
     d_eta = (y - theta) / denom + rho * lam_eta
     d_logr = s1 + lam_logr - r * y * theta / denom + rho * lam_logr
+    k = X.shape[1]
+    score = np.empty(k + 1)
+    score[:k] = X.T @ d_eta
+    score[k] = np.sum(d_logr)
 
     def hessian():
         # The n x k product first, while the fewest row arrays are alive.
-        k = X.shape[1]
         hess = np.empty((k + 1, k + 1))
         kappa = rho * (1.0 + rho)
-        d_eta2 = -(1.0 + r * y + rho) * theta / denom**2 + kappa * lam_eta**2
+        denom2 = denom**2
+        d_eta2 = -(1.0 + r * y + rho) * theta / denom2 + kappa * lam_eta**2
         hess[:k, :k] = X.T @ (X * d_eta2[:, None])
-        lam_eta_logr = r * theta**2 / denom**2
-        nb_eta_logr = r * theta * (theta - y) / denom**2
+        lam_eta_logr = r * theta**2 / denom2
+        nb_eta_logr = r * theta * (theta - y) / denom2
         d_eta_logr = nb_eta_logr + kappa * lam_eta * lam_logr + rho * lam_eta_logr
         hess[:k, k] = hess[k, :k] = X.T @ d_eta_logr
         d_logr2 = s2 - lam_logr + nb_eta_logr + kappa * lam_logr**2 + rho * (lam_eta_logr - lam_logr)
         hess[k, k] = np.sum(d_logr2)
         return hess
 
-    return terms, np.append(X.T @ d_eta, np.sum(d_logr)), hessian
+    return terms, score, hessian
 
 
 def nb_loglik(params: NbRegParams, X, y, full: bool = True) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 from ._parallel import _pool_map, _usable_cpus, _workers
 from .data import NONNEGATIVE, NONNEGATIVE_INTEGER, NUMBER, OBJECT, POSITIVE, POSITIVE_INTEGER, PROBABILITY
 from .data import STRING, Column, ConfigDoc, Dataset, DesignMatrix, EncodingConfig, PredictorSpec, encode_columns
-from .distributions import _sample_hurdle, _sample_nb
+from .distributions import _draw_counts, _positive_prob
 from .exceptions import ConfigError
 from .fit import FitOptions, _parameter_names, _require_family, fit_family
 from .likelihood import link_hurdle, link_mean
@@ -42,6 +42,11 @@ __all__ = ["CovariateSpec", "SimDesign", "generate", "recovery_study", "citation
 
 # The largest lam numpy's Generator.poisson draws from (numpy's POISSON_LAM_MAX).
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+# A recovery study's job list and a pool's futures grow with its replications,
+# and its time with replications * n rows: 10**8 rows take about 3 minutes
+# serial on a 2-core host.
+_MAX_REPLICATIONS = 100_000
+_MAX_REPLICATION_ROWS = 10**8
 
 
 # The fields a design document gives each covariate kind, besides its name
@@ -151,6 +156,8 @@ class SimDesign:
                 raise ConfigError("HNB designs need hurdle coefficients delta")
             _true_parameter_map(self)
             self.encoding_config()
+            if self.replications is not None:
+                _check_replications(self.replications, self.n)
         except ValueError as exc:  # fit's family and parameter-name rules
             raise ConfigError(str(exc)) from None
 
@@ -221,19 +228,17 @@ def _draw_response(design: SimDesign, rng, X: DesignMatrix):
     """Counts under the design's family; the hurdle equation shares ``X``."""
     beta = _coefficients_for(X, design.beta, "beta")
     theta = link_mean(X.X, beta)
+    phi = None
     if design.family == "HNB":
         delta = _coefficients_for(X, design.delta, "delta")
         # A positive row's count is drawn again until it is positive, about
         # 1 / P(y > 0) times, so a row of a smaller chance would take too long.
-        chance = float(np.min(-np.expm1(-np.log1p(design.r * theta) / design.r)))
+        chance = float(np.min(_positive_prob(theta, design.r)))
         if chance < 1e-4:
             raise ConfigError(f"beta and r give a row P(y > 0) = {chance:.3g}, too rare to draw (below 1e-4)")
+        phi = link_hurdle(X.X, delta)
     try:
-        if design.family == "P":
-            return rng.poisson(theta).astype(np.int64)
-        if design.family == "NB":
-            return _sample_nb(rng, theta, design.r)
-        return _sample_hurdle(rng, theta, design.r, link_hurdle(X.X, delta))
+        return _draw_counts(design.family, rng, theta, design.r, phi)
     except ValueError:  # numpy's Poisson sampler takes means below about 9.2e18
         raise ConfigError("beta and r give counts too large to draw") from None
 
@@ -263,6 +268,20 @@ def _true_parameter_map(design: SimDesign) -> dict:
     return dict(zip(_parameter_names(design.family, design.beta, hurdle), values, strict=True))
 
 
+def _check_replications(replications, n):
+    """Refuse a recovery study of fewer than 1 or more than _MAX_REPLICATIONS
+    replications, or of more than _MAX_REPLICATION_ROWS rows in all."""
+    if replications < 1:
+        raise ConfigError("replications must be at least 1")
+    if replications > _MAX_REPLICATIONS:
+        raise ConfigError(f"'recovery.replications' must be at most {_MAX_REPLICATIONS:,}, not {replications}")
+    if replications * n > _MAX_REPLICATION_ROWS:
+        raise ConfigError(
+            f"'recovery.replications' = {replications} of n = {n} rows asks for {replications * n:,} rows,"
+            f" above the limit of {_MAX_REPLICATION_ROWS:,}"
+        )
+
+
 def _run_replication(args):
     design, rep, options = args
     child = np.random.SeedSequence(entropy=design.seed, spawn_key=(rep,))
@@ -288,10 +307,10 @@ def recovery_study(
     replication order, so they do not depend on scheduling.  ``threads``
     worker processes share the replications (None: one per usable CPU); the
     default stays serial, since a worker pool under the spawn or forkserver
-    start method needs the calling script to guard its ``__main__``.
+    start method needs the calling script to guard its ``__main__``.  A study
+    too large to run (``_check_replications``) is refused before any job.
     """
-    if replications < 1:
-        raise ConfigError("replications must be at least 1")
+    _check_replications(replications, design.n)
     truth = _true_parameter_map(design)
     jobs = [(design, rep, options) for rep in range(replications)]
     workers = _workers(threads, replications, _usable_cpus())

@@ -342,6 +342,8 @@ class TestFit:
                          id="y_max-minus-one"),
             pytest.param({**RUN_CONFIG, "y_max": 2.5}, "'y_max' must be a nonnegative integer, not 2.5",
                          id="y_max-fraction"),
+            pytest.param({**RUN_CONFIG, "y_max": 10**6 + 1}, "'y_max' must be at most 1,000,000, not 1000001",
+                         id="y_max-above-limit"),
             pytest.param({**RUN_CONFIG, "families": 5}, "'families' must be a list, not 5",
                          id="families-number"),
             pytest.param({**RUN_CONFIG, "families": "P,NB"}, "'families' must be a list, not 'P,NB'",
@@ -370,6 +372,19 @@ class TestFit:
         config = write_json(tmp_path / "run.json", doc)
         out = tmp_path / "o"
         code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
+        assert not out.exists()
+
+    def test_a_frequency_table_above_the_cell_limit_is_refused_after_the_read(self, tmp_path, capsys):
+        # 1,001 rows x 1,000,001 values is just above 10**9 cells.
+        data = make_csv(tmp_path / "d.csv", n=1001)
+        config = write_json(tmp_path / "run.json", {**RUN_CONFIG, "y_max": 10**6})
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(data), "--config", str(config), "--out", str(out)])
+        message = (
+            "'y_max' = 1000000 asks for a frequency table of 1,001 rows x 1,000,001 values,"
+            " above the limit of 1,000,000,000 cells; set a smaller 'y_max'"
+        )
         assert (code, capsys.readouterr().err) == (1, f"countreg: {message}\n")
         assert not out.exists()
 
@@ -644,6 +659,12 @@ class TestSimulate:
             pytest.param({**SIM_DESIGN, "recovery": {}}, [],
                          "'recovery.replications' must be a positive integer, not None",
                          id="replications-missing"),
+            pytest.param({**SIM_DESIGN, "recovery": {"replications": 100_001}}, ["--threads", "1"],
+                         "'recovery.replications' must be at most 100,000, not 100001",
+                         id="replications-above-limit"),
+            pytest.param({**SIM_DESIGN, "n": 2000, "recovery": {"replications": 50_001}}, ["--threads", "1"],
+                         "'recovery.replications' = 50001 of n = 2000 rows asks for 100,002,000 rows,"
+                         " above the limit of 100,000,000", id="replication-rows-above-limit"),
             pytest.param({**SIM_DESIGN, "recovery": {"replications": 2}}, ["--threads", "0"],
                          "--threads must be a positive integer, not 0", id="threads-zero"),
             pytest.param({**SIM_DESIGN, "recovery": {"replications": 2}}, ["--threads", "-3"],

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from countreg import special
-from countreg.diagnostics import _pmf_columns, _rows, deviance_residuals, frequency_table, pearson
-from countreg.distributions import NbParams, nb_log_pmf
+from countreg.diagnostics import _rows, deviance_residuals, frequency_table, pearson
+from countreg.distributions import NbParams, _pmf_columns, nb_log_pmf
 from countreg.fit import FittedModel, fit_hnb, fit_homogeneous, fit_nb, fit_poisson
 from countreg.likelihood import _nb_kernel, link_hurdle, link_mean
 from countreg.special import ln_gamma
@@ -357,7 +357,7 @@ class TestTableAgreesWithTheLikelihood:
         """Row i of the table's column v = y_i, for every row."""
         y, theta, r, phi = _rows(model, X, y, X)
         at = np.full(y.size, np.nan)
-        for value, pmf in enumerate(_pmf_columns(model, theta, phi, r, int(y.max()))):
+        for value, pmf in enumerate(_pmf_columns(model.family, theta, phi, r, int(y.max()))):
             at[y == value] = pmf[y == value]
         return at
 

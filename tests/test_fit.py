@@ -150,12 +150,15 @@ class TestValidation:
         assert shapes == [X.shape]
         shapes.clear()
         fit_hnb(X, X_h, y)
-        assert shapes == [X.shape, X_h.shape, (int(np.sum(y > 0)), 3)]
+        # Full column rank of the positive rows implies it for X, whose own
+        # SVD is then skipped; the truncated part reuses the first verdict.
+        positives = (int(np.sum(y > 0)), 3)
+        assert shapes == [positives, X_h.shape]
         # A hurdle design that is X, or equals it, takes X's verdict.
         for X_h in (X, X.copy()):
             shapes.clear()
             fit_hnb(X, X_h, y)
-            assert shapes == [X.shape, (int(np.sum(y > 0)), 3)]
+            assert shapes == [positives]
 
     def test_a_parameter_name_given_twice_is_refused_before_fitting(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -188,6 +191,18 @@ class TestValidation:
             fit_hnb(X, np.ones((12, 1)), y)
         with pytest.raises(ValueError, match=r"more observations than parameters \(n=2, k=2\)"):
             fit_hnb(design(np.random.default_rng(7), 12, 2), np.ones((12, 1)), np.repeat([0, 1, 0, 2], [5, 1, 5, 1]))
+
+    def test_hurdle_rank_refusals_keep_their_order(self):
+        # X rank deficient, and so its positive rows: X's refusal comes
+        # before the names.
+        y = np.tile([0, 1, 2], 4)
+        with pytest.raises(ValueError, match="^design matrix is rank deficient$"):
+            fit_hnb(np.ones((12, 2)), None, y, labels=("a", "a"))
+        # X of full rank, its positive rows not: the names come first.
+        X = np.column_stack([np.ones(12), np.repeat([1.0, 0.0], 6)])
+        y = np.array([0, 0, 0, 0, 0, 0, 1, 2, 1, 3, 2, 1])
+        with pytest.raises(ValueError, match=r"^parameter names \['zero:intercept'\] are given twice$"):
+            fit_hnb(X, np.ones((12, 1)), y, labels=("intercept", "zero:intercept"))
 
     def test_a_design_without_columns_is_refused(self):
         y = np.tile([0, 1, 2], 4)

@@ -1,8 +1,9 @@
 """Likelihood and score checks.
 
 Oracles: per-observation pmf summation (distributions module), central
-finite differences of the log-likelihoods, and structural identities
-(separability, hurdle-to-NB collapse).
+finite differences of the log-likelihoods, structural identities
+(separability, hurdle-to-NB collapse), and the logistic kernel's
+two-logaddexp route, bit for bit.
 """
 
 import math
@@ -11,10 +12,13 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from countreg import likelihood
 from countreg.distributions import HurdleParams, NbParams, hnb_log_pmf, nb_log_pmf, nb_zero_prob
 from countreg.likelihood import (
     HnbRegParams,
     NbRegParams,
+    _clamped_eta,
+    _logit_kernel,
     hnb_loglik,
     hnb_loglik_parts,
     hnb_score,
@@ -282,3 +286,49 @@ class TestHnbScore:
         shifted = HnbRegParams(nb=params.nb, delta=params.delta + 0.7)
         _, truncated_shifted = hnb_loglik_parts(shifted, X, X, y)
         assert truncated == truncated_shifted
+
+
+def two_logaddexp_logit(eta, X_h, z):
+    """(terms, score, Hessian) of the logistic part at the linear predictor
+    ``eta``, with one logaddexp for phi and another for the row terms."""
+    phi = np.exp(-np.logaddexp(0.0, -eta))
+    hessian = -(X_h.T @ (X_h * (phi * (1.0 - phi))[:, None]))
+    return z * eta - np.logaddexp(0.0, eta), X_h.T @ (z - phi), hessian
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestLogitKernel:
+    def check(self, delta, X_h, z, eta):
+        got = _logit_kernel(delta, X_h, z)
+        want = two_logaddexp_logit(eta, X_h, z)
+        assert_same_bits(got[0], want[0])
+        assert_same_bits(got[1], want[1])
+        assert_same_bits(got[2](), want[2])
+
+    def test_edge_values_bit_for_bit(self, monkeypatch):
+        # Both zeros, the subnormal floor, values whose e^eta vanishes
+        # against 1 and whose log1p(e^-|eta|) vanishes against |eta|, the
+        # clamp and the largest eta whose e^eta is finite.
+        edges = (0.0, 5e-324, 1e-20, 0.5, 1.0, 19.0, 36.7, 37.5, 300.0, 700.0, 709.0)
+        eta = np.array([sign * v for v in edges for sign in (1.0, -1.0)])
+        assert np.signbit(eta[1]) and not np.signbit(eta[0])
+        # The kernel sees exactly these values, -0 included.  A diagonal
+        # design gives each row its own score and Hessian entries, so no
+        # sum over rows hides a bit.
+        monkeypatch.setattr(likelihood, "_clamped_eta", lambda X, coefficients: eta.copy())
+        X_h = np.diag(np.linspace(0.5, 2.0, eta.size))
+        for z in (np.zeros(eta.size), np.ones(eta.size), np.arange(eta.size) % 2.0):
+            self.check(np.ones(eta.size), X_h, z, eta)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 400.0])
+    def test_random_linear_predictors_bit_for_bit(self, scale):
+        rng = np.random.default_rng(41)
+        n = 5000
+        X_h = np.column_stack([np.ones(n), rng.normal(size=n), rng.standard_cauchy(n)])
+        delta = np.array([0.2, scale, scale / 10.0])
+        self.check(delta, X_h, (rng.random(n) < 0.3).astype(float), _clamped_eta(X_h, delta))

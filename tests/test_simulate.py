@@ -351,6 +351,28 @@ class TestRecoveryStudy:
         with pytest.raises(ConfigError):
             recovery_study(nb_design(), replications=0)
 
+    @pytest.mark.parametrize(
+        "n, replications, message",
+        [
+            pytest.param(50, 100_001, "'recovery.replications' must be at most 100,000, not 100001", id="count"),
+            pytest.param(2000, 50_001, "'recovery.replications' = 50001 of n = 2000 rows asks for 100,002,000 rows,"
+                         " above the limit of 100,000,000", id="rows"),
+        ],
+    )
+    def test_a_study_too_large_to_run_is_refused_before_its_jobs(self, monkeypatch, n, replications, message):
+        def no_pool(*args):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr("countreg.simulate._pool_map", no_pool)
+        design = nb_design(n=n)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            recovery_study(design, replications=replications)
+        # A design that asks for such a study is refused when it is made.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(design, replications=replications)
+        # The limits themselves are accepted.
+        dataclasses.replace(nb_design(n=1000), replications=100_000)
+
 
 class TestCitationScaleDesign:
     def test_shape(self):
