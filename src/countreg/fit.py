@@ -1,21 +1,26 @@
 """Maximum-likelihood fitting for Poisson, NB, and hurdle-NB regressions.
 
-Every block (Poisson, NB, the logistic hurdle part and the zero-truncated NB
-part) is evaluated by its one kernel in :mod:`countreg.likelihood` and
-maximized by one Newton routine on its exact Hessian with a step-halving
+``fit_poisson``, ``fit_nb`` and ``fit_hnb`` are each one call of ``_fit``, the
+one fit body, and :func:`fit_family` dispatches on the family name to them.
+``_fit`` first makes every refusal a fit makes before Newton starts: the
+designs and response through ``likelihood._check_design`` and
+``_check_counts``, then their columns (one at least), rank, n > k, names and
+counts; a hurdle design equal to X is X.  It then fits the family's blocks,
+which ``_model`` assembles in parameter order into the FittedModel: [Poisson],
+[NB], or [zero-truncated NB, logistic].  The hurdle likelihood factorizes
+into its two parts (Mullahy 1986, J. Econometrics 33:341), so each part is
+maximized alone: the logistic part first, under the separation guard, then
+the zero-truncated part, once its positive rows pass their rank refusal.
+
+Every block is evaluated by its one kernel in :mod:`countreg.likelihood` and
+maximized by ``_newton_maximize`` on its exact Hessian with a step-halving
 (Armijo) line search.  The dispersion parameter is optimized as log r.
 ``_glm_maximize``, the one start rule, starts a Poisson or logit block at the
 link of the mean on its first column of ones and zeros elsewhere, or at
 zeros where no column is all ones, so the start does not depend on where the
-intercept sits.  ``_nb_block`` starts an NB or zero-truncated NB block at
-that Poisson fit's beta and the moment r0 = max((s^2 - ybar)/ybar^2, 1e-3),
-as each block has two rows or more and a positive count.  ``_model``
-assembles every FittedModel from its fitted blocks, and :func:`fit_family`
-dispatches on the family name.
-``_validate_design`` makes every refusal a fit makes before Newton starts:
-the designs and response through ``likelihood._check_design`` and
-``_check_counts``, then their columns (one at least), rank, n > k, names and
-counts; a hurdle design equal to X is X.
+intercept sits.  An NB or zero-truncated NB block starts at the beta of a
+Poisson fit to its own rows and the moment r0 = max((s^2 - ybar)/ybar^2,
+1e-3), as each block has two rows or more and a positive count.
 
 An objective maps a point u to (loglik, score, hessian), where ``hessian``
 is a zero-argument callable returning the exact Hessian at u; the optimizer
@@ -238,12 +243,6 @@ def _glm_maximize(kernel, X, y, first, options, const=0.0, guard=None) -> _OptSt
     return _newton_maximize(objective, u0, options, guard)
 
 
-def _poisson_maximize(X, y, options, lgy1) -> _OptState:
-    """Poisson Newton fit of float counts ``y`` (lnG(y+1) row ``lgy1``) from
-    beta = (log ybar, 0, ...); also the NB start."""
-    return _glm_maximize(_poisson_kernel, X, y, math.log(max(float(np.mean(y)), 1e-8)), options, float(np.sum(lgy1)))
-
-
 def _parameter_names(family, labels, hurdle_labels=()) -> tuple[str, ...]:
     """The mean ``labels``, then "r" unless ``family`` is "P", then
     "zero:<label>" for each hurdle label; ValueError names any given twice."""
@@ -271,60 +270,15 @@ def _check_block(M, what, min_extra=None, full_rank=None):
         raise ValueError(f"{what} is rank deficient")
 
 
-def _validate_design(family, X, y, labels, X_h=None, hurdle_labels=None):
-    """(X, y, labels, X_h, hurdle_labels, ones, positives) once a fit's
-    refusals before Newton pass: X, y and, for HNB, X_h in turn, each design's
-    rank, n > k, the names, then the counts (only fit_hnb's separation guard
-    and positive rows' rank come later).  ``ones`` names each design ("X",
-    "X_h") that is one column of ones.  For HNB, no hurdle design, or one
-    equal to ``X``, is ``X``: its labels default to ``labels`` and its rank is
-    not checked again.  ``positives`` is whether X's rows with y > 0 have full
-    column rank (HNB only); as that implies X's, X's own SVD runs only when
-    they do not, to choose the message."""
-    X, labels = _check_design(X, labels=labels)
-    y = _check_counts(y, X.shape[0])
-    if family == "HNB":
-        if X_h is None or np.array_equal(X_h, X):
-            X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
-        X_h, hurdle_labels = _check_design(X_h, X.shape[0], labels=hurdle_labels, hurdle=True)
-    positives = family == "HNB" and X.shape[1] > 0 and _full_rank(X[y > 0])
-    _check_block(X, "design matrix", min_extra=int(family != "P"), full_rank=positives or None)
-    if family == "HNB" and X_h is not X:
-        _check_block(X_h, "hurdle design matrix")
-    _parameter_names(family, labels, hurdle_labels or ())
-    if family == "HNB" and (y.all() or not y.any()):
-        raise ValueError("hurdle fit needs both zero and positive counts")
-    # An all-zero response drives the intercept to -inf; Newton would stop
-    # on a vanishing gradient and report a spurious convergence.
-    if not y.any():
-        raise ValueError("fit needs at least one positive count; the response is all zero")
-    designs = {"X": X, "X_h": X_h} if family == "HNB" else {"X": X}
-    ones = frozenset(name for name, M in designs.items() if M.shape[1] == 1 and np.all(M == 1.0))
-    return X, y, labels, X_h, hurdle_labels, ones, positives
-
-
 def _moment_start_r(y) -> float:
     ybar = float(np.mean(y))
     return max((float(np.var(y, ddof=1)) - ybar) / ybar**2, 1e-3)
 
 
-def _nb_block(X, y, truncated, options) -> _OptState:
-    """Newton fit of the NB or, with ``truncated``, the zero-truncated NB part
-    of checked counts ``y``, from the Poisson fit and the moment r0; an r
-    below ``_POISSON_BOUNDARY_R`` adds the warning poisson_boundary."""
-    yf = y.astype(float)
-    lgy1 = ln_gamma(yf + 1.0)
-    u0 = np.append(_poisson_maximize(X, yf, options, lgy1).u, math.log(_moment_start_r(y)))
-    state = _newton_maximize(_nb_objective(X, yf, truncated, lgy1), u0, options)
-    if math.exp(float(state.u[-1])) < _POISSON_BOUNDARY_R:
-        state.warnings.append("poisson_boundary")
-    return state
-
-
-def _model(family, n, labels, blocks, hurdle_labels=(), ones=frozenset()) -> FittedModel:
+def _model(family, n, labels, hurdle_labels, names, ones, blocks) -> FittedModel:
     """The FittedModel of the fitted ``blocks`` in parameter order: beta (then
-    log r unless ``family`` is "P") and, for HNB, delta; ``ones`` names the
-    designs that were one column of ones.  The covariance is
+    log r unless ``family`` is "P") and, for HNB, delta, named ``names``;
+    ``ones`` names the designs that were one column of ones.  The covariance is
     block diagonal, its r row and column mapped by the delta method.  The
     blocks were fitted last to first: their warnings come in that order, then
     those of their covariances in parameter order."""
@@ -340,7 +294,6 @@ def _model(family, n, labels, blocks, hurdle_labels=(), ones=frozenset()) -> Fit
     scale = np.ones(params_u.size)
     if family != "P":
         values[k] = scale[k] = math.exp(values[k])
-    names = _parameter_names(family, labels, hurdle_labels)
     warnings = [w for state in reversed(blocks) for w in state.warnings]
     warnings += [w for _, cov_warnings in covariances for w in cov_warnings]
     return FittedModel(
@@ -365,22 +318,6 @@ def _model(family, n, labels, blocks, hurdle_labels=(), ones=frozenset()) -> Fit
     )
 
 
-def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
-    """Poisson regression under the log link."""
-    options = options or FitOptions()
-    X, y, labels, _, _, ones, _ = _validate_design("P", X, y, labels)
-    yf = y.astype(float)
-    state = _poisson_maximize(X, yf, options, ln_gamma(yf + 1.0))
-    return _model("P", X.shape[0], labels, [state], ones=ones)
-
-
-def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
-    """Negative binomial regression; beta starts at the Poisson fit."""
-    options = options or FitOptions()
-    X, y, labels, _, _, ones, _ = _validate_design("NB", X, y, labels)
-    return _model("NB", X.shape[0], labels, [_nb_block(X, y, False, options)], ones=ones)
-
-
 def _separation_guard(X_h, hurdle_labels):
     varying = [j for j in range(X_h.shape[1]) if np.ptp(X_h[:, j]) > 0.0]
 
@@ -392,29 +329,76 @@ def _separation_guard(X_h, hurdle_labels):
     return guard
 
 
+def _fit(family, X, y, X_h, options, labels, hurdle_labels) -> FittedModel:
+    """The one fit body: the refusals, then the blocks, as the module
+    docstring says.  For HNB, no hurdle design, or one equal to ``X``, is
+    ``X``: its labels default to ``labels`` and its rank is not checked
+    again.  Full column rank of X's rows with y > 0 implies X's, so for HNB
+    X's own SVD runs only when they fail, to choose the message, and the
+    truncated part reuses their verdict."""
+    options = options or FitOptions()
+    hurdle = family == "HNB"
+    X, labels = _check_design(X, labels=labels)
+    y = _check_counts(y, X.shape[0])
+    if hurdle:
+        if X_h is None or np.array_equal(X_h, X):
+            X_h, hurdle_labels = X, labels if hurdle_labels is None else hurdle_labels
+        X_h, hurdle_labels = _check_design(X_h, X.shape[0], labels=hurdle_labels, hurdle=True)
+    positives = hurdle and X.shape[1] > 0 and _full_rank(X[y > 0])
+    _check_block(X, "design matrix", min_extra=int(family != "P"), full_rank=positives or None)
+    if hurdle and X_h is not X:
+        _check_block(X_h, "hurdle design matrix")
+    names = _parameter_names(family, labels, hurdle_labels)
+    if hurdle and (y.all() or not y.any()):
+        raise ValueError("hurdle fit needs both zero and positive counts")
+    # An all-zero response drives the intercept to -inf; Newton would stop
+    # on a vanishing gradient and report a spurious convergence.
+    if not y.any():
+        raise ValueError("fit needs at least one positive count; the response is all zero")
+    designs = {"X": X, "X_h": X_h} if hurdle else {"X": X}
+    ones = frozenset(name for name, M in designs.items() if M.shape[1] == 1 and np.all(M == 1.0))
+    n = X.shape[0]
+    blocks = []
+    if hurdle:
+        # Binary part: logistic regression of I(y == 0) on X_h.
+        zero = y == 0
+        z = zero.astype(float)
+        zbar = float(np.mean(z))
+        guard = _separation_guard(X_h, hurdle_labels)
+        blocks.append(_glm_maximize(_logit_kernel, X_h, z, math.log(zbar / (1.0 - zbar)), options, guard=guard))
+        # Zero-truncated part on the positive rows only; they must identify beta.
+        X = X[~zero]
+        _check_block(X, "design matrix", min_extra=0, full_rank=positives)
+        y = y[~zero]
+    # The Poisson block: the P fit, or the beta an NB block starts from.
+    yf = y.astype(float)
+    lgy1 = ln_gamma(yf + 1.0)
+    state = _glm_maximize(_poisson_kernel, X, yf, math.log(max(float(np.mean(yf)), 1e-8)), options, float(np.sum(lgy1)))
+    if family != "P":
+        u0 = np.append(state.u, math.log(_moment_start_r(y)))
+        state = _newton_maximize(_nb_objective(X, yf, hurdle, lgy1), u0, options)
+        if math.exp(float(state.u[-1])) < _POISSON_BOUNDARY_R:
+            state.warnings.append("poisson_boundary")
+    return _model(family, n, labels, hurdle_labels, names, ones, [state, *blocks])
+
+
+def fit_poisson(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
+    """Poisson regression under the log link."""
+    return _fit("P", X, y, None, options, labels, ())
+
+
+def fit_nb(X, y, options: FitOptions | None = None, labels=None) -> FittedModel:
+    """Negative binomial regression; beta starts at the Poisson fit."""
+    return _fit("NB", X, y, None, options, labels, ())
+
+
 def fit_hnb(X, X_h, y, options: FitOptions | None = None, labels=None, hurdle_labels=None) -> FittedModel:
     """Hurdle NB fit: logistic zero part and zero-truncated NB part.
 
     The two parts maximize independently; the joint log-likelihood is their
     sum and the covariance is block diagonal.
     """
-    options = options or FitOptions()
-    X, y, labels, X_h, hurdle_labels, ones, positives = _validate_design(
-        "HNB", X, y, labels, X_h=X_h, hurdle_labels=hurdle_labels
-    )
-    zero = y == 0
-
-    # Binary part: logistic regression of I(y == 0) on X_h.
-    z = zero.astype(float)
-    zbar = float(np.mean(z))
-    guard = _separation_guard(X_h, hurdle_labels)
-    binary = _glm_maximize(_logit_kernel, X_h, z, math.log(zbar / (1.0 - zbar)), options, guard=guard)
-
-    # Zero-truncated part on the positive rows only; they must identify beta.
-    Xp = X[~zero]
-    _check_block(Xp, "design matrix", min_extra=0, full_rank=positives)
-    truncated = _nb_block(Xp, y[~zero], True, options)
-    return _model("HNB", X.shape[0], labels, [truncated, binary], hurdle_labels, ones)
+    return _fit("HNB", X, y, X_h, options, labels, hurdle_labels)
 
 
 def _require_family(family: str) -> None:

@@ -44,7 +44,7 @@ __all__ = ["CovariateSpec", "SimDesign", "generate", "recovery_study", "citation
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 # A recovery study's job list and a pool's futures grow with its replications,
 # and its time with replications * n rows: 10**8 rows take about 3 minutes
-# serial on a 2-core host.
+# serial on a 2-core host.  One design's n is held to the same row limit.
 _MAX_REPLICATIONS = 100_000
 _MAX_REPLICATION_ROWS = 10**8
 
@@ -150,6 +150,8 @@ class SimDesign:
             _require_family(self.family)
             if self.n < 1:
                 raise ConfigError("n must be at least 1")
+            if self.n > _MAX_REPLICATION_ROWS:
+                raise ConfigError(f"'n' must be at most {_MAX_REPLICATION_ROWS:,}, not {self.n}")
             if self.family in ("NB", "HNB") and (self.r is None or self.r <= 0.0):
                 raise ConfigError("NB and HNB designs need r > 0")
             if self.family == "HNB" and not self.delta:

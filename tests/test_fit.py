@@ -526,6 +526,23 @@ class TestFitFamily:
             np.testing.assert_array_equal(m.params_unconstrained, expected.params_unconstrained)
             np.testing.assert_array_equal(m.covariance, expected.covariance)
 
+    @pytest.mark.parametrize("family", ["P", "NB"])
+    def test_p_and_nb_ignore_the_hurdle_design(self, family):
+        # The CLI passes its hurdle design and labels for every family.
+        rng = np.random.default_rng(24)
+        X = design(rng, 400, 2)
+        y = simulate_nb(rng, X, np.array([1.0, 0.3]), 0.6)
+        labels = ("intercept", "age")
+        expected = fit_family(family, X, y, labels=labels)
+        for X_h in (X, X[:, :1], np.ones((7, 3))):  # the last of the wrong row count
+            m = fit_family(family, X, y, X_h=X_h, labels=labels, hurdle_labels=("zero",))
+            for f in dataclasses.fields(FittedModel):
+                got, want = getattr(m, f.name), getattr(expected, f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.tobytes() == want.tobytes(), f.name
+                else:
+                    assert got == want, f.name
+
     def test_separate_hurdle_design(self):
         rng = np.random.default_rng(22)
         X = design(rng, 400, 2)
@@ -749,7 +766,7 @@ class TestBlockRules:
             return fit_module._OptState(u, 0.0, np.zeros(len(u0)), -np.eye(len(u0)), True, 1)
 
         monkeypatch.setattr(fit_module, "_newton_maximize", newton)
-        state = fit_module._nb_block(np.ones((5, 1)), np.array([0, 1, 2, 3, 5]), False, FitOptions())
+        state = fit_module.fit_nb(np.ones((5, 1)), np.array([0, 1, 2, 3, 5]))
         assert ("poisson_boundary" in state.warnings) == warned
 
 

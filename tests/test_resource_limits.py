@@ -3,7 +3,8 @@
 Each case runs `python -m countreg` in a child process whose address space
 is bounded (RLIMIT_AS, set in the child only), on one OpenBLAS thread and
 under a wall timeout.  The child must exit 1 soon, with one line on stderr,
-no traceback and no signal.  These runs are not traced by tests/reach.py;
+no traceback and no signal; an input countreg can fit must instead be
+fitted within the timeout.  These runs are not traced by tests/reach.py;
 tests/test_cli.py and tests/test_simulate.py run the same refusals in
 process.
 """
@@ -84,8 +85,8 @@ def simulate_args(tmp_path, design, *flags):
                      id="table-above-cell-limit"),
         pytest.param(lambda tmp: simulate_args(tmp, {**DESIGN, "recovery": {"replications": 10**15}}, "--threads", "1"),
                      "countreg: 'recovery.replications' must be at most 100,000", id="replications-above-limit"),
-        pytest.param(lambda tmp: simulate_args(tmp, {**DESIGN, "n": 10**12}), "countreg: out of memory",
-                     id="simulate-n-too-large"),
+        pytest.param(lambda tmp: simulate_args(tmp, {**DESIGN, "n": 10**12}),
+                     "countreg: 'n' must be at most 100,000,000, not 1000000000000", id="simulate-n-too-large"),
     ],
 )
 def test_refused_with_one_line(tmp_path, case, expected):
@@ -94,3 +95,20 @@ def test_refused_with_one_line(tmp_path, case, expected):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(expected), result.stderr
     assert not (tmp_path / "o").exists()
+
+
+# One case only: until item 6 lands it runs for the full TIMEOUT_S.
+@pytest.mark.xfail(
+    raises=subprocess.TimeoutExpired,
+    strict=True,
+    reason="ROADMAP item 6: the NB dispersion sums grid every value up to max(y),"
+    " so one count of 2**62 runs far past the timeout",
+)
+def test_a_count_of_2_pow_62_is_fitted_or_refused_in_time(tmp_path):
+    data = nb_csv(tmp_path / "d.csv", 200)
+    header, first, *rest = data.read_text(encoding="utf-8").splitlines(keepends=True)
+    data.write_text("".join([header, f"{2**62},{first.split(',', 1)[1]}", *rest]), encoding="utf-8")
+    config = write_json(tmp_path / "run.json", NB_CONFIG)
+    result = run_countreg(["fit", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "o")])
+    refused = result.returncode == 1 and len(result.stderr.splitlines()) == 1
+    assert result.returncode in (0, 2) or refused, result.stderr

@@ -162,6 +162,7 @@ class TestGenerate:
             pytest.param({"family": "ZIP"}, "unknown family 'ZIP'; expected one of P, NB, HNB",
                          id="unknown-family"),
             pytest.param({"n": 0}, "n must be at least 1", id="n-zero"),
+            pytest.param({"n": 10**8 + 1}, "'n' must be at most 100,000,000, not 100000001", id="n-above-limit"),
             pytest.param({"response_name": "x1"}, "response 'x1' is also a predictor",
                          id="response-named-like-a-covariate"),
             pytest.param({"covariates": (CovariateSpec(name="x1", kind="normal"),) * 2},
@@ -372,6 +373,7 @@ class TestRecoveryStudy:
             dataclasses.replace(design, replications=replications)
         # The limits themselves are accepted.
         dataclasses.replace(nb_design(n=1000), replications=100_000)
+        dataclasses.replace(nb_design(n=10**8), replications=1)
 
 
 class TestCitationScaleDesign:
